@@ -22,14 +22,6 @@
 //!     [--metrics-interval SECS]                history snapshot interval (default 10)
 //!     [--quiet]
 //!
-//! sfence-dist serve ADDR --experiment NAME     # one-shot: a single fixed campaign
-//!     [--scale small|eval] [--backend B]       experiment shaping (as sfence-sweep)
-//!     [--token-file FILE] [--lease N] [--lease-ttl SECS]
-//!     [--store FILE] [--git STR] [--timestamp SECS]
-//!     [--diff] [--diff-run K]                  diff against stored history
-//!     [--json | --rows]                        stdout rendering
-//!     [--quiet]
-//!
 //! sfence-dist submit ADDR --experiment NAME    # register a campaign with a daemon
 //!     [--scale small|eval] [--backend B]
 //!     [--priority N]                           fair-share weight (default 1)
@@ -72,8 +64,8 @@
 
 use sfence_bench::cli::{self, OutputArgs};
 use sfence_dist::{
-    client, fetch_dump, fetch_status, render_campaign_table, run_server, serve, work,
-    CoordinatorOpts, ExperimentSpec, ServerOpts, WorkerOpts,
+    client, fetch_dump, fetch_status, render_campaign_table, run_server, work, ExperimentSpec,
+    ServerOpts, WorkerOpts,
 };
 use sfence_harness::{BackendId, SweepResult};
 use sfence_obs::log::{
@@ -96,7 +88,7 @@ fn main() {
         "metrics" => cmd_metrics(args),
         "dump" => cmd_dump(args),
         "" | "--help" | "-h" => {
-            eprintln!("usage: sfence-dist serve ADDR [--experiment NAME] [options]");
+            eprintln!("usage: sfence-dist serve ADDR [options]");
             eprintln!("       sfence-dist submit ADDR --experiment NAME [options]");
             eprintln!("       sfence-dist work ADDR [options]");
             eprintln!("       sfence-dist status ADDR [--json] [--timeout SECS]");
@@ -121,7 +113,7 @@ fn main() {
 fn usage(e: String) -> ! {
     eprintln!("error: {e}");
     eprintln!(
-        "usage: sfence-dist serve ADDR [--experiment NAME] [options] | submit ADDR \
+        "usage: sfence-dist serve ADDR [options] | submit ADDR \
          --experiment NAME [options] | work ADDR [options] | status ADDR [--json]"
     );
     std::process::exit(2);
@@ -153,11 +145,6 @@ fn parse_flag<T: std::str::FromStr>(
 
 fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
     let mut addr: Option<String> = None;
-    let mut experiment_name: Option<String> = None;
-    let mut scale = None;
-    let mut backend: Option<BackendId> = None;
-    let mut output = OutputArgs::default();
-    let mut json = false;
     let mut quiet = false;
     let mut lease_size: usize = 4;
     let mut lease_ttl_ms: u64 = 30_000;
@@ -173,27 +160,7 @@ fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
     let mut metrics_log: Option<PathBuf> = None;
     let mut metrics_interval_ms: u64 = 10_000;
     while let Some(arg) = it.next() {
-        let parsed = output.accept(&arg, &mut it).unwrap_or_else(|e| usage(e));
-        if parsed {
-            continue;
-        }
         match arg.as_str() {
-            "--experiment" => {
-                experiment_name =
-                    Some(cli::take(&mut it, "--experiment").unwrap_or_else(|e| usage(e)))
-            }
-            "--scale" => {
-                scale = Some(
-                    cli::parse_scale(&cli::take(&mut it, "--scale").unwrap_or_else(|e| usage(e)))
-                        .unwrap_or_else(|e| usage(e)),
-                )
-            }
-            "--backend" => {
-                backend = Some(
-                    BackendId::parse(&cli::take(&mut it, "--backend").unwrap_or_else(|e| usage(e)))
-                        .unwrap_or_else(|e| usage(e)),
-                )
-            }
             "--lease" => {
                 lease_size =
                     parse_flag(&mut it, "--lease", |&n: &usize| n > 0, "a positive integer")
@@ -253,8 +220,6 @@ fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
                 let secs: u64 = parse_flag(&mut it, "--metrics-interval", |&n| n > 0, "seconds");
                 metrics_interval_ms = secs * 1000;
             }
-            "--json" => json = true,
-            "--rows" => json = false,
             "--quiet" => quiet = true,
             other if !other.starts_with('-') && addr.is_none() => addr = Some(other.to_string()),
             other => usage(format!("unknown flag {other:?}")),
@@ -268,91 +233,60 @@ fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         .map(|a| a.to_string())
         .unwrap_or(addr.clone());
 
-    match experiment_name {
-        // --- One-shot mode: one fixed campaign, exit at completion.
-        Some(name) => {
-            let spec = ExperimentSpec::new(&name).scale(scale).backend(backend);
-            let experiment = spec
-                .resolve(sfence_bench::experiment_by_name)
-                .unwrap_or_else(|e| usage(e));
-            eprintln!(
-                "dist: serving {} ({} jobs, fingerprint {}) on {local}",
-                experiment.name,
-                experiment.job_count(),
-                &experiment.fingerprint()[..12]
-            );
-            let opts = CoordinatorOpts {
-                lease_size,
-                lease_ttl_ms,
-                quiet,
-                token,
-                ..CoordinatorOpts::default()
-            };
-            let summary = serve(&listener, &experiment, &spec, &opts)?;
-            eprintln!("{}", summary.summary_line());
-            let result =
-                SweepResult::from_indexed(&experiment.name, experiment.job_count(), summary.rows)?;
-            cli::finish_run(&experiment, &result, &output, json)
-        }
-        // --- Daemon mode: accept campaigns until killed.
-        None => {
-            eprintln!(
-                "dist: daemon on {local} (auth {}, checkpoint {})",
-                if token.is_some() { "on" } else { "off" },
-                checkpoint
-                    .as_ref()
-                    .map(|p| p.display().to_string())
-                    .unwrap_or_else(|| "off".into()),
-            );
-            let stderr_level = if quiet { None } else { Some(log_level) };
-            let log = match &log_path {
-                Some(path) => Arc::new(
-                    EventLog::with_file(
-                        "dist",
-                        stderr_level,
-                        log_level,
-                        path,
-                        log_max_bytes,
-                        log_max_files,
-                    )
-                    .map_err(|e| format!("open event log {}: {e}", path.display()))?,
-                ),
-                None => Arc::new(EventLog::to_stderr("dist", stderr_level)),
-            };
-            // A panicking daemon leaves its flight recorder behind:
-            // beside the event log when one is configured, else on
-            // stderr.
-            let panic_path = log_path.as_ref().map(|p| {
-                let mut s = p.as_os_str().to_os_string();
-                s.push(".panic");
-                PathBuf::from(s)
-            });
-            install_panic_dump(Arc::clone(&log), panic_path);
-            let opts = ServerOpts {
-                default_lease: lease_size,
-                lease_ttl_ms,
-                quiet,
-                token,
-                checkpoint,
-                checkpoint_every_ms,
-                retain_fetched_ms,
-                handshake_timeout_ms,
-                log: Some(log),
-                metrics_log,
-                metrics_interval_ms,
-                ..ServerOpts::default()
-            };
-            // Runs until the process is killed; the periodic
-            // checkpoint is the shutdown story.
-            run_server(
-                &listener,
-                Some(sfence_bench::experiment_by_name),
-                Vec::new(),
-                &opts,
+    eprintln!(
+        "dist: daemon on {local} (auth {}, checkpoint {})",
+        if token.is_some() { "on" } else { "off" },
+        checkpoint
+            .as_ref()
+            .map(|p| p.display().to_string())
+            .unwrap_or_else(|| "off".into()),
+    );
+    let stderr_level = if quiet { None } else { Some(log_level) };
+    let log = match &log_path {
+        Some(path) => Arc::new(
+            EventLog::with_file(
+                "dist",
+                stderr_level,
+                log_level,
+                path,
+                log_max_bytes,
+                log_max_files,
             )
-            .map(|_| ())
-        }
-    }
+            .map_err(|e| format!("open event log {}: {e}", path.display()))?,
+        ),
+        None => Arc::new(EventLog::to_stderr("dist", stderr_level)),
+    };
+    // A panicking daemon leaves its flight recorder behind: beside the
+    // event log when one is configured, else on stderr.
+    let panic_path = log_path.as_ref().map(|p| {
+        let mut s = p.as_os_str().to_os_string();
+        s.push(".panic");
+        PathBuf::from(s)
+    });
+    install_panic_dump(Arc::clone(&log), panic_path);
+    let opts = ServerOpts {
+        default_lease: lease_size,
+        lease_ttl_ms,
+        quiet,
+        token,
+        checkpoint,
+        checkpoint_every_ms,
+        retain_fetched_ms,
+        handshake_timeout_ms,
+        log: Some(log),
+        metrics_log,
+        metrics_interval_ms,
+        ..ServerOpts::default()
+    };
+    // Runs until the process is killed; the periodic checkpoint is the
+    // shutdown story.
+    run_server(
+        &listener,
+        Some(sfence_bench::experiment_by_name),
+        Vec::new(),
+        &opts,
+    )
+    .map(|_| ())
 }
 
 /// Parse a `--log-level` value.

@@ -2,7 +2,8 @@
 //! experiment (fig12..fig16, smoke) with content-addressed result
 //! caching, process-level sharding, resume after interruption, an
 //! append-only JSONL results store with history diffing, and a
-//! loopback-distributed mode that drives `sfence-dist` workers.
+//! loopback mode that runs the `sfence-dist` daemon in-process and
+//! fans the sweep out to local `sfence-dist work` processes.
 //!
 //! ```text
 //! sfence-sweep --experiment fig13 [--scale small|eval]
@@ -11,7 +12,6 @@
 //!     [--cache-dir DIR]        content-addressed RunReport cache
 //!     [--resume]               documents resume intent (needs --cache-dir)
 //!     [--shard I/N]            run one shard; emit indexed rows as JSONL
-//!     [--spawn N]              spawn N shard worker processes and merge
 //!     [--workers N]            spawn N sfence-dist workers over loopback and merge
 //!     [--max-cells N]          execute at most N uncached cells, then stop
 //!     [--progress]             throttled done/total + ETA line on stderr
@@ -32,18 +32,18 @@
 //! store byte-identical to an uninterrupted one.
 
 use sfence_bench::cli::{self, FigureArgs, OutputArgs};
-use sfence_dist::{serve, CoordinatorOpts, ExperimentSpec};
+use sfence_dist::{client, run_server, ExperimentSpec, Poll, ServerOpts};
 use sfence_harness::{Experiment, IndexedRow, SweepResult};
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct SweepArgs {
     common: FigureArgs,
     output: OutputArgs,
     experiment: Option<String>,
-    spawn: Option<usize>,
     workers: Option<usize>,
     max_cells: Option<usize>,
     list: bool,
@@ -54,7 +54,6 @@ fn parse_args() -> Result<SweepArgs, String> {
         common: FigureArgs::default(),
         output: OutputArgs::default(),
         experiment: None,
-        spawn: None,
         workers: None,
         max_cells: None,
         list: false,
@@ -66,15 +65,6 @@ fn parse_args() -> Result<SweepArgs, String> {
         }
         match arg.as_str() {
             "--experiment" => args.experiment = Some(cli::take(&mut it, "--experiment")?),
-            "--spawn" => {
-                let n: usize = cli::take(&mut it, "--spawn")?
-                    .parse()
-                    .map_err(|_| "--spawn expects a positive integer".to_string())?;
-                if n == 0 {
-                    return Err("--spawn expects a positive integer".into());
-                }
-                args.spawn = Some(n);
-            }
             "--workers" => {
                 let n: usize = cli::take(&mut it, "--workers")?
                     .parse()
@@ -99,21 +89,15 @@ fn parse_args() -> Result<SweepArgs, String> {
         }
     }
     args.common.validate()?;
-    if args.spawn.is_some() && args.workers.is_some() {
-        return Err("--spawn and --workers are mutually exclusive".into());
-    }
     if args.workers.is_some() && args.common.shard.is_some() {
         return Err("--workers and --shard are mutually exclusive".into());
     }
-    if args.spawn.is_some() && args.common.shard.is_some() {
-        return Err("--spawn and --shard are mutually exclusive".into());
-    }
-    if (args.spawn.is_some() || args.workers.is_some()) && args.max_cells.is_some() {
+    if args.workers.is_some() && args.max_cells.is_some() {
         return Err("--max-cells applies to in-process runs, not spawned workers".into());
     }
-    if (args.spawn.is_some() || args.workers.is_some()) && args.common.trace.is_some() {
-        // Rows come back over a pipe/socket as serialized reports,
-        // which deliberately carry no pipe events.
+    if args.workers.is_some() && args.common.trace.is_some() {
+        // Rows come back over a socket as serialized reports, which
+        // deliberately carry no pipe events.
         return Err("--trace applies to in-process runs, not spawned workers".into());
     }
     if args.common.shard.is_some() && args.output.wants_store_or_diff() {
@@ -159,8 +143,6 @@ fn main() {
 fn run(name: &str, experiment: &Experiment, args: &SweepArgs) -> Result<(), String> {
     let rows = if let Some(workers) = args.workers {
         run_distributed(name, experiment, args, workers)?
-    } else if let Some(workers) = args.spawn {
-        run_spawned(name, experiment, args, workers)?
     } else {
         match run_local(experiment, args)? {
             Some(rows) => rows,
@@ -196,10 +178,9 @@ fn threads_per_worker(requested: Option<usize>, workers: usize) -> usize {
     })
 }
 
-/// `--workers N`: the convenience face of the distributed runner —
-/// an in-process coordinator on a loopback port and N spawned
-/// `sfence-dist work` processes, merged exactly like remote workers
-/// would be.
+/// `--workers N`: the dist daemon on a loopback port, N spawned
+/// `sfence-dist work` processes, and this process as the submitting
+/// client — merged exactly like a remote campaign would be.
 fn run_distributed(
     name: &str,
     experiment: &Experiment,
@@ -244,109 +225,82 @@ fn run_distributed(
         children.push(child);
     }
 
-    // If every worker dies (bad binary, panic) the coordinator must
-    // error out rather than wait forever for jobs nobody will run.
-    let abort = Arc::new(AtomicBool::new(false));
-    let served_done = Arc::new(AtomicBool::new(false));
-    let monitor = {
-        let abort = Arc::clone(&abort);
-        let done = Arc::clone(&served_done);
-        std::thread::spawn(move || -> Vec<Child> {
-            loop {
-                if done.load(Ordering::SeqCst) {
-                    return children;
-                }
-                let all_exited = children
-                    .iter_mut()
-                    .all(|c| matches!(c.try_wait(), Ok(Some(_))));
-                if all_exited {
-                    abort.store(true, Ordering::SeqCst);
-                    return children;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(100));
-            }
-        })
+    let shutdown = Arc::new(AtomicBool::new(false));
+    let opts = ServerOpts {
+        shutdown: Some(Arc::clone(&shutdown)),
+        ..ServerOpts::default()
     };
-
-    let opts = CoordinatorOpts {
-        abort: Some(Arc::clone(&abort)),
-        ..CoordinatorOpts::default()
-    };
-    let served = serve(&listener, experiment, &spec, &opts);
-    served_done.store(true, Ordering::SeqCst);
+    let (collected, outcome) = std::thread::scope(|s| {
+        let server = s.spawn(|| {
+            run_server(
+                &listener,
+                Some(sfence_bench::experiment_by_name),
+                Vec::new(),
+                &opts,
+            )
+        });
+        let collected = collect(&addr, experiment, &spec, &mut children);
+        // Workers idling on `wait` are told `done` once the daemon
+        // notices the flag.
+        shutdown.store(true, Ordering::SeqCst);
+        (collected, server.join().expect("dist server thread"))
+    });
     // Close the listen socket before waiting: a worker that tries to
     // connect from here on gets an immediate reset instead of a
     // connection nobody will ever serve.
     drop(listener);
-    let children = monitor.join().expect("monitor thread");
     for (index, mut child) in children.into_iter().enumerate() {
         let status = child
             .wait()
             .map_err(|e| format!("wait for worker {index}: {e}"))?;
-        if !status.success() && served.is_ok() {
+        if !status.success() && collected.is_ok() {
             eprintln!("warning: worker {index} exited with {status}");
         }
     }
-    let summary = served?;
-    eprintln!("{}", summary.summary_line());
-    Ok(summary.rows)
+    let outcome = outcome?;
+    let rows = collected?;
+    eprintln!(
+        "dist: workers={} cache_hits={} executed={} released={} rejected={}",
+        outcome.workers, outcome.cache_hits, outcome.executed, outcome.released, outcome.rejected
+    );
+    Ok(rows)
 }
 
-/// Spawn one worker process per shard and merge their indexed rows.
-fn run_spawned(
-    name: &str,
+/// Submit the experiment to the loopback daemon and poll until its
+/// merged rows come back. Errors out as soon as every worker process
+/// has exited with the campaign still running — nobody is left to run
+/// its cells.
+fn collect(
+    addr: &str,
     experiment: &Experiment,
-    args: &SweepArgs,
-    workers: usize,
+    spec: &ExperimentSpec,
+    children: &mut [Child],
 ) -> Result<Vec<IndexedRow>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
-    let threads_per_worker = threads_per_worker(args.common.threads, workers);
-    let mut children = Vec::new();
-    for index in 0..workers {
-        let mut cmd = Command::new(&exe);
-        cmd.arg("--experiment")
-            .arg(name)
-            .arg("--shard")
-            .arg(format!("{index}/{workers}"))
-            .stdout(Stdio::piped());
-        if let Some(scale) = args.common.scale {
-            cmd.arg("--scale").arg(match scale {
-                sfence_workloads::Scale::Eval => "eval",
-                sfence_workloads::Scale::Small => "small",
-            });
-        }
-        if let Some(backend) = args.common.backend {
-            cmd.arg("--backend").arg(backend.name());
-        }
-        if let Some(dir) = &args.common.cache_dir {
-            cmd.arg("--cache-dir").arg(dir);
-        }
-        cmd.arg("--threads").arg(threads_per_worker.to_string());
-        let child = cmd
-            .spawn()
-            .map_err(|e| format!("spawn shard {index}/{workers}: {e}"))?;
-        children.push((index, child));
+    let client_opts = client::ClientOpts::default();
+    let ticket = client::submit(addr, spec, 1, &client_opts)?;
+    if ticket.fingerprint != experiment.fingerprint() {
+        return Err(format!(
+            "daemon resolves {:?} to fingerprint {} but this run expects {}",
+            spec.experiment,
+            ticket.fingerprint,
+            experiment.fingerprint()
+        ));
     }
-    let mut rows = Vec::with_capacity(experiment.job_count());
-    for (index, child) in children {
-        let out = child
-            .wait_with_output()
-            .map_err(|e| format!("wait for shard {index}/{workers}: {e}"))?;
-        if !out.status.success() {
+    loop {
+        if let Poll::Complete { rows, .. } = client::poll(addr, &ticket.campaign, &client_opts)? {
+            return Ok(rows);
+        }
+        if children
+            .iter_mut()
+            .all(|c| matches!(c.try_wait(), Ok(Some(_))))
+        {
             return Err(format!(
-                "shard worker {index}/{workers} failed: {}",
-                out.status
+                "every worker exited before campaign {} completed",
+                ticket.campaign
             ));
         }
-        let stdout = String::from_utf8(out.stdout)
-            .map_err(|_| format!("shard worker {index}/{workers} emitted invalid UTF-8"))?;
-        for line in stdout.lines().filter(|l| !l.trim().is_empty()) {
-            let doc = sfence_harness::json::parse(line)
-                .map_err(|e| format!("shard worker {index}/{workers} line: {e}"))?;
-            rows.push(IndexedRow::from_json(&doc)?);
-        }
+        std::thread::sleep(Duration::from_millis(100));
     }
-    Ok(rows)
 }
 
 /// `--list`: enumerate every registered experiment (axis, fence

@@ -132,7 +132,7 @@ pub fn run_task(name: &'static str, threads: usize) -> Result<PerfRow, String> {
         }
         "litmus-functional" => {
             let families = sfence_litmus::all_families();
-            let checker = sfence_litmus::CheckerConfig::default();
+            let checker = sfence_harness::CheckerConfig::default();
             let (res, wall_ms) = prof::measure(name, || {
                 sfence_litmus::run_campaign(&families, 8, threads, &checker, BackendId::Functional)
             });

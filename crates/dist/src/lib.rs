@@ -37,19 +37,17 @@
 //! ([`checkpoint`]) so a killed daemon resumes every in-flight
 //! campaign, and every client flow (submit / work / fetch / status)
 //! authenticates with a shared token compared in constant time
-//! ([`server::token_matches`]). The one-shot [`coordinator::serve`]
-//! is now a thin wrapper that runs the server with a single fixed
-//! campaign.
+//! ([`server::token_matches`]).
 //!
 //! See `README.md` for the protocol message table and failure model.
 //! The `sfence-dist` binary (in `sfence-bench`, next to the
 //! experiment registry) exposes `serve` / `submit` / `work` /
-//! `status`; `sfence-sweep --workers N` spawns local workers over
-//! loopback.
+//! `status`; `sfence-sweep --workers N` runs the same daemon on a
+//! loopback port, spawns N local workers and submits its experiment
+//! through [`client::submit`] / [`client::poll`].
 
 pub mod checkpoint;
 pub mod client;
-pub mod coordinator;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
@@ -58,7 +56,6 @@ pub mod status;
 pub mod worker;
 
 pub use client::{poll, submit, wait_for_campaign, CampaignTicket, ClientOpts, Poll, WaitOpts};
-pub use coordinator::{serve, CoordinatorOpts, DistSummary};
 pub use protocol::{FrameError, FrameReader, Msg, MAX_FRAME, PROTOCOL_VERSION};
 pub use scheduler::FairShare;
 pub use server::{run_server, token_matches, ServerOpts, ServerOutcome};

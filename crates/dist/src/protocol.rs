@@ -27,7 +27,7 @@
 //! | w → c | `request`   | ask for work; `batch` cells wanted (0 = server default) |
 //! | c → w | `lease`     | campaign id, its spec + fingerprint, leased job indices |
 //! | c → w | `wait`      | nothing pending right now; re-request after `ms` |
-//! | c → w | `done`      | daemon shutting down (or one-shot campaign complete) |
+//! | c → w | `done`      | daemon shutting down |
 //! | w → c | `result`    | completed indexed rows for one campaign + cache accounting |
 //! | w → c | `abort`     | worker cannot run a leased spec (unknown experiment, drift) |
 //! | w → c | `heartbeat` | keep-alive; extends this worker's leases |

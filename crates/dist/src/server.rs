@@ -1,8 +1,7 @@
 //! The long-lived sweep service: one daemon, many concurrent
 //! campaigns, many clients.
 //!
-//! Where `coordinator::serve` runs one experiment and exits, the
-//! server keeps a *campaign table*: every `submit` registers a new
+//! The server keeps a *campaign table*: every `submit` registers a new
 //! campaign (spec + priority weight + its own [`JobQueue`]), workers
 //! lease cells across all running campaigns through the
 //! [`crate::scheduler::FairShare`] scheduler, and `fetch` clients
@@ -100,12 +99,8 @@ pub struct ServerOpts {
     /// client that knows the id can always come back for it. 0 =
     /// keep everything forever.
     pub retain_fetched_ms: u64,
-    /// One-shot mode: exit once every campaign is complete (and at
-    /// least one exists). The daemon CLI leaves this false and runs
-    /// until killed.
-    pub exit_when_done: bool,
-    /// Externally-set kill switch (tests, `sfence-sweep --workers`'s
-    /// all-workers-died detector).
+    /// Externally-set kill switch (tests, and `sfence-sweep
+    /// --workers` once its campaign completes or every worker died).
     pub shutdown: Option<Arc<AtomicBool>>,
     /// Event logger for lifecycle events (stderr + optional JSONL
     /// file + flight recorder). `None` = the server builds a
@@ -134,7 +129,6 @@ impl Default for ServerOpts {
             checkpoint_every_ms: 1000,
             handshake_timeout_ms: 10_000,
             retain_fetched_ms: 600_000,
-            exit_when_done: false,
             shutdown: None,
             log: None,
             metrics_log: None,
@@ -156,8 +150,8 @@ pub struct FinishedCampaign {
     pub rows: Vec<IndexedRow>,
 }
 
-/// What the server did over its lifetime, for the one-shot wrapper
-/// and tests.
+/// What the server did over its lifetime, for `sfence-sweep
+/// --workers` and tests.
 #[derive(Debug)]
 pub struct ServerOutcome {
     pub workers: u64,
@@ -166,8 +160,8 @@ pub struct ServerOutcome {
     pub released: u64,
     pub rejected: u64,
     pub campaigns: Vec<FinishedCampaign>,
-    /// True when the shutdown flag (not campaign completion) ended
-    /// the run.
+    /// True when the table was empty or held an incomplete campaign
+    /// at shutdown.
     pub aborted: bool,
 }
 
@@ -487,13 +481,11 @@ fn maybe_checkpoint(s: &mut Shared, opts: &ServerOpts, now_ms: u64, log: &EventL
     }
 }
 
-/// Run the service on `listener` until the shutdown flag flips (or,
-/// with `exit_when_done`, until every campaign completes).
+/// Run the service on `listener` until the shutdown flag flips.
 ///
-/// `registry` resolves remotely-submitted experiment names; a server
-/// embedded by the one-shot wrapper passes `None` and rejects
-/// `submit`. `initial` seeds the campaign table (one-shot mode, or
-/// pre-registered campaigns in tests); campaigns restored from the
+/// `registry` resolves remotely-submitted experiment names; `None`
+/// rejects `submit`. `initial` seeds the campaign table
+/// (pre-registered campaigns in tests); campaigns restored from the
 /// checkpoint come first and keep their original ids.
 pub fn run_server(
     listener: &TcpListener,
@@ -680,10 +672,6 @@ pub fn run_server(
                     metrics_line = Some(status_metrics(&s, now_ms()).to_json().to_string_compact());
                     last_metrics_ms = Some(now_ms());
                 }
-                if opts.exit_when_done && s.all_complete() {
-                    stop.store(true, Ordering::SeqCst);
-                    break;
-                }
             }
             if let (Some(w), Some(line)) = (metrics_writer.as_mut(), metrics_line) {
                 if let Err(e) = w.append_line(&line) {
@@ -732,8 +720,10 @@ pub fn run_server(
     }
 
     // Clients that raced the shutdown sit un-accepted in the listen
-    // backlog; hand each a `done` so they exit cleanly (see
-    // `coordinator::serve` for why the drain reads until EOF).
+    // backlog; hand each a `done` so they exit cleanly. The drain
+    // reads until the peer closes: dropping a socket with its unread
+    // `hello` still buffered makes the kernel send RST, which can
+    // discard the `done` before the peer reads it.
     while let Ok((mut stream, _)) = listener.accept() {
         let _ = stream.set_nonblocking(false);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
@@ -794,8 +784,9 @@ pub fn run_server(
 }
 
 /// Half-close after a final frame and linger until the peer closes.
-/// See `coordinator::close_gracefully` for why a plain drop can RST
-/// away the buffered reply.
+/// A plain drop with unread peer bytes in the receive buffer (a late
+/// heartbeat, say) sends RST, which can discard the buffered reply
+/// before the peer reads it.
 fn close_gracefully(writer: &TcpStream, reader: &mut FrameReader<TcpStream>, max_wait: Duration) {
     let _ = writer.shutdown(std::net::Shutdown::Write);
     let deadline = Instant::now() + max_wait;
@@ -1026,11 +1017,11 @@ fn handle_conn(
                 reject(
                     &mut writer,
                     &mut reader,
-                    "this coordinator runs a single fixed campaign and does not accept \
+                    "this coordinator has no experiment registry and does not accept \
                      submissions"
                         .into(),
                     "reject",
-                    "submit to one-shot coordinator",
+                    "submit without a registry",
                 );
                 return;
             };
@@ -1370,45 +1361,41 @@ fn worker_loop(
                 }
                 .max(1);
                 let mut s = shared.lock().unwrap();
-                if opts.exit_when_done && s.all_complete() {
-                    Some(Msg::Done)
-                } else {
-                    // Fair-share pick among campaigns with pending
-                    // cells; the whole batch comes from one campaign
-                    // so the lease frame carries one spec.
-                    let now = now_ms();
-                    let picked = {
-                        let campaigns = &s.campaigns;
-                        s.scheduler
-                            .pick(|id| campaigns.get(&id).is_some_and(|c| c.queue.pending() > 0))
-                    };
-                    match picked {
-                        None => Some(Msg::Wait { ms: opts.wait_ms }),
-                        Some(id) => {
-                            let lease_ttl = opts.lease_ttl_ms;
-                            let c = s.campaigns.get_mut(&id).expect("picked campaign exists");
-                            let jobs = c.queue.lease(worker_key, want, now, lease_ttl);
-                            let msg = Msg::Lease {
-                                campaign: c.public_id(),
-                                spec: c.spec_json.clone(),
-                                fingerprint: c.fingerprint.clone(),
-                                job_count: c.job_count as u64,
-                                jobs: jobs.clone(),
-                            };
-                            let cid = c.public_id();
-                            s.scheduler.charge(id, jobs.len() as u64);
-                            s.dirty = true;
-                            // Grant latency: how long the scheduler +
-                            // queue held this request frame.
-                            let grant_ms = frame_t0.elapsed().as_secs_f64() * 1000.0;
-                            s.hist
-                                .observe("lease_grant_ms", &[("campaign", &cid)], grant_ms);
-                            s.hist
-                                .observe("lease_grant_ms", &[("worker", worker_key)], grant_ms);
-                            drop(s);
-                            log.debug("lease", &[("worker", worker_key), ("campaign", &cid)]);
-                            Some(msg)
-                        }
+                // Fair-share pick among campaigns with pending cells;
+                // the whole batch comes from one campaign so the
+                // lease frame carries one spec.
+                let now = now_ms();
+                let picked = {
+                    let campaigns = &s.campaigns;
+                    s.scheduler
+                        .pick(|id| campaigns.get(&id).is_some_and(|c| c.queue.pending() > 0))
+                };
+                match picked {
+                    None => Some(Msg::Wait { ms: opts.wait_ms }),
+                    Some(id) => {
+                        let lease_ttl = opts.lease_ttl_ms;
+                        let c = s.campaigns.get_mut(&id).expect("picked campaign exists");
+                        let jobs = c.queue.lease(worker_key, want, now, lease_ttl);
+                        let msg = Msg::Lease {
+                            campaign: c.public_id(),
+                            spec: c.spec_json.clone(),
+                            fingerprint: c.fingerprint.clone(),
+                            job_count: c.job_count as u64,
+                            jobs: jobs.clone(),
+                        };
+                        let cid = c.public_id();
+                        s.scheduler.charge(id, jobs.len() as u64);
+                        s.dirty = true;
+                        // Grant latency: how long the scheduler + queue
+                        // held this request frame.
+                        let grant_ms = frame_t0.elapsed().as_secs_f64() * 1000.0;
+                        s.hist
+                            .observe("lease_grant_ms", &[("campaign", &cid)], grant_ms);
+                        s.hist
+                            .observe("lease_grant_ms", &[("worker", worker_key)], grant_ms);
+                        drop(s);
+                        log.debug("lease", &[("worker", worker_key), ("campaign", &cid)]);
+                        Some(msg)
                     }
                 }
             }

@@ -112,7 +112,7 @@ pub struct WorkerSummary {
 
 /// How one connected session ended.
 enum SessionEnd {
-    /// The coordinator said `done` (shutdown or one-shot completion).
+    /// The coordinator said `done` (it is shutting down).
     Done,
     /// The idle-exit budget ran out with no work on offer.
     Idle,

@@ -5,92 +5,17 @@
 //! server cap, and every client flow is refused without the shared
 //! token.
 
+mod common;
+
+use common::{
+    fast_wait_opts, merged_json, registry, scratch_dir, test_server_opts, test_worker_opts,
+};
 use sfence_dist::protocol::{write_msg, FrameReader, Msg, PROTOCOL_VERSION};
-use sfence_dist::{client, fetch_status, run_server, work, ExperimentSpec, ServerOpts, WorkerOpts};
-use sfence_harness::{Axis, BackendId, Experiment, RunOptions, SweepResult, SCHEMA_VERSION};
-use sfence_sim::FenceConfig;
-use sfence_workloads::WorkloadParams;
+use sfence_dist::{client, fetch_status, run_server, work, ExperimentSpec, ServerOpts};
+use sfence_harness::{Experiment, RunOptions, SCHEMA_VERSION};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Functional-backend experiments so whole campaigns run in
-/// milliseconds. Two distinct names so interleaved campaigns have
-/// distinguishable outputs.
-fn registry(name: &str) -> Option<Experiment> {
-    match name {
-        "tiny" => Some(
-            Experiment::new("tiny")
-                .workloads(["dekker", "msn"], WorkloadParams::small())
-                .fences(vec![FenceConfig::TRADITIONAL, FenceConfig::SFENCE])
-                .axis(Axis::Level(vec![1, 2]))
-                .backend(BackendId::Functional),
-        ),
-        "tiny2" => Some(
-            Experiment::new("tiny2")
-                .workloads(["dekker", "wsq"], WorkloadParams::small())
-                .fences(vec![FenceConfig::TRADITIONAL, FenceConfig::SFENCE])
-                .axis(Axis::Level(vec![1, 2, 3]))
-                .backend(BackendId::Functional),
-        ),
-        _ => None,
-    }
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "sfence-service-test-{}-{}-{}",
-        std::process::id(),
-        tag,
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn test_server_opts() -> ServerOpts {
-    ServerOpts {
-        default_lease: 2,
-        lease_ttl_ms: 10_000,
-        poll_ms: 10,
-        wait_ms: 10,
-        quiet: true,
-        ..ServerOpts::default()
-    }
-}
-
-fn test_worker_opts(name: &str) -> WorkerOpts {
-    WorkerOpts {
-        threads: 1,
-        heartbeat_ms: 50,
-        name: Some(name.to_string()),
-        read_timeout_ms: 20,
-        max_idle_windows: 500, // 10s of silence before giving up
-        quiet: true,
-        ..WorkerOpts::default()
-    }
-}
-
-fn fast_wait_opts(token: Option<&str>) -> client::WaitOpts {
-    let mut wait = client::WaitOpts {
-        poll_ms: 20,
-        retries: 100,
-        retry_base_ms: 20,
-        retry_cap_ms: 200,
-        ..Default::default()
-    };
-    wait.client.token = token.map(str::to_string);
-    wait
-}
-
-fn merged_json(experiment: &Experiment, rows: Vec<sfence_harness::IndexedRow>) -> String {
-    SweepResult::from_indexed(&experiment.name, experiment.job_count(), rows)
-        .expect("merge covers every job exactly once")
-        .to_json_string()
-}
 
 #[test]
 fn two_interleaved_campaigns_each_match_their_solo_runs() {
@@ -267,9 +192,10 @@ fn batched_leases_respect_request_and_cap_and_merge_identically() {
 
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
+    let shutdown = Arc::new(AtomicBool::new(false));
     let opts = ServerOpts {
         max_lease: 4,
-        exit_when_done: true,
+        shutdown: Some(Arc::clone(&shutdown)),
         ..test_server_opts()
     };
     let spec = ExperimentSpec::new("tiny");
@@ -322,7 +248,14 @@ fn batched_leases_respect_request_and_cap_and_merge_identically() {
             )
             .unwrap();
         }
+        // Nothing is pending now; a shutdown tells the idle worker
+        // `done`.
         write_msg(&mut writer, &Msg::Request { batch: 0 }).unwrap();
+        match reader.next_msg().unwrap().unwrap() {
+            Msg::Wait { .. } => {}
+            other => panic!("expected wait, got {other:?}"),
+        }
+        shutdown.store(true, Ordering::SeqCst);
         match reader.next_msg().unwrap().unwrap() {
             Msg::Done => {}
             other => panic!("expected done, got {other:?}"),

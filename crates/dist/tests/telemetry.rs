@@ -6,81 +6,20 @@
 //! explicitly — and, with every sink turned on, the merged campaign
 //! output is still byte-identical to a solo run.
 
+mod common;
+
+use common::{fast_wait_opts, registry, scratch_dir, test_server_opts, test_worker_opts};
 use sfence_dist::{
     client, fetch_dump, fetch_status, render_campaign_table, run_server, work, ExperimentSpec,
     ServerOpts, WorkerOpts,
 };
-use sfence_harness::{Axis, BackendId, Experiment, SweepResult};
+use sfence_harness::SweepResult;
 use sfence_obs::log::{Event, EventLog, LogLevel};
 use sfence_obs::{MetricValue, MetricsReport};
-use sfence_sim::FenceConfig;
-use sfence_workloads::WorkloadParams;
 use std::net::TcpListener;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn registry(name: &str) -> Option<Experiment> {
-    match name {
-        "tiny" => Some(
-            Experiment::new("tiny")
-                .workloads(["dekker", "msn"], WorkloadParams::small())
-                .fences(vec![FenceConfig::TRADITIONAL, FenceConfig::SFENCE])
-                .axis(Axis::Level(vec![1, 2]))
-                .backend(BackendId::Functional),
-        ),
-        _ => None,
-    }
-}
-
-fn scratch_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "sfence-telemetry-test-{}-{}-{}",
-        std::process::id(),
-        tag,
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn test_server_opts() -> ServerOpts {
-    ServerOpts {
-        default_lease: 2,
-        lease_ttl_ms: 10_000,
-        poll_ms: 10,
-        wait_ms: 10,
-        quiet: true,
-        ..ServerOpts::default()
-    }
-}
-
-fn test_worker_opts(name: &str) -> WorkerOpts {
-    WorkerOpts {
-        threads: 1,
-        heartbeat_ms: 50,
-        name: Some(name.to_string()),
-        read_timeout_ms: 20,
-        max_idle_windows: 500,
-        quiet: true,
-        ..WorkerOpts::default()
-    }
-}
-
-fn fast_wait_opts(token: Option<&str>) -> client::WaitOpts {
-    let mut wait = client::WaitOpts {
-        poll_ms: 20,
-        retries: 100,
-        retry_base_ms: 20,
-        retry_cap_ms: 200,
-        ..Default::default()
-    };
-    wait.client.token = token.map(str::to_string);
-    wait
-}
 
 /// Run one full `tiny` campaign through a daemon configured with
 /// `opts`, returning the merged rows and whatever the caller probes

@@ -2,26 +2,13 @@
 //! must disconnect the offending peer — releasing its leases — and
 //! must never panic the coordinator or cost the campaign a row.
 
-use sfence_dist::protocol::{write_msg, FrameError, FrameReader, Msg, MAX_FRAME, PROTOCOL_VERSION};
-use sfence_dist::{serve, work, CoordinatorOpts, ExperimentSpec, WorkerOpts};
-use sfence_harness::{Axis, BackendId, Experiment, SweepResult, SCHEMA_VERSION};
-use sfence_sim::FenceConfig;
-use sfence_workloads::WorkloadParams;
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+mod common;
 
-fn registry(name: &str) -> Option<Experiment> {
-    match name {
-        "tiny" => Some(
-            Experiment::new("tiny")
-                .workloads(["dekker", "msn"], WorkloadParams::small())
-                .fences(vec![FenceConfig::TRADITIONAL, FenceConfig::SFENCE])
-                .axis(Axis::Level(vec![1, 2]))
-                .backend(BackendId::Functional),
-        ),
-        _ => None,
-    }
-}
+use common::{merged_json, registry, test_server_opts, test_worker_opts, Daemon};
+use sfence_dist::protocol::{write_msg, FrameError, FrameReader, Msg, MAX_FRAME, PROTOCOL_VERSION};
+use sfence_harness::SCHEMA_VERSION;
+use std::io::Write;
+use std::net::TcpStream;
 
 fn torn(bytes: &[u8]) -> String {
     let mut reader = FrameReader::new(bytes);
@@ -94,93 +81,62 @@ fn valid_frames_before_the_tear_still_decode() {
 fn live_coordinator_survives_torn_clients() {
     let experiment = registry("tiny").unwrap();
     let expected = experiment.run_parallel().to_json_string();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let spec = ExperimentSpec::new("tiny");
-    let opts = CoordinatorOpts {
-        lease_size: 2,
-        lease_ttl_ms: 10_000,
-        poll_ms: 10,
-        wait_ms: 10,
-        quiet: true,
-        ..CoordinatorOpts::default()
-    };
+    let daemon = Daemon::start(test_server_opts());
+    let addr = daemon.addr.clone();
+    let ticket = daemon.submit("tiny");
 
-    let summary = std::thread::scope(|s| {
-        let coord = s.spawn(|| serve(&listener, &experiment, &spec, &opts));
-
-        // 1. An HTTP client wandered in: oversized length prefix.
-        let mut http = TcpStream::connect(&addr).unwrap();
-        http.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
-            .unwrap();
-        drop(http);
-
-        // 2. A client that handshakes correctly, takes a lease, then
-        // sends garbage instead of results.
-        let stream = TcpStream::connect(&addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = FrameReader::new(stream);
-        write_msg(
-            &mut writer,
-            &Msg::Hello {
-                schema_version: SCHEMA_VERSION,
-                protocol_version: PROTOCOL_VERSION,
-                worker: "corrupt".into(),
-                token: None,
-            },
-        )
+    // 1. An HTTP client wandered in: oversized length prefix.
+    let mut http = TcpStream::connect(&addr).unwrap();
+    http.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
         .unwrap();
-        match reader.next_msg().unwrap().unwrap() {
-            Msg::Welcome { .. } => {}
-            other => panic!("expected welcome, got {other:?}"),
-        }
-        write_msg(&mut writer, &Msg::Request { batch: 0 }).unwrap();
-        match reader.next_msg().unwrap().unwrap() {
-            Msg::Lease { jobs, .. } => assert!(!jobs.is_empty()),
-            other => panic!("expected lease, got {other:?}"),
-        }
-        writer.write_all(b"\x00\x00\x00\x09{\"bad\":1}").unwrap();
-        drop(writer);
-        drop(reader);
+    drop(http);
 
-        // 3. A client that hangs up mid-frame: a length prefix
-        // promising more bytes than it ever sends.
-        let mut half = TcpStream::connect(&addr).unwrap();
-        half.write_all(&[0x00, 0x00, 0x01, 0x00, b'{']).unwrap();
-        drop(half);
+    // 2. A client that handshakes correctly, takes a lease, then sends
+    // garbage instead of results.
+    let stream = TcpStream::connect(&addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = FrameReader::new(stream);
+    write_msg(
+        &mut writer,
+        &Msg::Hello {
+            schema_version: SCHEMA_VERSION,
+            protocol_version: PROTOCOL_VERSION,
+            worker: "corrupt".into(),
+            token: None,
+        },
+    )
+    .unwrap();
+    match reader.next_msg().unwrap().unwrap() {
+        Msg::Welcome { .. } => {}
+        other => panic!("expected welcome, got {other:?}"),
+    }
+    write_msg(&mut writer, &Msg::Request { batch: 0 }).unwrap();
+    match reader.next_msg().unwrap().unwrap() {
+        Msg::Lease { jobs, .. } => assert!(!jobs.is_empty()),
+        other => panic!("expected lease, got {other:?}"),
+    }
+    writer.write_all(b"\x00\x00\x00\x09{\"bad\":1}").unwrap();
+    drop(writer);
+    drop(reader);
 
-        // The honest worker completes everything, including the
-        // corrupt client's re-leased jobs.
-        let w = s.spawn({
-            let addr = addr.clone();
-            move || {
-                work(
-                    &addr,
-                    registry,
-                    &WorkerOpts {
-                        threads: 1,
-                        heartbeat_ms: 50,
-                        name: Some("honest".into()),
-                        read_timeout_ms: 20,
-                        max_idle_windows: 500,
-                        quiet: true,
-                        ..WorkerOpts::default()
-                    },
-                )
-            }
-        });
-        let summary = coord.join().unwrap().expect("campaign completes");
-        w.join().unwrap().expect("honest worker exits cleanly");
-        summary
-    });
+    // 3. A client that hangs up mid-frame: a length prefix promising
+    // more bytes than it ever sends.
+    let mut half = TcpStream::connect(&addr).unwrap();
+    half.write_all(&[0x00, 0x00, 0x01, 0x00, b'{']).unwrap();
+    drop(half);
+
+    // The honest worker completes everything, including the corrupt
+    // client's re-leased jobs.
+    let honest = daemon.worker(test_worker_opts("honest"));
+    let rows = daemon.wait(&ticket);
+    let outcome = daemon.stop();
+    honest.join().unwrap().expect("honest worker exits cleanly");
 
     assert!(
-        summary.rejected >= 3,
+        outcome.rejected >= 3,
         "all hostile connections rejected (got {})",
-        summary.rejected
+        outcome.rejected
     );
-    assert_eq!(summary.released, 2, "the corrupt client's lease re-queued");
-    let result =
-        SweepResult::from_indexed(&experiment.name, experiment.job_count(), summary.rows).unwrap();
-    assert_eq!(result.to_json_string(), expected);
+    assert_eq!(outcome.released, 2, "the corrupt client's lease re-queued");
+    assert_eq!(merged_json(&experiment, rows), expected);
 }

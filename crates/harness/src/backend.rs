@@ -4,8 +4,12 @@
 //! builder, [`Experiment`](crate::Experiment) sweeps, the result
 //! cache, sharding, the stores and the litmus campaigns) runs
 //! programs through the [`Backend`] trait and consumes the one
-//! [`EngineOutput`] shape, so each layer can pick the cheapest engine
-//! that answers its question:
+//! [`RunReport`] shape, so each layer can pick the cheapest engine
+//! that answers its question. Engines that do not model a dimension
+//! leave it empty (`Vec`) or absent (`None`) — nothing is fabricated:
+//! only [`SimBackend`] reports `cycles`, timing stats, watchpoints and
+//! traces; only [`EnumerativeBackend`] reports `sc_states` (and no
+//! single final memory):
 //!
 //! - [`SimBackend`] — the cycle-accurate out-of-order multicore
 //!   simulator (`sfence_sim::execute`). The only engine that reports
@@ -29,12 +33,11 @@
 
 use crate::enumerate::{enumerate_sc, CheckerConfig};
 use crate::json::Json;
-use sfence_core::{PipeEvent, RetiredEvent, ScopeUnitStats};
+use crate::session::RunReport;
 use sfence_cpu::CoreStats;
 use sfence_isa::interp::{InterpStats, ThreadState};
 use sfence_isa::{Addr, Program, NUM_REGS};
-use sfence_mem::CoreMemStats;
-use sfence_sim::{execute, MachineConfig, RunExit, WatchEvent};
+use sfence_sim::{execute, MachineConfig, RunExit};
 
 /// Identity of an execution engine — the discriminant that selects an
 /// engine by name (`--backend`), tags every report
@@ -120,70 +123,6 @@ impl std::fmt::Display for BackendId {
     }
 }
 
-/// Everything one engine run produced. Engines that do not model a
-/// dimension leave it empty (`Vec`) or absent (`None`) — nothing is
-/// fabricated: only [`SimBackend`] reports `cycles`, timing stats,
-/// watchpoints and traces; only [`EnumerativeBackend`] reports
-/// `sc_states` (and no single final memory).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineOutput {
-    /// The engine that produced this output.
-    pub backend: BackendId,
-    pub exit: RunExit,
-    /// Total execution time; `None` on engines without a clock.
-    pub cycles: Option<u64>,
-    /// Per-core stats. The functional backend fills only the
-    /// architectural event counters (instructions, loads, stores, CAS,
-    /// fences); all timing counters are zero there by construction.
-    pub core_stats: Vec<CoreStats>,
-    pub mem_stats: CoreMemStats,
-    pub scope_stats: Vec<ScopeUnitStats>,
-    /// Per-core scope-unit path coverage bitmaps
-    /// (`sfence_core::coverage`) — sim only; the fuzzer's corpus key.
-    pub scope_coverage: Vec<u32>,
-    /// Writes to watched addresses in completion order (sim only).
-    pub watch_log: Vec<WatchEvent>,
-    /// Per-core retired-event traces (sim only, and only when
-    /// tracing is enabled).
-    pub traces: Vec<Vec<RetiredEvent>>,
-    /// Merged pipeline event trace, sorted by `(cycle, core)` (sim
-    /// only, and only when `cfg.core.pipe_trace` is set).
-    pub pipe: Vec<PipeEvent>,
-    /// Final flat memory image (empty on the enumerative backend,
-    /// which explores *many* final states).
-    pub mem: Vec<i64>,
-    /// Per-core architectural register snapshot at the end of the run.
-    pub regs: Vec<Vec<i64>>,
-    /// The complete SC-allowed final-state set (observed `obs_*`
-    /// vectors, sorted) — enumerative backend only.
-    pub sc_states: Option<Vec<Vec<i64>>>,
-    /// Distinct states the enumeration visited.
-    pub sc_states_explored: Option<u64>,
-}
-
-impl EngineOutput {
-    /// An output skeleton for engines without a cycle-accurate
-    /// machine: everything empty/absent except identity and exit.
-    fn untimed(backend: BackendId, exit: RunExit) -> EngineOutput {
-        EngineOutput {
-            backend,
-            exit,
-            cycles: None,
-            core_stats: Vec::new(),
-            mem_stats: CoreMemStats::default(),
-            scope_stats: Vec::new(),
-            scope_coverage: Vec::new(),
-            watch_log: Vec::new(),
-            traces: Vec::new(),
-            pipe: Vec::new(),
-            mem: Vec::new(),
-            regs: Vec::new(),
-            sc_states: None,
-            sc_states_explored: None,
-        }
-    }
-}
-
 /// One execution engine. `Sync` so a single instance can serve every
 /// worker thread of a parallel sweep or campaign.
 pub trait Backend: Sync {
@@ -199,7 +138,7 @@ pub trait Backend: Sync {
     /// peak retirement rate) and shapes its register snapshot by
     /// `num_cores`; the enumerative backend uses neither (its bounds
     /// are its own [`CheckerConfig`]).
-    fn run(&self, program: &Program, cfg: &MachineConfig, watch: &[Addr]) -> EngineOutput;
+    fn run(&self, program: &Program, cfg: &MachineConfig, watch: &[Addr]) -> RunReport;
 }
 
 // ---------------------------------------------------------------------
@@ -215,9 +154,9 @@ impl Backend for SimBackend {
         BackendId::Sim
     }
 
-    fn run(&self, program: &Program, cfg: &MachineConfig, watch: &[Addr]) -> EngineOutput {
+    fn run(&self, program: &Program, cfg: &MachineConfig, watch: &[Addr]) -> RunReport {
         let out = execute(program, cfg.clone(), watch);
-        EngineOutput {
+        RunReport {
             backend: BackendId::Sim,
             exit: out.summary.exit,
             cycles: Some(out.summary.cycles),
@@ -256,7 +195,7 @@ impl Backend for FunctionalBackend {
         BackendId::Functional
     }
 
-    fn run(&self, program: &Program, cfg: &MachineConfig, _watch: &[Addr]) -> EngineOutput {
+    fn run(&self, program: &Program, cfg: &MachineConfig, _watch: &[Addr]) -> RunReport {
         let n = program.num_threads();
         let mut threads: Vec<ThreadState> = (0..n).map(|_| ThreadState::default()).collect();
         let mut stats = vec![InterpStats::default(); n];
@@ -307,11 +246,11 @@ impl Backend for FunctionalBackend {
             core_stats[t].fences_retired = s.fences;
             regs[t] = threads[t].regs.to_vec();
         }
-        EngineOutput {
+        RunReport {
             core_stats,
             mem,
             regs,
-            ..EngineOutput::untimed(BackendId::Functional, exit)
+            ..RunReport::untimed(BackendId::Functional, exit)
         }
     }
 }
@@ -340,7 +279,7 @@ impl Backend for EnumerativeBackend {
         BackendId::Enumerative
     }
 
-    fn run(&self, program: &Program, _cfg: &MachineConfig, _watch: &[Addr]) -> EngineOutput {
+    fn run(&self, program: &Program, _cfg: &MachineConfig, _watch: &[Addr]) -> RunReport {
         let out = enumerate_sc(program, &self.checker)
             .unwrap_or_else(|e| panic!("enumerative backend: {e}"));
         let exit = if out.complete {
@@ -348,10 +287,10 @@ impl Backend for EnumerativeBackend {
         } else {
             RunExit::CycleLimit
         };
-        EngineOutput {
+        RunReport {
             sc_states: Some(out.states.into_iter().collect()),
             sc_states_explored: Some(out.states_explored),
-            ..EngineOutput::untimed(BackendId::Enumerative, exit)
+            ..RunReport::untimed(BackendId::Enumerative, exit)
         }
     }
 }

@@ -3,9 +3,8 @@
 //! final state.
 //!
 //! This is the engine behind [`crate::backend::EnumerativeBackend`];
-//! it moved here from `sfence-litmus` (which re-exports it as
-//! `sfence_litmus::checker`) so every backend the harness can name is
-//! also one it can instantiate.
+//! it moved here from `sfence-litmus` so every backend the harness
+//! can name is also one it can instantiate.
 //!
 //! The state space is explored as a graph search with three standard
 //! reductions:

@@ -49,9 +49,7 @@ pub mod session;
 pub mod shard;
 pub mod store;
 
-pub use backend::{
-    Backend, BackendId, EngineOutput, EnumerativeBackend, FunctionalBackend, SimBackend,
-};
+pub use backend::{Backend, BackendId, EnumerativeBackend, FunctionalBackend, SimBackend};
 pub use cache::{host_token, job_canonical_json, job_key, unique_writer_name, ResultCache};
 pub use enumerate::{enumerate_sc, CheckerConfig, ScOutcomes};
 pub use experiment::{

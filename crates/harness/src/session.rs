@@ -152,23 +152,7 @@ impl<'a> Session<'a> {
     /// exhausted state budget is an ordinary reportable outcome
     /// (`exit = CycleLimit`), not a broken workload run.
     pub fn run(self) -> RunReport {
-        let out = self.backend.run(self.program, &self.cfg, &self.watch);
-        let report = RunReport {
-            backend: out.backend,
-            exit: out.exit,
-            cycles: out.cycles,
-            core_stats: out.core_stats,
-            mem_stats: out.mem_stats,
-            scope_stats: out.scope_stats,
-            scope_coverage: out.scope_coverage,
-            watch_log: out.watch_log,
-            traces: out.traces,
-            pipe: out.pipe,
-            mem: out.mem,
-            regs: out.regs,
-            sc_states: out.sc_states,
-            sc_states_explored: out.sc_states_explored,
-        };
+        let report = self.backend.run(self.program, &self.cfg, &self.watch);
         if let (Some(check), true) = (self.check, report.backend != BackendId::Enumerative) {
             assert_eq!(
                 report.exit,
@@ -185,8 +169,9 @@ impl<'a> Session<'a> {
 }
 
 /// Everything one run produced, behind one typed, serializable
-/// surface. Fields an engine does not model are empty/absent —
-/// see [`crate::backend::EngineOutput`] for the per-backend contract.
+/// surface — what every [`Backend`] returns. Fields an engine does
+/// not model are empty/absent, never fabricated (see
+/// [`crate::backend`] for the per-backend contract).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
     /// The engine that produced this report.
@@ -196,6 +181,9 @@ pub struct RunReport {
     /// drained. `None` on engines without a clock (functional,
     /// enumerative) — absent, never fabricated.
     pub cycles: Option<u64>,
+    /// Per-core stats. The functional backend fills only the
+    /// architectural event counters (instructions, loads, stores, CAS,
+    /// fences); all timing counters are zero there by construction.
     pub core_stats: Vec<CoreStats>,
     pub mem_stats: CoreMemStats,
     pub scope_stats: Vec<ScopeUnitStats>,
@@ -227,6 +215,27 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// A report skeleton for engines without a cycle-accurate
+    /// machine: everything empty/absent except identity and exit.
+    pub(crate) fn untimed(backend: BackendId, exit: RunExit) -> RunReport {
+        RunReport {
+            backend,
+            exit,
+            cycles: None,
+            core_stats: Vec::new(),
+            mem_stats: CoreMemStats::default(),
+            scope_stats: Vec::new(),
+            scope_coverage: Vec::new(),
+            watch_log: Vec::new(),
+            traces: Vec::new(),
+            pipe: Vec::new(),
+            mem: Vec::new(),
+            regs: Vec::new(),
+            sc_states: None,
+            sc_states_explored: None,
+        }
+    }
+
     pub fn completed(&self) -> bool {
         self.exit == RunExit::Completed
     }

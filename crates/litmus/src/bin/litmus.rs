@@ -31,10 +31,9 @@
 //! or a non-covering family failed to demonstrate any relaxed
 //! outcome.
 
-use sfence_harness::{default_threads, BackendId, Json, Shard};
+use sfence_harness::{default_threads, BackendId, CheckerConfig, Json, Shard};
 use sfence_litmus::{
-    all_families, case_to_json, cases, parse_families, run_campaign, run_case, Campaign,
-    CheckerConfig, Family,
+    all_families, case_to_json, cases, parse_families, run_campaign, run_case, Campaign, Family,
 };
 
 struct Args {

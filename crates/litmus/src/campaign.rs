@@ -32,8 +32,9 @@
 //! is byte-identical across worker-thread counts, and shard outputs
 //! merge into exactly the unsharded document.
 
-use crate::checker::{enumerate_sc, CheckerConfig};
-use sfence_harness::{run_indexed, BackendId, Json, Session, SCHEMA_VERSION};
+use sfence_harness::{
+    enumerate_sc, run_indexed, BackendId, CheckerConfig, Json, Session, SCHEMA_VERSION,
+};
 use sfence_sim::{FenceConfig, MachineConfig, RunExit};
 use sfence_workloads::litmus::{build, Family, LitmusSpec, FAMILIES};
 

@@ -15,12 +15,11 @@
 //!   into the workload catalog as `litmus/<family>/<seed>`, so
 //!   `Experiment` sweeps, the result cache, sharding and the result
 //!   store run them unchanged.
-//! - **[`checker`]**: an SC reference checker that enumerates the
+//! - **SC reference checking** lives in `sfence_harness::enumerate`
+//!   (it is the harness's `EnumerativeBackend`): it enumerates the
 //!   interleavings of a compiled program (bounded, with a
 //!   commuting-step partial-order reduction and state memoization)
-//!   and computes the complete set of SC-allowed final states. The
-//!   implementation lives in `sfence_harness::enumerate` (it is the
-//!   harness's `EnumerativeBackend`); this module re-exports it.
+//!   and computes the complete set of SC-allowed final states.
 //! - **[`campaign`]**: the differential runner — every scenario
 //!   executes (through the harness `Backend` trait, on the simulator
 //!   by default or the functional engine with `--backend functional`)
@@ -36,13 +35,11 @@
 //! exit-code conventions as `sfence-sweep`.
 
 pub mod campaign;
-pub mod checker;
 
 pub use campaign::{
     all_families, case_from_json, case_to_json, cases, overflow_scope, parse_families,
     run_campaign, run_case, summarize, Campaign, Case, CaseVerdict, RunVerdict, Summary,
 };
-pub use checker::{enumerate_sc, CheckerConfig, ScOutcomes};
 pub use sfence_workloads::litmus::{
     build, parse_name, scenario_name, Family, LitmusSpec, FAMILIES, LITMUS_PREFIX,
 };

@@ -3,8 +3,8 @@
 //! worker-thread counts and shard splits; generated scenarios run
 //! through the ordinary `Experiment` sweep machinery unchanged.
 
-use sfence_harness::{Axis, BackendId, Experiment, Shard};
-use sfence_litmus::{cases, run_campaign, run_case, CheckerConfig, Family, LitmusSpec, FAMILIES};
+use sfence_harness::{Axis, BackendId, CheckerConfig, Experiment, Shard};
+use sfence_litmus::{cases, run_campaign, run_case, Family, LitmusSpec, FAMILIES};
 use sfence_sim::FenceConfig;
 use sfence_workloads::litmus::build;
 use sfence_workloads::WorkloadParams;

@@ -19,8 +19,6 @@
 //!   machine): phase timings of benchmark and perf-gate runs.
 //! - [`progress`] — a throttled stderr progress meter (done/total,
 //!   cells/sec, ETA) built on the metrics registry, for long sweeps.
-//! - [`bridge`] — adapters from the harness's [`RunReport`] and sweep
-//!   [`RunStats`](sfence_harness::RunStats) into registry metrics.
 //! - [`log`] — a leveled, structured JSONL event logger for
 //!   long-lived services: schema-versioned records with monotonic
 //!   sequence numbers, size-based rotation, and per-line flushing so
@@ -39,7 +37,6 @@
 //! the simulator's per-cycle path; the perf gate runs with everything
 //! here disabled and must not notice the difference.
 
-pub mod bridge;
 pub mod expo;
 pub mod log;
 pub mod metrics;
@@ -48,7 +45,6 @@ pub mod progress;
 pub mod ring;
 pub mod trace;
 
-pub use bridge::{machine_metrics, run_report_metrics, run_stats_metrics};
 pub use expo::prometheus_text;
 pub use log::{install_panic_dump, Event, EventLog, LogLevel, LOG_SCHEMA_VERSION};
 pub use metrics::{
@@ -61,4 +57,3 @@ pub use trace::{chrome_trace, write_chrome_trace};
 // Re-exported so callers of the trace API need not depend on
 // sfence-core directly.
 pub use sfence_core::{PipeEvent, PipeKind, WalkKind};
-pub use sfence_harness::RunReport;

@@ -360,39 +360,6 @@ impl Machine {
         }
     }
 
-    /// Restore the machine to its pre-run state — cycle 0, fresh
-    /// cores, caches, memory image and statistics — keeping the
-    /// configuration and watchpoints. Reuse exists so a caller can
-    /// re-run a program without re-paying construction; behaviourally
-    /// a reset machine is indistinguishable from a new one.
-    ///
-    /// The cores and memory system are rebuilt wholesale rather than
-    /// cleared field by field: a core carries per-run derived state
-    /// (event heap, dispatch queues, disambiguation deques, stats
-    /// counters) and a field-wise reset that missed one would
-    /// silently leak it — inflated counters, or worse, stale events —
-    /// into the next run's report.
-    pub fn reset(&mut self, program: &Program) {
-        assert!(
-            program.num_threads() <= self.cfg.num_cores,
-            "program has {} threads but the machine has {} cores",
-            program.num_threads(),
-            self.cfg.num_cores
-        );
-        self.cores = (0..self.cfg.num_cores)
-            .map(|i| {
-                let code = program.threads.get(i).cloned().unwrap_or_default();
-                Core::new(i, code, self.cfg.core.clone())
-            })
-            .collect();
-        self.memsys = MemorySystem::new(self.cfg.num_cores, self.cfg.mem);
-        self.mem = program.initial_memory();
-        self.watch_log.clear();
-        self.write_probes.clear();
-        self.pipe_bus.clear();
-        self.now = 0;
-    }
-
     /// Watch writes to an address (mutual-exclusion checks etc.).
     pub fn watch(&mut self, addr: usize) {
         self.watch_addrs.insert(addr);
