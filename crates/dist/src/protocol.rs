@@ -275,6 +275,8 @@ pub enum Msg {
         job_count: u64,
         jobs: Vec<usize>,
     },
+    /// Nothing became pending while the daemon held the `request`;
+    /// ask again after `ms` (0 from a current daemon).
     Wait {
         ms: u64,
     },

@@ -44,11 +44,10 @@ use sfence_obs::log::{
 };
 use sfence_obs::MetricsReport;
 use std::collections::BTreeMap;
-use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A worker whose per-cell p99 exceeds this multiple of the fleet's
@@ -71,9 +70,15 @@ pub struct ServerOpts {
     pub max_lease: usize,
     /// How long a silent (non-heartbeating) worker keeps its leases.
     pub lease_ttl_ms: u64,
-    /// Accept-loop poll / connection read-timeout granularity.
+    /// Housekeeping tick: how often lease expiry, fetched-campaign
+    /// eviction, periodic checkpoints, the metrics history and the
+    /// shutdown flag are serviced, and the connection read timeout.
+    /// Connections are accepted as they arrive, not on this tick.
     pub poll_ms: u64,
-    /// Back-off we tell a worker when everything is leased elsewhere.
+    /// Longest time a worker's `request` is held when nothing is
+    /// pending anywhere. A held request is granted the moment a submit,
+    /// a released or expired lease makes cells pending; on timeout the
+    /// worker is told `wait { ms: 0 }` and asks again at once.
     pub wait_ms: u64,
     /// Suppress per-connection progress lines on stderr.
     pub quiet: bool,
@@ -226,8 +231,8 @@ struct WorkerStat {
     cache_hits: u64,
 }
 
-/// Shared mutable state between the accept loop and the
-/// per-connection handler threads.
+/// Shared mutable state between the ticker and the per-connection
+/// handler threads.
 struct Shared {
     next_campaign: u64,
     campaigns: BTreeMap<u64, Campaign>,
@@ -324,6 +329,43 @@ impl Shared {
         }
         expired
     }
+}
+
+/// What the acceptor, the ticker and every connection handler share
+/// for the length of one [`run_server`] call.
+struct Service<'a> {
+    shared: Mutex<Shared>,
+    /// Signalled whenever a held `request` may have become grantable
+    /// (a submit, a released or expired lease) and on stop. Waiters
+    /// re-check under `shared`, so every notifier changes that state
+    /// under the lock first.
+    work_ready: Condvar,
+    /// Set once the shutdown flag has been seen; handlers answer
+    /// `done` from then on.
+    stop: AtomicBool,
+    registry: Option<Registry>,
+    opts: &'a ServerOpts,
+    log: &'a EventLog,
+    start: Instant,
+}
+
+impl Service<'_> {
+    fn now_ms(&self) -> u64 {
+        self.start.elapsed().as_millis() as u64
+    }
+
+    /// Flip `stop` and wake every held request. Taking the lock
+    /// between the two closes the window where a handler has checked
+    /// `stop` but not yet started waiting.
+    fn begin_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        drop(self.shared.lock().unwrap());
+        self.work_ready.notify_all();
+    }
+}
+
+fn shutdown_requested(opts: &ServerOpts) -> bool {
+    matches!(&opts.shutdown, Some(flag) if flag.load(Ordering::SeqCst))
 }
 
 /// Build the live service snapshot a `status_request` probe gets
@@ -481,12 +523,114 @@ fn maybe_checkpoint(s: &mut Shared, opts: &ServerOpts, now_ms: u64, log: &EventL
     }
 }
 
+/// The housekeeping thread. Every `poll_ms` it expires stale leases,
+/// evicts fetched campaigns, takes the periodic checkpoint and appends
+/// the metrics history. Once the shutdown flag flips it stops the
+/// service and wakes the acceptor, blocked in `accept`, by connecting
+/// to `wake`, repeating each tick until the acceptor has left.
+fn tick_loop(
+    svc: &Service,
+    mut metrics_writer: Option<RotatingWriter>,
+    wake: SocketAddr,
+    accepting: &AtomicBool,
+) {
+    let (opts, log) = (svc.opts, svc.log);
+    let mut last_metrics_ms: Option<u64> = None;
+    loop {
+        let mut metrics_line: Option<String> = None;
+        {
+            let mut s = svc.shared.lock().unwrap();
+            let expired = s.expire_all(svc.now_ms());
+            if expired > 0 {
+                svc.work_ready.notify_all();
+                log.info("re_lease", &[("count", &expired.to_string())]);
+            }
+            for id in s.evict_fetched(svc.now_ms(), opts.retain_fetched_ms) {
+                log.info("evict", &[("campaign", &format!("c{id}"))]);
+            }
+            maybe_checkpoint(&mut s, opts, svc.now_ms(), log);
+            if metrics_writer.is_some()
+                && last_metrics_ms.is_none_or(|at| {
+                    svc.now_ms().saturating_sub(at) >= opts.metrics_interval_ms.max(1)
+                })
+            {
+                metrics_line = Some(
+                    status_metrics(&s, svc.now_ms())
+                        .to_json()
+                        .to_string_compact(),
+                );
+                last_metrics_ms = Some(svc.now_ms());
+            }
+        }
+        if let (Some(w), Some(line)) = (metrics_writer.as_mut(), metrics_line) {
+            if let Err(e) = w.append_line(&line) {
+                log.error("metrics_log_fail", &[("err", &e.to_string())]);
+                metrics_writer = None;
+            }
+        }
+        if !svc.stop.load(Ordering::SeqCst) && shutdown_requested(opts) {
+            svc.begin_stop();
+        }
+        if svc.stop.load(Ordering::SeqCst) {
+            if !accepting.load(Ordering::SeqCst) {
+                return;
+            }
+            let timeout = Duration::from_millis(opts.poll_ms.max(10));
+            if let Err(e) = TcpStream::connect_timeout(&wake, timeout) {
+                log.warn(
+                    "wake_fail",
+                    &[("addr", &wake.to_string()), ("err", &e.to_string())],
+                );
+            }
+        }
+        std::thread::sleep(Duration::from_millis(opts.poll_ms));
+    }
+}
+
+/// Where the ticker connects to wake the acceptor: the listener's own
+/// port, with an unspecified bind address mapped to loopback.
+fn wake_addr(listener: &TcpListener) -> Result<SocketAddr, String> {
+    let mut addr = listener
+        .local_addr()
+        .map_err(|e| format!("local_addr: {e}"))?;
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    Ok(addr)
+}
+
+/// Hand a connection that raced the shutdown a `done` so it exits
+/// cleanly. Reads until the peer closes: dropping a socket with its
+/// unread `hello` still buffered makes the kernel send RST, which can
+/// discard the `done` before the peer reads it.
+fn tell_done(mut stream: TcpStream) {
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    if write_msg(&mut stream, &Msg::Done).is_ok() {
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut sink = [0u8; 1024];
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while Instant::now() < deadline {
+            match std::io::Read::read(&mut stream, &mut sink) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+        }
+    }
+}
+
 /// Run the service on `listener` until the shutdown flag flips.
 ///
 /// `registry` resolves remotely-submitted experiment names; `None`
 /// rejects `submit`. `initial` seeds the campaign table
 /// (pre-registered campaigns in tests); campaigns restored from the
 /// checkpoint come first and keep their original ids.
+///
+/// The calling thread blocks in `accept` and hands each connection to
+/// its own handler thread; a ticker thread does the periodic work
+/// (see `tick_loop`). Nothing waits on a timer to serve a peer.
 pub fn run_server(
     listener: &TcpListener,
     registry: Option<Registry>,
@@ -494,8 +638,9 @@ pub fn run_server(
     opts: &ServerOpts,
 ) -> Result<ServerOutcome, String> {
     listener
-        .set_nonblocking(true)
+        .set_nonblocking(false)
         .map_err(|e| format!("set_nonblocking: {e}"))?;
+    let wake = wake_addr(listener)?;
     let start = Instant::now();
     let now_ms = || start.elapsed().as_millis() as u64;
 
@@ -638,52 +783,39 @@ pub fn run_server(
     // Metrics history: a rotated JSONL time-series of status
     // snapshots. Like the initial checkpoint, a daemon told to record
     // history but unable to open the file fails fast.
-    let mut metrics_writer = match &opts.metrics_log {
+    let metrics_writer = match &opts.metrics_log {
         Some(path) => Some(
             RotatingWriter::open(path, opts.metrics_max_bytes, DEFAULT_LOG_MAX_FILES)
                 .map_err(|e| format!("metrics log {}: {e}", path.display()))?,
         ),
         None => None,
     };
-    let mut last_metrics_ms: Option<u64> = None;
 
-    let shared = Mutex::new(shared);
-    let stop = AtomicBool::new(false);
+    let svc = Service {
+        shared: Mutex::new(shared),
+        work_ready: Condvar::new(),
+        stop: AtomicBool::new(false),
+        registry,
+        opts,
+        log,
+        start,
+    };
+    let accepting = AtomicBool::new(true);
 
     std::thread::scope(|scope| {
+        let (svc, accepting) = (&svc, &accepting);
+        scope.spawn(move || tick_loop(svc, metrics_writer, wake, accepting));
+        // The external flag is checked here too, not only through the
+        // ticker's `stop`: a peer already queued when the flag flips
+        // must be told `done`, never served.
+        let stopping = || svc.stop.load(Ordering::SeqCst) || shutdown_requested(opts);
         let mut conn_id: u64 = 0;
-        loop {
-            let mut metrics_line: Option<String> = None;
-            {
-                let mut s = shared.lock().unwrap();
-                let expired = s.expire_all(now_ms());
-                if expired > 0 {
-                    log.info("re_lease", &[("count", &expired.to_string())]);
-                }
-                for id in s.evict_fetched(now_ms(), opts.retain_fetched_ms) {
-                    log.info("evict", &[("campaign", &format!("c{id}"))]);
-                }
-                maybe_checkpoint(&mut s, opts, now_ms(), log);
-                if metrics_writer.is_some()
-                    && last_metrics_ms.is_none_or(|at| {
-                        now_ms().saturating_sub(at) >= opts.metrics_interval_ms.max(1)
-                    })
-                {
-                    metrics_line = Some(status_metrics(&s, now_ms()).to_json().to_string_compact());
-                    last_metrics_ms = Some(now_ms());
-                }
-            }
-            if let (Some(w), Some(line)) = (metrics_writer.as_mut(), metrics_line) {
-                if let Err(e) = w.append_line(&line) {
-                    log.error("metrics_log_fail", &[("err", &e.to_string())]);
-                    metrics_writer = None;
-                }
-            }
-            if matches!(&opts.shutdown, Some(flag) if flag.load(Ordering::SeqCst)) {
-                stop.store(true, Ordering::SeqCst);
-                break;
-            }
+        while !stopping() {
             match listener.accept() {
+                Ok((stream, _)) if stopping() => {
+                    tell_done(stream);
+                    break;
+                }
                 Ok((stream, peer)) => {
                     conn_id += 1;
                     let id = conn_id;
@@ -691,27 +823,23 @@ pub fn run_server(
                         "conn_open",
                         &[("conn", &id.to_string()), ("peer", &peer.to_string())],
                     );
-                    let shared = &shared;
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        handle_conn(stream, id, shared, stop, registry, opts, &now_ms, log);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(opts.poll_ms));
+                    scope.spawn(move || handle_conn(stream, id, svc));
                 }
                 // Transient accept failures (e.g. a connection reset
-                // while queued) must not kill the service.
+                // while queued, fd exhaustion) must not kill the
+                // service; back off one tick.
                 Err(_) => std::thread::sleep(Duration::from_millis(opts.poll_ms)),
             }
         }
-        // Scope exit joins every handler thread; each notices the
-        // stop flag within one read-timeout tick.
+        accepting.store(false, Ordering::SeqCst);
+        // Scope exit joins the ticker and every handler thread; each
+        // handler notices `stop` within one read-timeout tick, or at
+        // once if it holds a request.
     });
 
     // Final snapshot: a clean shutdown resumes with zero replay.
     {
-        let mut s = shared.lock().unwrap();
+        let mut s = svc.shared.lock().unwrap();
         if s.dirty {
             if let Err(e) = checkpoint_now(&mut s, opts, now_ms()) {
                 log.error("checkpoint_fail", &[("phase", "final"), ("err", &e)]);
@@ -720,27 +848,16 @@ pub fn run_server(
     }
 
     // Clients that raced the shutdown sit un-accepted in the listen
-    // backlog; hand each a `done` so they exit cleanly. The drain
-    // reads until the peer closes: dropping a socket with its unread
-    // `hello` still buffered makes the kernel send RST, which can
-    // discard the `done` before the peer reads it.
-    while let Ok((mut stream, _)) = listener.accept() {
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        if write_msg(&mut stream, &Msg::Done).is_ok() {
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            let mut sink = [0u8; 1024];
-            let deadline = Instant::now() + Duration::from_secs(1);
-            while Instant::now() < deadline {
-                match std::io::Read::read(&mut stream, &mut sink) {
-                    Ok(0) | Err(_) => break,
-                    Ok(_) => {}
-                }
-            }
-        }
+    // backlog (with any leftover wake-up connections); hand each a
+    // `done`.
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| format!("set_nonblocking: {e}"))?;
+    while let Ok((stream, _)) = listener.accept() {
+        tell_done(stream);
     }
 
-    let s = shared.into_inner().unwrap();
+    let s = svc.shared.into_inner().unwrap();
     let aborted = !s.all_complete();
     let campaigns = s
         .campaigns
@@ -849,17 +966,10 @@ fn read_msg(reader: &mut FrameReader<TcpStream>, stop: &AtomicBool) -> Result<Ms
     read_msg_within(reader, stop, 0)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_conn(
-    stream: TcpStream,
-    conn_id: u64,
-    shared: &Mutex<Shared>,
-    stop: &AtomicBool,
-    registry: Option<Registry>,
-    opts: &ServerOpts,
-    now_ms: &dyn Fn() -> u64,
-    log: &EventLog,
-) {
+fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
+    let (shared, stop, registry, opts, log) =
+        (&svc.shared, &svc.stop, svc.registry, svc.opts, svc.log);
+    let now_ms = || svc.now_ms();
     let _ = stream.set_nodelay(true);
     if stream
         .set_read_timeout(Some(Duration::from_millis(opts.poll_ms.max(10))))
@@ -985,16 +1095,7 @@ fn handle_conn(
                 s.workers += 1;
             }
             log.info("worker_ready", &[("worker", &worker_key)]);
-            worker_loop(
-                &worker_key,
-                &mut writer,
-                &mut reader,
-                shared,
-                stop,
-                opts,
-                now_ms,
-                log,
-            );
+            worker_loop(&worker_key, &mut writer, &mut reader, svc);
         }
 
         // --- Submit flow -----------------------------------------
@@ -1071,6 +1172,8 @@ fn handle_conn(
                 // reject — never ack an id a restart would forget.
                 match checkpoint_now(&mut s, opts, now_ms()) {
                     Ok(()) => {
+                        // Durable: held requests may lease from it now.
+                        svc.work_ready.notify_all();
                         log.info(
                             "submit",
                             &[
@@ -1289,22 +1392,23 @@ fn handle_conn(
 /// The post-handshake worker conversation: requests become leases
 /// picked by the fair-share scheduler, results land in their
 /// campaign's queue, heartbeats extend leases across every campaign.
-#[allow(clippy::too_many_arguments)]
 fn worker_loop(
     worker_key: &str,
     writer: &mut TcpStream,
     reader: &mut FrameReader<TcpStream>,
-    shared: &Mutex<Shared>,
-    stop: &AtomicBool,
-    opts: &ServerOpts,
-    now_ms: &dyn Fn() -> u64,
-    log: &EventLog,
+    svc: &Service,
 ) {
+    let (shared, stop, opts, log) = (&svc.shared, &svc.stop, svc.opts, svc.log);
+    let now_ms = || svc.now_ms();
     // Per-connection cleanup: drop the worker's leases back into the
-    // pool (no-op if it held none) and account the disconnect.
+    // pool (no-op if it held none), wake held requests that can take
+    // them, and account the disconnect.
     let finish = |torn: Option<String>| {
         let mut s = shared.lock().unwrap();
         let released = s.release_worker(worker_key);
+        if released > 0 {
+            svc.work_ready.notify_all();
+        }
         if torn.is_some() {
             s.rejected += 1;
         }
@@ -1344,14 +1448,13 @@ fn worker_loop(
                 return;
             }
         };
-        let frame_t0 = Instant::now();
+        // Handling starts at frame receipt; for a held request it
+        // restarts at each wake-up, so `lease_grant_ms` and
+        // `frame_handle_ms` measure scheduler and queue time, never
+        // the hold.
+        let mut frame_t0 = Instant::now();
         let mut frame_kind: Option<&'static str> = None;
         let reply = match msg {
-            // A stopping server answers `done` instead of a lease. The
-            // read-timeout path below can't be the only stop check: a
-            // worker cycling request/wait keeps the socket warm, so an
-            // idle window may never open.
-            Msg::Request { .. } if stop.load(Ordering::SeqCst) => Some(Msg::Done),
             Msg::Request { batch } => {
                 frame_kind = Some("request");
                 let want = if batch == 0 {
@@ -1360,43 +1463,57 @@ fn worker_loop(
                     (batch as usize).min(opts.max_lease)
                 }
                 .max(1);
+                // With nothing pending the request is held, re-picking
+                // on every wake-up, for up to `wait_ms`.
+                let hold_until = frame_t0 + Duration::from_millis(opts.wait_ms);
                 let mut s = shared.lock().unwrap();
-                // Fair-share pick among campaigns with pending cells;
-                // the whole batch comes from one campaign so the
-                // lease frame carries one spec.
-                let now = now_ms();
-                let picked = {
-                    let campaigns = &s.campaigns;
-                    s.scheduler
-                        .pick(|id| campaigns.get(&id).is_some_and(|c| c.queue.pending() > 0))
-                };
-                match picked {
-                    None => Some(Msg::Wait { ms: opts.wait_ms }),
-                    Some(id) => {
-                        let lease_ttl = opts.lease_ttl_ms;
-                        let c = s.campaigns.get_mut(&id).expect("picked campaign exists");
-                        let jobs = c.queue.lease(worker_key, want, now, lease_ttl);
-                        let msg = Msg::Lease {
-                            campaign: c.public_id(),
-                            spec: c.spec_json.clone(),
-                            fingerprint: c.fingerprint.clone(),
-                            job_count: c.job_count as u64,
-                            jobs: jobs.clone(),
-                        };
-                        let cid = c.public_id();
-                        s.scheduler.charge(id, jobs.len() as u64);
-                        s.dirty = true;
-                        // Grant latency: how long the scheduler + queue
-                        // held this request frame.
-                        let grant_ms = frame_t0.elapsed().as_secs_f64() * 1000.0;
-                        s.hist
-                            .observe("lease_grant_ms", &[("campaign", &cid)], grant_ms);
-                        s.hist
-                            .observe("lease_grant_ms", &[("worker", worker_key)], grant_ms);
-                        drop(s);
-                        log.debug("lease", &[("worker", worker_key), ("campaign", &cid)]);
-                        Some(msg)
+                loop {
+                    // A stopping server answers `done` instead of a
+                    // lease. The read-timeout path can't be the only
+                    // stop check: a worker cycling request/wait keeps
+                    // the socket warm, so an idle window may never open.
+                    if stop.load(Ordering::SeqCst) {
+                        break Some(Msg::Done);
                     }
+                    // Fair-share pick among campaigns with pending
+                    // cells; the whole batch comes from one campaign
+                    // so the lease frame carries one spec.
+                    let picked = {
+                        let campaigns = &s.campaigns;
+                        s.scheduler
+                            .pick(|id| campaigns.get(&id).is_some_and(|c| c.queue.pending() > 0))
+                    };
+                    let Some(id) = picked else {
+                        let left = hold_until.saturating_duration_since(Instant::now());
+                        if left.is_zero() {
+                            break Some(Msg::Wait { ms: 0 });
+                        }
+                        s = svc.work_ready.wait_timeout(s, left).unwrap().0;
+                        frame_t0 = Instant::now();
+                        continue;
+                    };
+                    let now = now_ms();
+                    let lease_ttl = opts.lease_ttl_ms;
+                    let c = s.campaigns.get_mut(&id).expect("picked campaign exists");
+                    let jobs = c.queue.lease(worker_key, want, now, lease_ttl);
+                    let msg = Msg::Lease {
+                        campaign: c.public_id(),
+                        spec: c.spec_json.clone(),
+                        fingerprint: c.fingerprint.clone(),
+                        job_count: c.job_count as u64,
+                        jobs: jobs.clone(),
+                    };
+                    let cid = c.public_id();
+                    s.scheduler.charge(id, jobs.len() as u64);
+                    s.dirty = true;
+                    let grant_ms = frame_t0.elapsed().as_secs_f64() * 1000.0;
+                    s.hist
+                        .observe("lease_grant_ms", &[("campaign", &cid)], grant_ms);
+                    s.hist
+                        .observe("lease_grant_ms", &[("worker", worker_key)], grant_ms);
+                    drop(s);
+                    log.debug("lease", &[("worker", worker_key), ("campaign", &cid)]);
+                    break Some(msg);
                 }
             }
             Msg::Result {

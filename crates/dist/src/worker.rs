@@ -67,9 +67,10 @@ pub struct WorkerOpts {
     pub reconnect_base_ms: u64,
     /// Reconnect delay ceiling.
     pub reconnect_cap_ms: u64,
-    /// Exit cleanly after this long with no work offered (`wait`
-    /// replies only); 0 = keep asking forever. Lets a daemon-attached
-    /// worker drain away once its campaigns finish.
+    /// Exit cleanly once this long has passed since the session began
+    /// or the last lease finished, with only `wait` replies since; 0 =
+    /// keep asking forever. Lets a daemon-attached worker drain away
+    /// once its campaigns finish.
     pub idle_exit_ms: u64,
     /// Event logger for worker lifecycle events. `None` = the worker
     /// builds a stderr-only logger whose verbosity follows `quiet` /
@@ -374,7 +375,7 @@ fn session(
     };
 
     // --- Lease loop -----------------------------------------------
-    let mut idle_ms: u64 = 0;
+    let mut idle_since = Instant::now();
     loop {
         if let Err(e) = send(&Msg::Request {
             batch: opts.lease_batch,
@@ -393,7 +394,6 @@ fn session(
                 job_count,
                 jobs,
             } => {
-                idle_ms = 0;
                 // A cached id→experiment binding is only valid while
                 // the daemon state that issued it lives: a daemon
                 // restarted without its checkpoint reissues ids from
@@ -528,12 +528,15 @@ fn session(
                     }
                 }
                 executing.store(false, Ordering::SeqCst);
+                idle_since = Instant::now();
             }
+            // A current daemon has already held the request and says
+            // `ms: 0`; the nap honours daemons that still ask for one.
             Msg::Wait { ms } => {
-                let nap = ms.min(5000);
-                std::thread::sleep(Duration::from_millis(nap));
-                idle_ms = idle_ms.saturating_add(nap);
-                if opts.idle_exit_ms > 0 && idle_ms >= opts.idle_exit_ms {
+                std::thread::sleep(Duration::from_millis(ms.min(5000)));
+                if opts.idle_exit_ms > 0
+                    && idle_since.elapsed() >= Duration::from_millis(opts.idle_exit_ms)
+                {
                     return stop_heartbeat(Ok(SessionEnd::Idle));
                 }
             }

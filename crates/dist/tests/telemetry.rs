@@ -1,6 +1,7 @@
 //! Integration tests of the service telemetry layer: the structured
 //! event log is written and parseable, latency histograms with
-//! percentile summaries ride the `status` frame, the flight recorder
+//! percentile summaries ride the `status` frame (the lease-grant one
+//! leaves out the time a request was held), the flight recorder
 //! answers (token-gated) `debug_dump` probes, the metrics history
 //! appends parseable snapshots, a zero-campaign daemon says so
 //! explicitly — and, with every sink turned on, the merged campaign
@@ -8,7 +9,7 @@
 
 mod common;
 
-use common::{fast_wait_opts, registry, scratch_dir, test_server_opts, test_worker_opts};
+use common::{fast_wait_opts, registry, scratch_dir, test_server_opts, test_worker_opts, Daemon};
 use sfence_dist::{
     client, fetch_dump, fetch_status, render_campaign_table, run_server, work, ExperimentSpec,
     ServerOpts, WorkerOpts,
@@ -140,6 +141,41 @@ fn status_frame_carries_latency_histograms_with_percentiles() {
         .is_some());
     // The human rendering spells out the percentile summary.
     assert!(report.render().contains("p99="), "{}", report.render());
+}
+
+#[test]
+fn lease_grant_latency_excludes_the_time_a_request_was_held() {
+    // A worker connected before any submit has its request held until
+    // the campaign arrives. The grant histogram measures scheduler and
+    // queue time from the wake-up, so its p99 stays far below the hold.
+    let wait_ms = 1000;
+    let daemon = Daemon::start(ServerOpts {
+        wait_ms,
+        ..test_server_opts()
+    });
+    let worker = daemon.worker(test_worker_opts("early"));
+    daemon.await_workers(1);
+    std::thread::sleep(Duration::from_millis(300));
+    let ticket = daemon.submit("tiny");
+    daemon.wait(&ticket);
+    let report = fetch_status(&daemon.addr, Duration::from_secs(5), None).unwrap();
+    daemon.stop();
+    worker.join().unwrap().expect("worker exits cleanly");
+    match &report
+        .get("lease_grant_ms", &[("campaign", "c1")])
+        .expect("lease_grant_ms present")
+        .value
+    {
+        MetricValue::Histogram(h) => {
+            assert!(h.count > 0);
+            assert!(
+                h.p99() < wait_ms as f64 / 10.0,
+                "grant p99 {} ms against a {wait_ms} ms hold",
+                h.p99()
+            );
+        }
+        other => panic!("expected histogram, got {other:?}"),
+    }
 }
 
 #[test]
