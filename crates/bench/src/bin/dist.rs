@@ -465,33 +465,63 @@ fn cmd_work(mut it: impl Iterator<Item = String>) -> Result<(), String> {
     work(&addr, sfence_bench::experiment_by_name, &opts).map(|_| ())
 }
 
+/// What every probe subcommand (`status`, `metrics`, `dump`) needs:
+/// the coordinator ADDR, `--timeout SECS` and `--token-file`.
+struct Probe {
+    addr: String,
+    timeout: Duration,
+    token: Option<String>,
+}
+
+impl Probe {
+    /// Parse a probe's arguments. `extra` consumes a
+    /// subcommand-specific switch and says whether it did.
+    fn parse(
+        verb: &str,
+        mut it: impl Iterator<Item = String>,
+        mut extra: impl FnMut(&str) -> bool,
+    ) -> Result<Probe, String> {
+        let mut addr: Option<String> = None;
+        let mut timeout = Duration::from_secs(5);
+        let mut token: Option<String> = None;
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--timeout" => {
+                    let secs: u64 = parse_flag(&mut it, "--timeout", |&n| n > 0, "seconds");
+                    timeout = Duration::from_secs(secs);
+                }
+                "--token-file" => {
+                    token = Some(read_token(
+                        &cli::take(&mut it, "--token-file").unwrap_or_else(|e| usage(e)),
+                    )?)
+                }
+                other if extra(other) => {}
+                other if !other.starts_with('-') && addr.is_none() => {
+                    addr = Some(other.to_string())
+                }
+                other => usage(format!("unknown flag {other:?}")),
+            }
+        }
+        let addr = addr
+            .unwrap_or_else(|| usage(format!("{verb} needs the coordinator address (host:port)")));
+        Ok(Probe {
+            addr,
+            timeout,
+            token,
+        })
+    }
+}
+
 /// `status ADDR`: probe a live coordinator for its service snapshot
 /// and print a per-campaign table plus the full metric listing
 /// (default), or the raw `MetricsReport` JSON (`--json`).
-fn cmd_status(mut it: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut addr: Option<String> = None;
+fn cmd_status(it: impl Iterator<Item = String>) -> Result<(), String> {
     let mut json = false;
-    let mut timeout = Duration::from_secs(5);
-    let mut token: Option<String> = None;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--timeout" => {
-                let secs: u64 = parse_flag(&mut it, "--timeout", |&n| n > 0, "seconds");
-                timeout = Duration::from_secs(secs);
-            }
-            "--token-file" => {
-                token = Some(read_token(
-                    &cli::take(&mut it, "--token-file").unwrap_or_else(|e| usage(e)),
-                )?)
-            }
-            other if !other.starts_with('-') && addr.is_none() => addr = Some(other.to_string()),
-            other => usage(format!("unknown flag {other:?}")),
-        }
-    }
-    let addr =
-        addr.unwrap_or_else(|| usage("status needs the coordinator address (host:port)".into()));
-    let report = fetch_status(&addr, timeout, token.as_deref())?;
+    let probe = Probe::parse("status", it, |arg| {
+        json |= arg == "--json";
+        arg == "--json"
+    })?;
+    let report = fetch_status(&probe.addr, probe.timeout, probe.token.as_deref())?;
     if json {
         print!("{}", report.to_json().to_string_pretty());
     } else {
@@ -505,28 +535,9 @@ fn cmd_status(mut it: impl Iterator<Item = String>) -> Result<(), String> {
 /// snapshot as Prometheus-style text exposition, for scraping into
 /// ordinary monitoring tooling (`curl`-shaped, hand-rolled, no
 /// external crates).
-fn cmd_metrics(mut it: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut addr: Option<String> = None;
-    let mut timeout = Duration::from_secs(5);
-    let mut token: Option<String> = None;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--timeout" => {
-                let secs: u64 = parse_flag(&mut it, "--timeout", |&n| n > 0, "seconds");
-                timeout = Duration::from_secs(secs);
-            }
-            "--token-file" => {
-                token = Some(read_token(
-                    &cli::take(&mut it, "--token-file").unwrap_or_else(|e| usage(e)),
-                )?)
-            }
-            other if !other.starts_with('-') && addr.is_none() => addr = Some(other.to_string()),
-            other => usage(format!("unknown flag {other:?}")),
-        }
-    }
-    let addr =
-        addr.unwrap_or_else(|| usage("metrics needs the coordinator address (host:port)".into()));
-    let report = fetch_status(&addr, timeout, token.as_deref())?;
+fn cmd_metrics(it: impl Iterator<Item = String>) -> Result<(), String> {
+    let probe = Probe::parse("metrics", it, |_| false)?;
+    let report = fetch_status(&probe.addr, probe.timeout, probe.token.as_deref())?;
     print!("{}", prometheus_text(&report, "sfence"));
     Ok(())
 }
@@ -534,28 +545,9 @@ fn cmd_metrics(mut it: impl Iterator<Item = String>) -> Result<(), String> {
 /// `dump ADDR`: fetch the daemon's flight recorder and print it as
 /// JSONL on stdout (one event per line, same schema as `--log`
 /// files), plus a summary line on stderr.
-fn cmd_dump(mut it: impl Iterator<Item = String>) -> Result<(), String> {
-    let mut addr: Option<String> = None;
-    let mut timeout = Duration::from_secs(5);
-    let mut token: Option<String> = None;
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--timeout" => {
-                let secs: u64 = parse_flag(&mut it, "--timeout", |&n| n > 0, "seconds");
-                timeout = Duration::from_secs(secs);
-            }
-            "--token-file" => {
-                token = Some(read_token(
-                    &cli::take(&mut it, "--token-file").unwrap_or_else(|e| usage(e)),
-                )?)
-            }
-            other if !other.starts_with('-') && addr.is_none() => addr = Some(other.to_string()),
-            other => usage(format!("unknown flag {other:?}")),
-        }
-    }
-    let addr =
-        addr.unwrap_or_else(|| usage("dump needs the coordinator address (host:port)".into()));
-    let (events, dropped) = fetch_dump(&addr, timeout, token.as_deref())?;
+fn cmd_dump(it: impl Iterator<Item = String>) -> Result<(), String> {
+    let probe = Probe::parse("dump", it, |_| false)?;
+    let (events, dropped) = fetch_dump(&probe.addr, probe.timeout, probe.token.as_deref())?;
     for ev in &events {
         println!("{}", ev.to_json().to_string_compact());
     }

@@ -1,9 +1,8 @@
 //! Regenerates Figure 13: normalized execution time of the full
 //! applications under T, S, T+ and S+.
 //! Pass `--json` for the structured sweep rows; `--scale small`
-//! runs the golden-test problem size, and `--cache-dir`/`--resume`/
-//! `--shard`/`--threads` drive cached, sharded sweeps (see
-//! `sfence_bench::figure_main`).
+//! runs the golden-test problem size, and `--cache-dir`/`--threads`
+//! drive cached, resumable sweeps (see `sfence_bench::figure_main`).
 fn main() {
     sfence_bench::figure_main(
         sfence_bench::fig13_experiment(),

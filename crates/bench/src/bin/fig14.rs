@@ -1,8 +1,7 @@
 //! Regenerates Figure 14: class scope vs set scope.
 //! Pass `--json` for the structured sweep rows; `--scale small`
-//! runs the golden-test problem size, and `--cache-dir`/`--resume`/
-//! `--shard`/`--threads` drive cached, sharded sweeps (see
-//! `sfence_bench::figure_main`).
+//! runs the golden-test problem size, and `--cache-dir`/`--threads`
+//! drive cached, resumable sweeps (see `sfence_bench::figure_main`).
 fn main() {
     sfence_bench::figure_main(
         sfence_bench::fig14_experiment(),

@@ -1,8 +1,7 @@
 //! Regenerates Figure 15: memory access latency sweep (200/300/500).
 //! Pass `--json` for the structured sweep rows; `--scale small`
-//! runs the golden-test problem size, and `--cache-dir`/`--resume`/
-//! `--shard`/`--threads` drive cached, sharded sweeps (see
-//! `sfence_bench::figure_main`).
+//! runs the golden-test problem size, and `--cache-dir`/`--threads`
+//! drive cached, resumable sweeps (see `sfence_bench::figure_main`).
 fn main() {
     sfence_bench::figure_main(
         sfence_bench::fig15_experiment(),

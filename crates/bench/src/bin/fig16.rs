@@ -1,8 +1,7 @@
 //! Regenerates Figure 16: ROB size sweep (64/128/256).
 //! Pass `--json` for the structured sweep rows; `--scale small`
-//! runs the golden-test problem size, and `--cache-dir`/`--resume`/
-//! `--shard`/`--threads` drive cached, sharded sweeps (see
-//! `sfence_bench::figure_main`).
+//! runs the golden-test problem size, and `--cache-dir`/`--threads`
+//! drive cached, resumable sweeps (see `sfence_bench::figure_main`).
 fn main() {
     sfence_bench::figure_main(
         sfence_bench::fig16_experiment(),

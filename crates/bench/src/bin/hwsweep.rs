@@ -6,7 +6,8 @@
 //! `tests/golden/hwsweep.json` at `--scale small`); `--rows` prints
 //! the raw merged table; the default renders one table per axis. The
 //! four sub-sweeps are also individually runnable (with caching and
-//! sharding) through `sfence-sweep --experiment hwsweep-<axis>`.
+//! `--workers` fan-out) through `sfence-sweep --experiment
+//! hwsweep-<axis>`.
 
 use sfence_bench::cli::FigureArgs;
 use sfence_harness::default_threads;
@@ -16,12 +17,12 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    if args.cache_dir.is_some() || args.shard.is_some() || args.resume {
-        // Caching/sharding apply per experiment; use the registered
+    if args.cache_dir.is_some() {
+        // Caching applies per experiment; use the registered
         // hwsweep-<axis> names through sfence-sweep for that.
         eprintln!(
             "error: hwsweep merges four sweeps; run `sfence-sweep --experiment hwsweep-<axis>` \
-             for --cache-dir/--resume/--shard"
+             for --cache-dir"
         );
         std::process::exit(2);
     }

@@ -1,17 +1,16 @@
 //! `sfence-sweep`: the production sweep runner. Runs any registered
 //! experiment (fig12..fig16, smoke) with content-addressed result
-//! caching, process-level sharding, resume after interruption, an
-//! append-only JSONL results store with history diffing, and a
-//! loopback mode that runs the `sfence-dist` daemon in-process and
-//! fans the sweep out to local `sfence-dist work` processes.
+//! caching, resume after interruption, an append-only JSONL results
+//! store with history diffing, and a loopback mode that runs the
+//! `sfence-dist` daemon in-process and fans the sweep out to local
+//! `sfence-dist work` processes. To split a sweep across hosts, run
+//! `sfence-dist serve` and point `sfence-dist work` at it from each.
 //!
 //! ```text
 //! sfence-sweep --experiment fig13 [--scale small|eval]
 //!     [--backend B]            execution engine: sim (default) | functional | enumerative
 //!     [--threads N]            worker threads per process
 //!     [--cache-dir DIR]        content-addressed RunReport cache
-//!     [--resume]               documents resume intent (needs --cache-dir)
-//!     [--shard I/N]            run one shard; emit indexed rows as JSONL
 //!     [--workers N]            spawn N sfence-dist workers over loopback and merge
 //!     [--max-cells N]          execute at most N uncached cells, then stop
 //!     [--progress]             throttled done/total + ETA line on stderr
@@ -89,9 +88,6 @@ fn parse_args() -> Result<SweepArgs, String> {
         }
     }
     args.common.validate()?;
-    if args.workers.is_some() && args.common.shard.is_some() {
-        return Err("--workers and --shard are mutually exclusive".into());
-    }
     if args.workers.is_some() && args.max_cells.is_some() {
         return Err("--max-cells applies to in-process runs, not spawned workers".into());
     }
@@ -99,11 +95,6 @@ fn parse_args() -> Result<SweepArgs, String> {
         // Rows come back over a socket as serialized reports, which
         // deliberately carry no pipe events.
         return Err("--trace applies to in-process runs, not spawned workers".into());
-    }
-    if args.common.shard.is_some() && args.output.wants_store_or_diff() {
-        // A shard worker emits partial rows for a parent to merge;
-        // silently skipping the store/diff would look like data loss.
-        return Err("--store/--diff apply to merged runs, not --shard workers".into());
     }
     Ok(args)
 }
@@ -144,27 +135,19 @@ fn run(name: &str, experiment: &Experiment, args: &SweepArgs) -> Result<(), Stri
     let rows = if let Some(workers) = args.workers {
         run_distributed(name, experiment, args, workers)?
     } else {
-        match run_local(experiment, args)? {
-            Some(rows) => rows,
-            // Shard mode already emitted its rows.
-            None => return Ok(()),
+        // In process; exit 3 if the `--max-cells` budget left cells
+        // unrun.
+        let local = cli::run_local(experiment, &args.common, args.max_cells)?;
+        if !local.complete {
+            eprintln!(
+                "sweep: incomplete (budget ran out) — rerun with the same --cache-dir to resume"
+            );
+            std::process::exit(3);
         }
+        local.rows
     };
     let result = SweepResult::from_indexed(&experiment.name, experiment.job_count(), rows)?;
     cli::finish_run(experiment, &result, &args.output, args.common.json)
-}
-
-/// Run (a shard of) the experiment in this process via the shared
-/// `cli::run_local`. Returns `None` after emitting indexed JSONL in
-/// shard mode; exits with code 3 if the `--max-cells` budget left
-/// cells unrun.
-fn run_local(experiment: &Experiment, args: &SweepArgs) -> Result<Option<Vec<IndexedRow>>, String> {
-    let local = cli::run_local(experiment, &args.common, args.max_cells)?;
-    if !local.complete {
-        eprintln!("sweep: incomplete (budget ran out) — rerun with the same --cache-dir to resume");
-        std::process::exit(3);
-    }
-    Ok(local.rows)
 }
 
 /// Split the machine across worker processes so N of them don't each

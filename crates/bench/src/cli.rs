@@ -4,8 +4,8 @@
 //! silently running the default sweep.
 
 use sfence_harness::{
-    default_threads, diff_rows, BackendId, Experiment, IndexedRow, ResultCache, ResultStore,
-    RunMeta, RunOptions, Shard, SweepResult,
+    default_threads, diff_rows, BackendId, Experiment, ResultCache, ResultStore, RunMeta,
+    RunOptions, RunOutcome, SweepResult,
 };
 use sfence_workloads::Scale;
 use std::path::PathBuf;
@@ -22,18 +22,14 @@ pub struct FigureArgs {
     /// Execution engine override (`sim`, `functional`,
     /// `enumerative`); default: the experiment's own backend (sim).
     pub backend: Option<BackendId>,
-    /// Content-addressed result cache directory.
+    /// Content-addressed result cache directory; an interrupted
+    /// sweep resumes by rerunning with the same directory.
     pub cache_dir: Option<PathBuf>,
-    /// Documentation alias: with `--cache-dir`, an interrupted sweep
-    /// already resumes by skipping cache hits. Requires `--cache-dir`.
-    pub resume: bool,
-    /// Run only this shard and emit indexed rows as JSONL.
-    pub shard: Option<Shard>,
     /// Worker thread count (default: one per CPU, capped by jobs).
     pub threads: Option<usize>,
     /// Write a Chrome `trace_event` pipeline trace of every executed
-    /// cell to this path. Mutually exclusive with `--cache-dir` and
-    /// `--shard` (traces are in-memory artifacts of this process).
+    /// cell to this path. Mutually exclusive with `--cache-dir`
+    /// (cached reports carry no pipe events).
     pub trace: Option<PathBuf>,
     /// Print a throttled progress line (done/total, cells/s, ETA) to
     /// stderr while the sweep runs.
@@ -71,10 +67,6 @@ impl FigureArgs {
             "--cache-dir" => {
                 self.cache_dir = Some(PathBuf::from(take(it, "--cache-dir")?));
             }
-            "--resume" => self.resume = true,
-            "--shard" => {
-                self.shard = Some(Shard::parse(&take(it, "--shard")?)?);
-            }
             "--threads" => {
                 let n: usize = take(it, "--threads")?
                     .parse()
@@ -94,20 +86,10 @@ impl FigureArgs {
     }
 
     pub fn validate(&self) -> Result<(), String> {
-        if self.resume && self.cache_dir.is_none() {
-            return Err("--resume requires --cache-dir (resume = skip cached cells)".into());
-        }
         if self.trace.is_some() && self.cache_dir.is_some() {
             return Err(
                 "--trace is incompatible with --cache-dir: cached reports carry no \
                  pipe events, so a cache hit would leave a hole in the trace"
-                    .into(),
-            );
-        }
-        if self.trace.is_some() && self.shard.is_some() {
-            return Err(
-                "--trace is incompatible with --shard: traces are per-process artifacts \
-                 and shard children only emit rows"
                     .into(),
             );
         }
@@ -138,40 +120,26 @@ impl FigureArgs {
     }
 }
 
-/// What [`run_local`] produced.
-pub struct LocalRun {
-    /// Indexed rows of the (whole or sharded) run — `None` when shard
-    /// mode already emitted them as JSONL on stdout for a parent
-    /// process to merge.
-    pub rows: Option<Vec<IndexedRow>>,
-    /// False when a `max_cells` budget left cells unrun.
-    pub complete: bool,
-}
-
-/// The one implementation of "run (a shard of) an experiment under
+/// The one implementation of "run an experiment in this process under
 /// the shared CLI switches", used by both `figure_main` and
-/// `sfence-sweep` so cache-writer naming, stats reporting and the
-/// shard JSONL encoding can never drift apart.
+/// `sfence-sweep` so cache-writer naming and stats reporting can
+/// never drift apart.
 pub fn run_local(
     experiment: &Experiment,
     args: &FigureArgs,
     max_cells: Option<usize>,
-) -> Result<LocalRun, String> {
+) -> Result<RunOutcome, String> {
     let threads = args
         .threads
         .unwrap_or_else(|| default_threads(experiment.job_count()));
     let mut cache = match &args.cache_dir {
         Some(dir) => {
-            // Writers sharing one cache directory — shard workers,
+            // Writers sharing one cache directory — dist workers,
             // concurrent sweeps, or whole other hosts on a network
             // filesystem — each append to their own file (host token +
             // pid + nonce), so writes can never collide.
-            let prefix = match args.shard {
-                Some(shard) => format!("shard-{}", shard.index),
-                None => "cache".to_string(),
-            };
             Some(
-                ResultCache::open_unique(dir, &prefix)
+                ResultCache::open_unique(dir, "cache")
                     .map_err(|e| format!("open cache {}: {e}", dir.display()))?,
             )
         }
@@ -181,24 +149,15 @@ pub fn run_local(
     if let Some(cache) = cache.as_mut() {
         opts = opts.cache(cache);
     }
-    if let Some(shard) = args.shard {
-        opts = opts.shard(shard);
-    }
     if let Some(max) = max_cells {
         opts = opts.max_cells(max);
     }
     if args.trace.is_some() {
         opts = opts.pipe_trace();
     }
-    let total = match args.shard {
-        Some(shard) => (0..experiment.job_count())
-            .filter(|&i| shard.contains(i))
-            .count(),
-        None => experiment.job_count(),
-    };
     let meter = args
         .progress
-        .then(|| sfence_obs::ProgressMeter::new(&experiment.name, total));
+        .then(|| sfence_obs::ProgressMeter::new(&experiment.name, experiment.job_count()));
     let on_cell = |done: usize, _total: usize| {
         if let Some(m) = &meter {
             m.update(done);
@@ -230,21 +189,7 @@ pub fn run_local(
             outcome.stats.cache_write_errors
         );
     }
-    let rows = if args.shard.is_some() {
-        let mut out = String::new();
-        for row in &outcome.rows {
-            out.push_str(&row.to_json().to_string_compact());
-            out.push('\n');
-        }
-        print!("{out}");
-        None
-    } else {
-        Some(outcome.rows)
-    };
-    Ok(LocalRun {
-        rows,
-        complete: outcome.complete,
-    })
+    Ok(outcome)
 }
 
 /// The store/diff/output switches shared by `sfence-sweep` and

@@ -339,7 +339,7 @@ pub fn hwsweep_merge(results: &[SweepResult]) -> SweepResult {
 // registry names run through the ordinary experiment machinery.
 
 /// A small cross-section of litmus scenarios as a registered
-/// experiment (cycle comparisons, cache/shard smoke). Bulk verdict
+/// experiment (cycle comparisons, cache/fan-out smoke). Bulk verdict
 /// campaigns live in the `sfence-litmus` binary.
 pub fn litmus_experiment() -> Experiment {
     let names: Vec<String> = ["mp", "sb", "sb-wrongset", "cas", "pc-deep"]
@@ -356,7 +356,7 @@ pub fn litmus_experiment() -> Experiment {
 // The experiment registry (sweep binary, CI smoke jobs)
 
 /// A deliberately tiny sweep (8 small-scale cells) for CI smoke and
-/// kill-and-resume checks: big enough to shard, fast enough to run in
+/// kill-and-resume checks: big enough to fan out, fast enough to run in
 /// seconds.
 pub fn smoke_experiment() -> Experiment {
     Experiment::new("smoke")
@@ -589,20 +589,19 @@ pub fn print_bars(title: &str, data: &[AppBars]) {
 /// `--backend sim|functional|enumerative` swaps the execution engine
 /// (figure renderings need cycle counts, so non-sim backends pair
 /// with `--json`/`--rows`), `--cache-dir DIR` backs the run with the
-/// content-addressed result cache (`--resume` documents the intent;
-/// cached runs always skip hit cells), `--shard I/N` runs one shard
-/// and emits indexed rows as JSONL for a parent `sfence-sweep` to
-/// merge, and `--threads N` caps the worker pool.
+/// content-addressed result cache (a rerun skips cached cells), and
+/// `--threads N` caps the worker pool. To split a sweep across
+/// processes or hosts, run it through `sfence-sweep --workers N` or
+/// the `sfence-dist` daemon.
 pub fn figure_main(experiment: Experiment, render: impl Fn(&SweepResult), paper_notes: &[&str]) {
     let args = cli::FigureArgs::parse().unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
     // The figure renderings are built from cycle counts; an untimed
-    // engine can only emit the structured rows. Shard workers are
-    // exempt: they emit indexed JSONL and never render.
+    // engine can only emit the structured rows.
     if let Some(backend) = args.backend {
-        if !backend.timed() && !args.json && !args.rows && args.shard.is_none() {
+        if !backend.timed() && !args.json && !args.rows {
             eprintln!(
                 "error: --backend {} reports no cycle data; pair it with --json or --rows",
                 backend.name()
@@ -614,15 +613,14 @@ pub fn figure_main(experiment: Experiment, render: impl Fn(&SweepResult), paper_
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    let result = run_experiment(&experiment, &args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let result = match result {
-        Some(result) => result,
-        // Shard mode already emitted its rows.
-        None => return,
-    };
+    let result = cli::run_local(&experiment, &args, None)
+        .and_then(|run| {
+            SweepResult::from_indexed(&experiment.name, experiment.job_count(), run.rows)
+        })
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        });
     if args.json {
         print!("{}", result.to_json_string());
         return;
@@ -636,23 +634,6 @@ pub fn figure_main(experiment: Experiment, render: impl Fn(&SweepResult), paper_
         println!();
         for note in paper_notes {
             println!("{note}");
-        }
-    }
-}
-
-/// Run an experiment under the shared figure switches. Shard mode
-/// prints indexed JSONL rows and returns `None`; otherwise the full
-/// result comes back for rendering.
-fn run_experiment(
-    experiment: &Experiment,
-    args: &cli::FigureArgs,
-) -> Result<Option<SweepResult>, String> {
-    let local = cli::run_local(experiment, args, None)?;
-    match local.rows {
-        // Shard mode already emitted its indexed JSONL rows.
-        None => Ok(None),
-        Some(rows) => {
-            SweepResult::from_indexed(&experiment.name, experiment.job_count(), rows).map(Some)
         }
     }
 }

@@ -2,14 +2,16 @@
 //! `sfence-sweep --workers N` (the dist daemon on a loopback port plus
 //! N spawned `sfence-dist work` processes) prints and stores exactly
 //! the bytes of an in-process run, a warm second pass is answered
-//! entirely from the workers' cache, and the retired fan-out flags are
-//! refused as usage errors.
+//! entirely from the workers' cache, an interrupted sweep resumes to
+//! the bytes of an uninterrupted one, and the retired fan-out flags
+//! are refused as usage errors.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 const SWEEP: &str = env!("CARGO_BIN_EXE_sfence-sweep");
 const DIST: &str = env!("CARGO_BIN_EXE_sfence-dist");
+const FIG13: &str = env!("CARGO_BIN_EXE_fig13");
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sfence-fanout-{}-{tag}", std::process::id()));
@@ -23,17 +25,23 @@ fn run(bin: &str, args: &[&str]) -> Output {
 }
 
 /// `sfence-sweep --experiment smoke --json` plus `extra`, stored to
-/// `store`; returns stdout, and stderr for the caller to inspect.
-fn smoke(extra: &[&str], store: &Path) -> (Vec<u8>, String) {
+/// `store`, whatever its exit status.
+fn smoke_run(extra: &[&str], store: &Path) -> Output {
     let store = store.to_str().unwrap();
     let mut args = vec!["--experiment", "smoke", "--json"];
     args.extend_from_slice(&["--store", store, "--git", "ci", "--timestamp", "0"]);
     args.extend_from_slice(extra);
-    let out = run(SWEEP, &args);
+    run(SWEEP, &args)
+}
+
+/// [`smoke_run`] that must succeed; returns stdout, and stderr for
+/// the caller to inspect.
+fn smoke(extra: &[&str], store: &Path) -> (Vec<u8>, String) {
+    let out = smoke_run(extra, store);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(
         out.status.success(),
-        "sfence-sweep {args:?} failed:\n{stderr}"
+        "sfence-sweep {extra:?} failed:\n{stderr}"
     );
     (out.stdout, stderr)
 }
@@ -75,9 +83,67 @@ fn workers_merge_byte_identical_to_in_process_and_warm_pass_executes_nothing() {
 }
 
 #[test]
+fn interrupted_sweep_resumes_to_the_reference_bytes() {
+    let dir = scratch("resume");
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    let full = dir.join("full.jsonl");
+    let resumed = dir.join("resumed.jsonl");
+    let (reference, _) = smoke(&[], &full);
+
+    // The budget runs out after 3 cells: exit 3, and no store line.
+    let out = smoke_run(&["--cache-dir", cache, "--max-cells", "3"], &resumed);
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "budgeted run:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        !resumed.exists(),
+        "an incomplete run must not write the store"
+    );
+
+    // Rerunning with the same cache finishes the sweep.
+    let (stdout, _) = smoke(&["--cache-dir", cache], &resumed);
+    assert_eq!(
+        reference, stdout,
+        "resumed stdout differs from the reference"
+    );
+    assert_eq!(
+        std::fs::read(&full).unwrap(),
+        std::fs::read(&resumed).unwrap(),
+        "resumed store differs from the reference"
+    );
+
+    // --max-cells 0 forbids execution; completing proves that every
+    // cell was answered by the cache.
+    let (stdout, _) = smoke(
+        &["--cache-dir", cache, "--max-cells", "0"],
+        &dir.join("cached.jsonl"),
+    );
+    assert_eq!(reference, stdout, "fully cached stdout differs");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn retired_fan_out_flags_are_usage_errors() {
-    let out = run(SWEEP, &["--experiment", "smoke", "--spawn", "2"]);
-    assert_eq!(out.status.code(), Some(2), "sfence-sweep --spawn");
-    let out = run(DIST, &["serve", "127.0.0.1:0", "--experiment", "smoke"]);
-    assert_eq!(out.status.code(), Some(2), "sfence-dist serve --experiment");
+    // `--resume` is given a `--cache-dir`, so only the flag itself
+    // can be the reason it is refused.
+    let dir = scratch("retired");
+    let cache = dir.join("cache");
+    let cache = cache.to_str().unwrap();
+    for (bin, args) in [
+        (SWEEP, &["--experiment", "smoke", "--spawn", "2"][..]),
+        (DIST, &["serve", "127.0.0.1:0", "--experiment", "smoke"]),
+        (SWEEP, &["--experiment", "smoke", "--shard", "0/2"]),
+        (FIG13, &["--scale", "small", "--shard", "0/2"]),
+        (
+            SWEEP,
+            &["--experiment", "smoke", "--cache-dir", cache, "--resume"],
+        ),
+    ] {
+        assert_eq!(run(bin, args).status.code(), Some(2), "{bin} {args:?}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

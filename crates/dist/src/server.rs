@@ -114,10 +114,9 @@ pub struct ServerOpts {
     /// Append a `MetricsReport` snapshot to this rotated JSONL file
     /// every `metrics_interval_ms`. `None` disables the history.
     pub metrics_log: Option<PathBuf>,
-    /// Interval between metrics-history snapshots.
+    /// Interval between metrics-history snapshots. The file rotates
+    /// at `DEFAULT_LOG_MAX_BYTES`.
     pub metrics_interval_ms: u64,
-    /// Rotation threshold for the metrics history file.
-    pub metrics_max_bytes: u64,
 }
 
 impl Default for ServerOpts {
@@ -138,7 +137,6 @@ impl Default for ServerOpts {
             log: None,
             metrics_log: None,
             metrics_interval_ms: 10_000,
-            metrics_max_bytes: DEFAULT_LOG_MAX_BYTES,
         }
     }
 }
@@ -785,7 +783,7 @@ pub fn run_server(
     // history but unable to open the file fails fast.
     let metrics_writer = match &opts.metrics_log {
         Some(path) => Some(
-            RotatingWriter::open(path, opts.metrics_max_bytes, DEFAULT_LOG_MAX_FILES)
+            RotatingWriter::open(path, DEFAULT_LOG_MAX_BYTES, DEFAULT_LOG_MAX_FILES)
                 .map_err(|e| format!("metrics log {}: {e}", path.display()))?,
         ),
         None => None,

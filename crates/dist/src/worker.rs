@@ -31,6 +31,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// First reconnect delay; doubles per consecutive failure.
+const RECONNECT_BASE_MS: u64 = 250;
+/// Reconnect delay ceiling.
+const RECONNECT_CAP_MS: u64 = 5000;
+
 /// Tunables of one [`work`] call.
 #[derive(Debug, Clone)]
 pub struct WorkerOpts {
@@ -63,10 +68,6 @@ pub struct WorkerOpts {
     /// The counter resets on every completed handshake, so a worker
     /// that outlives many coordinator restarts never exhausts it.
     pub reconnect_attempts: u32,
-    /// First reconnect delay; doubles per consecutive failure.
-    pub reconnect_base_ms: u64,
-    /// Reconnect delay ceiling.
-    pub reconnect_cap_ms: u64,
     /// Exit cleanly once this long has passed since the session began
     /// or the last lease finished, with only `wait` replies since; 0 =
     /// keep asking forever. Lets a daemon-attached worker drain away
@@ -92,8 +93,6 @@ impl Default for WorkerOpts {
             token: None,
             lease_batch: 0,
             reconnect_attempts: 0,
-            reconnect_base_ms: 250,
-            reconnect_cap_ms: 5000,
             idle_exit_ms: 0,
             log: None,
         }
@@ -228,11 +227,9 @@ pub fn work(addr: &str, registry: Registry, opts: &WorkerOpts) -> Result<WorkerS
                 // Capped exponential backoff: base * 2^(attempt-1) up
                 // to the cap, plus up to 25% jitter so a worker fleet
                 // doesn't stampede a restarting coordinator.
-                let base = opts
-                    .reconnect_base_ms
-                    .max(1)
+                let base = RECONNECT_BASE_MS
                     .saturating_mul(1u64 << (attempt - 1).min(20))
-                    .min(opts.reconnect_cap_ms.max(1));
+                    .min(RECONNECT_CAP_MS);
                 let jitter = rng.next_u64() % (base / 4 + 1);
                 let delay = base + jitter;
                 log.warn(

@@ -2,7 +2,7 @@
 //!
 //! Everything above the engines (the [`Session`](crate::Session)
 //! builder, [`Experiment`](crate::Experiment) sweeps, the result
-//! cache, sharding, the stores and the litmus campaigns) runs
+//! cache, the dist runner, the stores and the litmus campaigns) runs
 //! programs through the [`Backend`] trait and consumes the one
 //! [`RunReport`] shape, so each layer can pick the cheapest engine
 //! that answers its question. Engines that do not model a dimension

@@ -15,8 +15,8 @@
 //! **Store layout.** A cache directory holds append-only JSONL files;
 //! every `*.jsonl` file in the directory is read at open. Each line is
 //! one entry: `{"key": "<hex>", "report": {...}}`. Writers append to
-//! their own file (shard workers use `shard-<i>.jsonl`, the default
-//! writer uses `cache.jsonl`), so concurrent processes never
+//! their own file (dist workers and CLI runs use
+//! [`unique_writer_name`], the default writer uses `cache.jsonl`), so concurrent processes never
 //! interleave bytes within a line. Corrupt or truncated lines — the
 //! tail a killed writer leaves behind — and entries with a mismatched
 //! `schema_version` are counted and skipped, never fatal: the cell
@@ -75,8 +75,8 @@ pub fn host_token() -> String {
 /// `<prefix>-<host token>-<pid>-<nonce>.jsonl`. Hosts differ in the
 /// token, processes on one host differ in the pid, and writers within
 /// one process differ in the monotonic nonce. (Fixed names like
-/// `shard-0.jsonl` collide as soon as two hosts run the same shard
-/// layout against a shared directory.)
+/// `worker-0.jsonl` collide as soon as two hosts run the same
+/// worker layout against a shared directory.)
 pub fn unique_writer_name(prefix: &str) -> String {
     format!(
         "{prefix}-{}-{}-{}.jsonl",
@@ -176,8 +176,8 @@ impl ResultCache {
         Self::open_with_writer(dir, unique_writer_name(prefix))
     }
 
-    /// Open with a caller-chosen writer file name — shard workers
-    /// sharing one cache directory each append to their own file so
+    /// Open with a caller-chosen writer file name — writers sharing
+    /// one cache directory each append to their own file so
     /// concurrent writes never interleave.
     pub fn open_with_writer(
         dir: impl AsRef<Path>,

@@ -13,7 +13,6 @@ use crate::cache::{job_key, ResultCache};
 use crate::json::Json;
 use crate::runner::run_indexed;
 use crate::session::{RunReport, Session, SCHEMA_VERSION};
-use crate::shard::Shard;
 use sfence_core::PipeEvent;
 use sfence_sim::{FenceConfig, MachineConfig, RunExit};
 use sfence_workloads::catalog;
@@ -330,18 +329,7 @@ impl Experiment {
     pub fn run(&self, threads: usize) -> SweepResult {
         let outcome = self.run_with(RunOptions::new(threads));
         SweepResult::from_indexed(&self.name, self.job_count(), outcome.rows)
-            .expect("an unsharded, unbudgeted run covers every job")
-    }
-
-    /// The job indices belonging to shard `index` of `count`:
-    /// round-robin over the deterministic job order, so every shard
-    /// gets a near-equal share of each workload and shards are
-    /// disjoint and jointly exhaustive.
-    pub fn shard(&self, index: usize, count: usize) -> Vec<usize> {
-        let shard = Shard::new(index, count);
-        (0..self.job_count())
-            .filter(|&i| shard.contains(i))
-            .collect()
+            .expect("an unrestricted, unbudgeted run covers every job")
     }
 
     /// Content-hash cache keys of every job, in job order. A key
@@ -376,14 +364,15 @@ impl Experiment {
     }
 
     /// The configurable execution engine behind [`Experiment::run`]:
-    /// optionally restricted to one shard, optionally backed by a
-    /// content-addressed result cache (hits skip the simulator,
-    /// misses execute and are inserted), optionally budgeted to at
-    /// most `max_cells` executed cells (the remainder is reported as
-    /// skipped — an interrupted sweep resumes by re-running with the
-    /// same cache). Rows come back sorted by job index, so shard
-    /// outputs merged with [`SweepResult::from_indexed`] are
-    /// byte-identical to a single-process run.
+    /// optionally restricted to an explicit job set (a distributed
+    /// lease), optionally backed by a content-addressed result cache
+    /// (hits skip the simulator, misses execute and are inserted),
+    /// optionally budgeted to at most `max_cells` executed cells (the
+    /// remainder is reported as skipped — an interrupted sweep
+    /// resumes by re-running with the same cache). Rows come back
+    /// sorted by job index, so leased subsets merged with
+    /// [`SweepResult::from_indexed`] are byte-identical to a
+    /// single-process run.
     pub fn run_with(&self, opts: RunOptions) -> RunOutcome {
         let jobs = self.jobs();
         let axis_name = self.axis.name().to_string();
@@ -396,14 +385,8 @@ impl Experiment {
             "pipe tracing and the result cache are mutually exclusive \
              (cached reports carry no pipe events)"
         );
-        let selected: Vec<usize> = match (&opts.jobs, opts.shard) {
-            (Some(_), Some(_)) => {
-                // Static configuration, so misuse is a programming
-                // error rather than a recoverable condition.
-                panic!("RunOptions::jobs and RunOptions::shard are mutually exclusive")
-            }
-            (Some(explicit), None) => {
-                let mut explicit = explicit.clone();
+        let selected: Vec<usize> = match opts.jobs {
+            Some(mut explicit) => {
                 explicit.sort_unstable();
                 explicit.dedup();
                 for &i in &explicit {
@@ -415,8 +398,7 @@ impl Experiment {
                 }
                 explicit
             }
-            (None, Some(shard)) => (0..jobs.len()).filter(|&i| shard.contains(i)).collect(),
-            (None, None) => (0..jobs.len()).collect(),
+            None => (0..jobs.len()).collect(),
         };
 
         let mut cache = opts.cache;
@@ -527,11 +509,9 @@ pub struct RunOptions<'c> {
     pub threads: usize,
     /// Look jobs up here before executing; insert fresh results.
     pub cache: Option<&'c mut ResultCache>,
-    /// Restrict to one shard of the job list.
-    pub shard: Option<Shard>,
     /// Restrict to an explicit set of job indices (a distributed
-    /// lease). Mutually exclusive with `shard`; indices are
-    /// deduplicated, sorted, and must be in range.
+    /// lease); indices are deduplicated, sorted, and must be in
+    /// range.
     pub jobs: Option<Vec<usize>>,
     /// Execute at most this many uncached cells (`None` = no limit).
     pub max_cells: Option<usize>,
@@ -550,7 +530,6 @@ impl<'c> RunOptions<'c> {
         RunOptions {
             threads,
             cache: None,
-            shard: None,
             jobs: None,
             max_cells: None,
             pipe_trace: false,
@@ -560,11 +539,6 @@ impl<'c> RunOptions<'c> {
 
     pub fn cache(mut self, cache: &'c mut ResultCache) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    pub fn shard(mut self, shard: Shard) -> Self {
-        self.shard = Some(shard);
         self
     }
 
@@ -621,8 +595,9 @@ pub struct RunOutcome {
     pub complete: bool,
 }
 
-/// A [`SweepRow`] tagged with its global job index — the unit shard
-/// workers emit so the parent can merge rows in stable order.
+/// A [`SweepRow`] tagged with its global job index — the unit
+/// distributed workers return so the coordinator can merge rows in
+/// stable order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedRow {
     pub index: usize,
@@ -810,9 +785,9 @@ pub struct SweepResult {
 
 impl SweepResult {
     /// Reassemble a full result from indexed rows (one or many
-    /// shards' worth). Rows are sorted by job index; the merge fails
+    /// leases' worth). Rows are sorted by job index; the merge fails
     /// if any job is missing or duplicated, so a partial or
-    /// double-counted shard set cannot masquerade as a complete run.
+    /// double-counted row set cannot masquerade as a complete run.
     pub fn from_indexed(
         experiment: &str,
         job_count: usize,

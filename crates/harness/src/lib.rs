@@ -33,8 +33,8 @@
 //! - **[`store`]**: an append-only JSONL [`ResultStore`] of completed
 //!   runs with injected metadata (git describe, timestamp), plus
 //!   row-level diffing against history.
-//! - **[`shard`]**: deterministic round-robin partitioning of an
-//!   experiment's job list across processes; shard outputs merge (via
+//! - **[`shard`]**: the [`JobQueue`] that leases an experiment's jobs
+//!   to distributed workers; their rows merge (via
 //!   [`SweepResult::from_indexed`]) into rows byte-identical to a
 //!   single-process run.
 
@@ -59,5 +59,5 @@ pub use experiment::{
 pub use json::Json;
 pub use runner::run_indexed;
 pub use session::{speedup_s_over_t, RunReport, Session, SCHEMA_VERSION};
-pub use shard::{JobQueue, Shard};
+pub use shard::JobQueue;
 pub use store::{diff_rows, ResultStore, RunMeta, StoredRun, SweepDiff};

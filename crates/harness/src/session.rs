@@ -35,7 +35,7 @@ type CheckFn<'a> = &'a (dyn Fn(&Program, &[i64]) -> Result<(), String> + Send + 
 /// not fabricated — on engines without a clock), and enumerative
 /// reports carry the SC-allowed state set (`sc_states`,
 /// `sc_states_explored`). v2 artifacts are rejected by readers —
-/// cache entries are silently skipped and re-run; stores and shard
+/// cache entries are silently skipped and re-run; stores and dist
 /// rows error out. Regenerate goldens with `regen-golden`.
 ///
 /// v4: scope-unit instrumentation for the fuzzer. Reports carry a
@@ -199,7 +199,7 @@ pub struct RunReport {
     ///
     /// **In-memory only**: deliberately excluded from
     /// [`RunReport::to_json`] — pipe events never enter caches,
-    /// stores, shard rows or golden digests, so enabling tracing can
+    /// stores, dist rows or golden digests, so enabling tracing can
     /// never change a serialized artifact. `from_json` yields an
     /// empty trace.
     pub pipe: Vec<PipeEvent>,

@@ -1,84 +1,16 @@
-//! Process-level sharding and job leasing of an
-//! [`Experiment`](crate::Experiment)'s job list.
+//! Job leasing of an [`Experiment`](crate::Experiment)'s job list.
 //!
-//! A [`Shard`] is `index/count`; job `i` belongs to shard `i % count`
-//! (round-robin over the deterministic job order, so each shard gets
-//! a near-equal slice of every workload). Shard workers emit
-//! [`IndexedRow`](crate::experiment::IndexedRow)s — rows tagged with
-//! their global job index — as JSONL on stdout; the parent merges
-//! them with [`SweepResult::from_indexed`](crate::SweepResult),
-//! which sorts by index and rejects missing or duplicated jobs, so
-//! the merged result is byte-identical to a single-process
-//! `run_parallel()`.
-//!
-//! A [`JobQueue`] is the dynamic counterpart used by the distributed
-//! runner (`sfence-dist`): instead of a static partition, jobs are
-//! *leased* to named workers with a deadline, completed with a
-//! payload, and re-leased when their worker dies (disconnect) or
-//! goes silent (lease expiry). Every engine is deterministic, so a
-//! job completed twice — by a presumed-dead worker that came back and
-//! by its replacement — carries the same payload; the queue keeps the
-//! first and ignores the duplicate.
-
-use std::fmt;
-
-/// One shard of a partitioned job list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Shard {
-    pub index: usize,
-    pub count: usize,
-}
-
-impl Shard {
-    /// Panics if `index >= count` or `count == 0` — shard specs are
-    /// static configuration, so a bad one is a programming error.
-    pub fn new(index: usize, count: usize) -> Shard {
-        assert!(count > 0, "shard count must be positive");
-        assert!(
-            index < count,
-            "shard index {index} out of range for {count} shards"
-        );
-        Shard { index, count }
-    }
-
-    /// Parse the command-line form `index/count`, e.g. `2/8`.
-    pub fn parse(s: &str) -> Result<Shard, String> {
-        let (index, count) = s
-            .split_once('/')
-            .ok_or_else(|| format!("bad shard spec {s:?} (expected \"index/count\")"))?;
-        let index: usize = index
-            .parse()
-            .map_err(|_| format!("bad shard index in {s:?}"))?;
-        let count: usize = count
-            .parse()
-            .map_err(|_| format!("bad shard count in {s:?}"))?;
-        if count == 0 {
-            return Err(format!("shard count must be positive in {s:?}"));
-        }
-        if index >= count {
-            return Err(format!(
-                "shard index {index} out of range for {count} shards"
-            ));
-        }
-        Ok(Shard { index, count })
-    }
-
-    /// Does job `i` belong to this shard?
-    pub fn contains(&self, job: usize) -> bool {
-        job % self.count == self.index
-    }
-
-    /// All shards of a `count`-way partition.
-    pub fn all(count: usize) -> Vec<Shard> {
-        (0..count).map(|index| Shard::new(index, count)).collect()
-    }
-}
-
-impl fmt::Display for Shard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
-}
+//! A [`JobQueue`] is how the distributed runner (`sfence-dist`)
+//! splits a sweep across processes and hosts: jobs are *leased* to
+//! named workers with a deadline, completed with a payload, and
+//! re-leased when their worker dies (disconnect) or goes silent
+//! (lease expiry). Every engine is deterministic, so a job completed
+//! twice — by a presumed-dead worker that came back and by its
+//! replacement — carries the same payload; the queue keeps the first
+//! and ignores the duplicate. Workers run a leased index set through
+//! [`RunOptions::jobs`](crate::RunOptions::jobs) and the coordinator
+//! merges the payloads in job order, byte-identical to a
+//! single-process `run_parallel()`.
 
 /// The lifecycle of one job in a [`JobQueue`].
 #[derive(Debug, Clone, PartialEq)]
@@ -93,7 +25,7 @@ enum JobState<T> {
 }
 
 /// A lease-tracking job table: the coordinator half of the
-/// distributed shard/merge protocol, kept free of any networking so
+/// distributed lease/merge protocol, kept free of any networking so
 /// the leasing semantics are unit-testable.
 ///
 /// Time is an opaque caller-supplied monotonic millisecond counter —
@@ -355,21 +287,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn partition_is_disjoint_and_exhaustive() {
-        for count in 1..=5 {
-            let mut seen = vec![0u32; 17];
-            for shard in Shard::all(count) {
-                for (job, slot) in seen.iter_mut().enumerate() {
-                    if shard.contains(job) {
-                        *slot += 1;
-                    }
-                }
-            }
-            assert!(seen.iter().all(|&n| n == 1), "count={count}: {seen:?}");
-        }
-    }
-
-    #[test]
     fn lease_complete_release_expire() {
         let mut q: JobQueue<&str> = JobQueue::new(5);
         assert_eq!(q.len(), 5);
@@ -490,16 +407,5 @@ mod tests {
         assert!(parse(r#"{"jobs":2,"done":[[7,1]],"leased":[]}"#).contains("out of range"));
         assert!(parse(r#"{"jobs":2,"done":[[0,1],[0,2]],"leased":[]}"#).contains("twice"));
         assert!(parse(r#"{"jobs":2,"done":[[0]],"leased":[]}"#).contains("pair"));
-    }
-
-    #[test]
-    fn parse_round_trips() {
-        let s = Shard::parse("2/8").unwrap();
-        assert_eq!(s, Shard::new(2, 8));
-        assert_eq!(s.to_string(), "2/8");
-        assert!(Shard::parse("8/8").is_err());
-        assert!(Shard::parse("0/0").is_err());
-        assert!(Shard::parse("nope").is_err());
-        assert!(Shard::parse("1").is_err());
     }
 }

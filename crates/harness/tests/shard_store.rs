@@ -1,10 +1,11 @@
-//! Sharding, resume, and the JSONL result store: merged shard output
-//! must be byte-identical to a single-process parallel run, an
-//! interrupted sweep must resume to the identical result, and the
-//! store must round-trip rows and reject foreign schema versions.
+//! Job subsets, resume, and the JSONL result store: rows of disjoint
+//! job sets (the index sets dist workers lease) must merge
+//! byte-identical to a single-process parallel run, an interrupted
+//! sweep must resume to the identical result, and the store must
+//! round-trip rows and reject foreign schema versions.
 
 use sfence_harness::{
-    diff_rows, Axis, Experiment, ResultCache, ResultStore, RunMeta, RunOptions, Shard, SweepResult,
+    diff_rows, Axis, Experiment, ResultCache, ResultStore, RunMeta, RunOptions, SweepResult,
 };
 use sfence_sim::FenceConfig;
 use sfence_workloads::WorkloadParams;
@@ -31,18 +32,10 @@ fn small_experiment() -> Experiment {
         .axis(Axis::Level(vec![1, 2]))
 }
 
-#[test]
-fn shard_partition_is_disjoint_and_exhaustive() {
-    let exp = small_experiment();
-    for count in [1, 2, 3, 5, 8, 11] {
-        let mut seen = vec![0u32; exp.job_count()];
-        for index in 0..count {
-            for job in exp.shard(index, count) {
-                seen[job] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&n| n == 1), "count={count}: {seen:?}");
-    }
+/// Round-robin job set `index` of `count` — a stand-in for the index
+/// sets a dist worker leases.
+fn round_robin(exp: &Experiment, index: usize, count: usize) -> Vec<usize> {
+    (index..exp.job_count()).step_by(count).collect()
 }
 
 #[test]
@@ -52,7 +45,7 @@ fn merged_shards_are_byte_identical_to_run_parallel() {
     for count in [1, 2, 3] {
         let mut rows = Vec::new();
         for index in 0..count {
-            let outcome = exp.run_with(RunOptions::new(2).shard(Shard::new(index, count)));
+            let outcome = exp.run_with(RunOptions::new(2).jobs(round_robin(&exp, index, count)));
             assert!(outcome.complete);
             rows.extend(outcome.rows);
         }
@@ -63,17 +56,17 @@ fn merged_shards_are_byte_identical_to_run_parallel() {
 
 #[test]
 fn sharded_workers_share_one_cache_without_collisions() {
-    // Each "worker" writes its own shard-<i>.jsonl in a shared cache
+    // Each "worker" writes its own worker-<i>.jsonl in a shared cache
     // directory; a later full run answers everything from disk.
     let dir = scratch_dir("shared-cache");
     let exp = small_experiment();
     for index in 0..3 {
         let mut cache =
-            ResultCache::open_with_writer(&dir, format!("shard-{index}.jsonl")).unwrap();
+            ResultCache::open_with_writer(&dir, format!("worker-{index}.jsonl")).unwrap();
         let outcome = exp.run_with(
             RunOptions::new(2)
                 .cache(&mut cache)
-                .shard(Shard::new(index, 3)),
+                .jobs(round_robin(&exp, index, 3)),
         );
         assert!(outcome.complete);
         assert_eq!(outcome.stats.cache_hits, 0);
@@ -119,7 +112,7 @@ fn from_indexed_rejects_missing_and_duplicated_jobs() {
     let mut partial = rows.clone();
     partial.pop();
     assert!(SweepResult::from_indexed("shard-test", exp.job_count(), partial).is_err());
-    // Duplicated shard: right count, wrong indices.
+    // Duplicated row: right count, wrong indices.
     let mut duplicated = rows.clone();
     let last = duplicated.len() - 1;
     duplicated[last] = duplicated[0].clone();

@@ -5,7 +5,6 @@
 //!               [--seeds N]                 seeds per family (default: 10)
 //!               [--threads N]               worker threads (default: one per CPU)
 //!               [--backend sim|functional]  execution engine (default: sim)
-//!               [--shard I/N]               run one shard; emit indexed JSONL cases
 //!               [--json]                    machine-readable campaign verdict
 //!               [--list-families]           print the families and exit
 //! ```
@@ -23,25 +22,21 @@
 //! waived — an SC engine cannot exhibit relaxation.
 //!
 //! Output is deterministic: byte-identical across `--threads`
-//! choices, and `--shard` outputs (JSONL, tagged with case indices)
-//! merge into exactly the unsharded document.
+//! choices.
 //!
 //! Exit codes: 0 expectations hold, 1 runtime error, 2 usage error,
 //! 4 expectation failure — a covering scope observed a non-SC state,
 //! or a non-covering family failed to demonstrate any relaxed
 //! outcome.
 
-use sfence_harness::{default_threads, BackendId, CheckerConfig, Json, Shard};
-use sfence_litmus::{
-    all_families, case_to_json, cases, parse_families, run_campaign, run_case, Campaign, Family,
-};
+use sfence_harness::{default_threads, BackendId, CheckerConfig};
+use sfence_litmus::{all_families, cases, parse_families, run_campaign, Campaign, Family};
 
 struct Args {
     families: Vec<Family>,
     seeds: u64,
     threads: Option<usize>,
     backend: BackendId,
-    shard: Option<Shard>,
     json: bool,
     list: bool,
 }
@@ -52,7 +47,6 @@ fn parse_args() -> Result<Args, String> {
         seeds: 10,
         threads: None,
         backend: BackendId::Sim,
-        shard: None,
         json: false,
         list: false,
     };
@@ -86,7 +80,6 @@ fn parse_args() -> Result<Args, String> {
                 }
                 args.threads = Some(n);
             }
-            "--shard" => args.shard = Some(Shard::parse(&take(&mut it, "--shard")?)?),
             "--json" => args.json = true,
             "--list-families" => args.list = true,
             other => return Err(format!("unknown flag {other:?}")),
@@ -100,7 +93,7 @@ fn main() {
         eprintln!("error: {e}");
         eprintln!(
             "usage: sfence-litmus [--families all|a,b] [--seeds N] [--backend sim|functional] \
-             [--shard I/N] [--json]"
+             [--json]"
         );
         std::process::exit(2);
     });
@@ -121,28 +114,6 @@ fn run(args: &Args) -> Result<(), String> {
     let checker = CheckerConfig::default();
     let list = cases(&args.families, args.seeds);
     let threads = args.threads.unwrap_or_else(|| default_threads(list.len()));
-
-    if let Some(shard) = args.shard {
-        // Shard worker: judge this shard's cases and emit them as
-        // index-tagged JSONL for a parent (or a test harness) to
-        // merge; expectations are enforced on the merged whole, not
-        // per shard.
-        let selected: Vec<usize> = (0..list.len()).filter(|&i| shard.contains(i)).collect();
-        let verdicts = sfence_harness::run_indexed(selected.len(), threads, |k| {
-            run_case(list[selected[k]], &checker, args.backend)
-        });
-        let mut out = String::new();
-        for (k, verdict) in verdicts.into_iter().enumerate() {
-            let verdict = verdict?;
-            let line = Json::obj()
-                .field("case", selected[k])
-                .field("verdict", case_to_json(&verdict));
-            out.push_str(&line.to_string_compact());
-            out.push('\n');
-        }
-        print!("{out}");
-        return Ok(());
-    }
 
     let campaign = run_campaign(&args.families, args.seeds, threads, &checker, args.backend)?;
     if args.json {

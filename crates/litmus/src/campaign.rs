@@ -29,8 +29,7 @@
 //!
 //! Results serialize to deterministic JSON: case order, run order and
 //! every value are functions of `(families, seeds)` alone, so output
-//! is byte-identical across worker-thread counts, and shard outputs
-//! merge into exactly the unsharded document.
+//! is byte-identical across worker-thread counts.
 
 use sfence_harness::{
     enumerate_sc, run_indexed, BackendId, CheckerConfig, Json, Session, SCHEMA_VERSION,
@@ -46,7 +45,7 @@ pub struct Case {
 }
 
 /// The deterministic case list: family-major (in [`FAMILIES`] order),
-/// then seed. Shards partition *this* list by index.
+/// then seed. Case indices refer to *this* list.
 ///
 /// The regression family is indexed, not seeded: every registered
 /// [`sfence_workloads::synth::REGRESSIONS`] entry runs exactly once
@@ -348,8 +347,8 @@ impl Campaign {
     }
 
     /// The machine-readable artifact `sfence-litmus --json` emits.
-    /// Deterministic: byte-identical across thread counts and shard
-    /// merges for the same `(families, seeds)`.
+    /// Deterministic: byte-identical across thread counts for the
+    /// same `(families, seeds)`.
     pub fn to_json(&self) -> Json {
         let s = self.summary();
         Json::obj()
@@ -459,7 +458,7 @@ pub fn run_campaign(
 }
 
 // ---------------------------------------------------------------------
-// JSON (de)serialization of cases — the shard interchange format.
+// JSON serialization of cases.
 
 fn i64_arr(v: &[i64]) -> Json {
     Json::Arr(v.iter().map(|&x| Json::Int(x)).collect())
@@ -469,7 +468,7 @@ fn u64_arr(v: &[u64]) -> Json {
     Json::Arr(v.iter().map(|&x| Json::UInt(x)).collect())
 }
 
-pub fn case_to_json(case: &CaseVerdict) -> Json {
+fn case_to_json(case: &CaseVerdict) -> Json {
     Json::obj()
         .field("family", case.family.name())
         .field("seed", case.seed)
@@ -505,95 +504,4 @@ pub fn case_to_json(case: &CaseVerdict) -> Json {
                     .collect(),
             ),
         )
-}
-
-fn get_i64_arr(json: &Json, key: &str) -> Result<Vec<i64>, String> {
-    json.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array field {key:?}"))?
-        .iter()
-        .map(|w| w.as_i64().ok_or_else(|| format!("bad i64 in {key:?}")))
-        .collect()
-}
-
-fn get_u64_arr(json: &Json, key: &str) -> Result<Vec<u64>, String> {
-    json.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array field {key:?}"))?
-        .iter()
-        .map(|w| w.as_u64().ok_or_else(|| format!("bad u64 in {key:?}")))
-        .collect()
-}
-
-pub fn case_from_json(json: &Json) -> Result<CaseVerdict, String> {
-    let family_name = json
-        .get("family")
-        .and_then(Json::as_str)
-        .ok_or("missing family")?;
-    let family =
-        Family::from_name(family_name).ok_or_else(|| format!("unknown family {family_name:?}"))?;
-    let runs = json
-        .get("runs")
-        .and_then(Json::as_arr)
-        .ok_or("missing runs")?
-        .iter()
-        .map(|r| {
-            Ok(RunVerdict {
-                config: r
-                    .get("config")
-                    .and_then(Json::as_str)
-                    .ok_or("missing config")?
-                    .to_string(),
-                observed: get_i64_arr(r, "observed")?,
-                sc_allowed: r
-                    .get("sc_allowed")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing sc_allowed")?,
-                expect_sc: r
-                    .get("expect_sc")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing expect_sc")?,
-                degraded_fences: r
-                    .get("degraded_fences")
-                    .and_then(Json::as_u64)
-                    .ok_or("missing degraded_fences")?,
-                degraded_by_core: get_u64_arr(r, "degraded_by_core")?,
-                fss_overflows_by_core: get_u64_arr(r, "fss_overflows_by_core")?,
-                recoveries_by_core: get_u64_arr(r, "recoveries_by_core")?,
-                cycles: match r.get("cycles") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(v.as_u64().ok_or("bad cycles")?),
-                },
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    Ok(CaseVerdict {
-        family,
-        seed: json
-            .get("seed")
-            .and_then(Json::as_u64)
-            .ok_or("missing seed")?,
-        sc_states: json
-            .get("sc_states")
-            .and_then(Json::as_arr)
-            .ok_or("missing sc_states")?
-            .iter()
-            .map(|s| {
-                s.as_arr()
-                    .ok_or_else(|| "bad sc state".to_string())?
-                    .iter()
-                    .map(|w| w.as_i64().ok_or_else(|| "bad sc state word".to_string()))
-                    .collect()
-            })
-            .collect::<Result<Vec<_>, String>>()?,
-        sc_complete: json
-            .get("sc_complete")
-            .and_then(Json::as_bool)
-            .ok_or("missing sc_complete")?,
-        states_explored: json
-            .get("states_explored")
-            .and_then(Json::as_u64)
-            .ok_or("missing states_explored")?,
-        runs,
-    })
 }

@@ -13,8 +13,8 @@
 //!   class- and set-scoped fences placed so the scope either covers
 //!   the racing accesses or deliberately does not. Scenarios register
 //!   into the workload catalog as `litmus/<family>/<seed>`, so
-//!   `Experiment` sweeps, the result cache, sharding and the result
-//!   store run them unchanged.
+//!   `Experiment` sweeps, the result cache, the dist runner and the
+//!   result store run them unchanged.
 //! - **SC reference checking** lives in `sfence_harness::enumerate`
 //!   (it is the harness's `EnumerativeBackend`): it enumerates the
 //!   interleavings of a compiled program (bounded, with a
@@ -31,14 +31,14 @@
 //!   on the simulator, and the campaign counts the demonstrations.
 //!
 //! The `sfence-litmus` binary drives bulk campaigns
-//! (`--families all --seeds 50 --shard I/N --json`) with the same
+//! (`--families all --seeds 50 --json`) with the same
 //! exit-code conventions as `sfence-sweep`.
 
 pub mod campaign;
 
 pub use campaign::{
-    all_families, case_from_json, case_to_json, cases, overflow_scope, parse_families,
-    run_campaign, run_case, summarize, Campaign, Case, CaseVerdict, RunVerdict, Summary,
+    all_families, cases, overflow_scope, parse_families, run_campaign, run_case, summarize,
+    Campaign, Case, CaseVerdict, RunVerdict, Summary,
 };
 pub use sfence_workloads::litmus::{
     build, parse_name, scenario_name, Family, LitmusSpec, FAMILIES, LITMUS_PREFIX,

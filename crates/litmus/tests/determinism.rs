@@ -1,9 +1,10 @@
 //! Litmus determinism and integration: same seed ⇒ byte-identical
 //! generated programs and byte-identical campaign verdicts across
-//! worker-thread counts and shard splits; generated scenarios run
+//! worker-thread counts, and a standalone `run_case` reproduces the
+//! campaign's verdict for that case; generated scenarios run
 //! through the ordinary `Experiment` sweep machinery unchanged.
 
-use sfence_harness::{Axis, BackendId, CheckerConfig, Experiment, Shard};
+use sfence_harness::{Axis, BackendId, CheckerConfig, Experiment};
 use sfence_litmus::{cases, run_campaign, run_case, Family, LitmusSpec, FAMILIES};
 use sfence_sim::FenceConfig;
 use sfence_workloads::litmus::build;
@@ -43,38 +44,18 @@ fn campaign_json_identical_across_thread_counts() {
 
 #[test]
 fn shard_union_equals_full_campaign() {
+    // Each case judged on its own equals the campaign's verdict for it.
     let checker = CheckerConfig::default();
     let families = [Family::Sb, Family::SbWrongSet, Family::PcDeep];
     let full = run_campaign(&families, SEEDS, 4, &checker, BackendId::Sim).unwrap();
-    let list = cases(&families, SEEDS);
-    let mut merged: Vec<Option<sfence_litmus::CaseVerdict>> = vec![None; list.len()];
-    for index in 0..3 {
-        let shard = Shard::new(index, 3);
-        for (i, &case) in list.iter().enumerate() {
-            if shard.contains(i) {
-                assert!(merged[i].is_none(), "shards must be disjoint");
-                merged[i] = Some(run_case(case, &checker, BackendId::Sim).unwrap());
-            }
-        }
-    }
-    let merged: Vec<_> = merged.into_iter().map(Option::unwrap).collect();
-    assert_eq!(merged, full.cases, "shard union must equal the full run");
-}
-
-#[test]
-fn case_json_round_trips() {
-    let checker = CheckerConfig::default();
-    for family in [Family::Mp, Family::SbWrongSet, Family::Cas] {
-        let verdict = run_case(
-            sfence_litmus::Case { family, seed: 1 },
-            &checker,
-            BackendId::Sim,
-        )
-        .unwrap();
-        let json = sfence_litmus::case_to_json(&verdict);
-        let back = sfence_litmus::case_from_json(&json).unwrap();
-        assert_eq!(back, verdict);
-    }
+    let standalone: Vec<_> = cases(&families, SEEDS)
+        .into_iter()
+        .map(|case| run_case(case, &checker, BackendId::Sim).unwrap())
+        .collect();
+    assert_eq!(
+        standalone, full.cases,
+        "standalone cases must equal the campaign's"
+    );
 }
 
 /// The paper's safety claims, pinned as a test: covering scopes stay
@@ -126,7 +107,7 @@ fn pc_deep_overflows_default_hardware() {
 
 /// Generated scenarios are ordinary registry workloads: an
 /// `Experiment` sweep over `litmus/<family>/<seed>` names runs,
-/// shards and serializes exactly like the Table IV benchmarks.
+/// caches and serializes exactly like the Table IV benchmarks.
 #[test]
 fn litmus_names_sweep_through_experiment() {
     let experiment = Experiment::new("litmus-int")

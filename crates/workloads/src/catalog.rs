@@ -311,7 +311,7 @@ pub fn exists(name: &str) -> bool {
 ///
 /// Names under `litmus/` dispatch to the deterministic scenario
 /// generator ([`crate::litmus`]); the seed is part of the name, so
-/// the sweep cache, sharding and the result store key litmus cells
+/// the sweep cache, the dist runner and the result store key litmus cells
 /// exactly like table benchmarks. Names under `fuzz/` decode the
 /// synthesized program from the name itself ([`crate::synth`]) —
 /// corpus entries flow through experiments and `sfence-dist` jobs

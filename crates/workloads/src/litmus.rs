@@ -21,7 +21,7 @@
 //!
 //! Scenarios register into the workload catalog under
 //! `litmus/<family>/<seed>` ([`parse_name`] / `catalog::build`), so
-//! `Experiment` sweeps, the result cache, sharding and the store all
+//! `Experiment` sweeps, the result cache, the dist runner and the store all
 //! work on them unchanged.
 
 use crate::support::{BuiltWorkload, Prng};
