@@ -8,7 +8,7 @@
 //!   serialized sim report, both scales, all four fence configs
 //!   (checked by the `sim_byte_identity` test in this crate).
 //!
-//! The CI golden job diffs the binaries' live output against these
+//! The `goldens` test diffs the binaries' live output against these
 //! files; after an intentional simulator or schema change, rerun
 //! `cargo run -p sfence-bench --bin regen-golden` and commit the
 //! result.

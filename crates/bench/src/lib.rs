@@ -2,15 +2,13 @@
 //!
 //! The paper's evaluation, written as thin [`Experiment`]
 //! descriptions over the workload registry: one declarative sweep per
-//! figure, shared by the `fig*`/`table*` binaries, the benches and
-//! the integration tests. Every run validates its workload's
-//! invariants before its timing is used (the harness `Session` does
-//! this on every job).
+//! figure, shared by the `fig*`/`table*` binaries and the integration
+//! tests. Every run validates its workload's invariants before its
+//! timing is used (the harness `Session` does this on every job).
 //!
 //! Each `figN_experiment()` *describes* the sweep; `figN_data_from()`
 //! maps its structured rows onto the figure's presentation
-//! (normalized stacked bars, speedup curves); `figN_data()` is the
-//! one-shot convenience that runs the sweep in parallel.
+//! (normalized stacked bars, speedup curves).
 
 use sfence_core::{hw_cost, ScopeConfig};
 use sfence_harness::{Axis, BackendId, Experiment, SweepResult};
@@ -74,10 +72,6 @@ pub fn fig12_data_from(result: &SweepResult) -> Vec<Fig12Row> {
         .collect()
 }
 
-pub fn fig12_data() -> Vec<Fig12Row> {
-    fig12_data_from(&fig12_experiment().run_parallel())
-}
-
 // ---------------------------------------------------------------------
 // Figure 13: full applications under T, S, T+, S+
 
@@ -127,10 +121,6 @@ pub fn fig13_data_from(result: &SweepResult) -> Vec<AppBars> {
         .collect()
 }
 
-pub fn fig13_data() -> Vec<AppBars> {
-    fig13_data_from(&fig13_experiment().run_parallel())
-}
-
 // ---------------------------------------------------------------------
 // Figure 14: class scope vs set scope
 
@@ -172,10 +162,6 @@ pub fn fig14_data_from(result: &SweepResult) -> Vec<AppBars> {
             }
         })
         .collect()
-}
-
-pub fn fig14_data() -> Vec<AppBars> {
-    fig14_data_from(&fig14_experiment().run_parallel())
 }
 
 // ---------------------------------------------------------------------
@@ -235,14 +221,6 @@ pub fn fig15_data_from(result: &SweepResult) -> Vec<AppBars> {
 pub fn fig16_data_from(result: &SweepResult) -> Vec<AppBars> {
     let points: Vec<String> = FIG16_ROBS.iter().map(|r| r.to_string()).collect();
     sweep_data_from(result, &points, "128")
-}
-
-pub fn fig15_data() -> Vec<AppBars> {
-    fig15_data_from(&fig15_experiment().run_parallel())
-}
-
-pub fn fig16_data() -> Vec<AppBars> {
-    fig16_data_from(&fig16_experiment().run_parallel())
 }
 
 // ---------------------------------------------------------------------
@@ -353,11 +331,11 @@ pub fn litmus_experiment() -> Experiment {
 }
 
 // ---------------------------------------------------------------------
-// The experiment registry (sweep binary, CI smoke jobs)
+// The experiment registry (sweep binary, smoke and fan-out tests)
 
-/// A deliberately tiny sweep (8 small-scale cells) for CI smoke and
-/// kill-and-resume checks: big enough to fan out, fast enough to run in
-/// seconds.
+/// A deliberately tiny sweep (8 small-scale cells) for smoke and
+/// kill-and-resume tests: big enough to fan out, fast enough to run
+/// in seconds.
 pub fn smoke_experiment() -> Experiment {
     Experiment::new("smoke")
         .base(machine())
@@ -585,7 +563,7 @@ pub fn print_bars(title: &str, data: &[AppBars]) {
 /// rendering plus the paper's observed trend.
 ///
 /// Further switches: `--scale small|eval` overrides the problem size
-/// (the golden CI job pins `--json --scale small` output),
+/// (the `goldens` test pins `--json --scale small` output),
 /// `--backend sim|functional|enumerative` swaps the execution engine
 /// (figure renderings need cycle counts, so non-sim backends pair
 /// with `--json`/`--rows`), `--cache-dir DIR` backs the run with the

@@ -6,42 +6,34 @@
 //! the bytes of an uninterrupted one, and the retired fan-out flags
 //! are refused as usage errors.
 
-use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+mod common;
 
-const SWEEP: &str = env!("CARGO_BIN_EXE_sfence-sweep");
-const DIST: &str = env!("CARGO_BIN_EXE_sfence-dist");
+use common::{run, scratch, DIST, SWEEP};
+use std::path::Path;
+use std::process::Output;
+
 const FIG13: &str = env!("CARGO_BIN_EXE_fig13");
+const SMOKE: &[&str] = &["--experiment", "smoke"];
 
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sfence-fanout-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn run(bin: &str, args: &[&str]) -> Output {
-    Command::new(bin).args(args).output().expect("binary runs")
-}
-
-/// `sfence-sweep --experiment smoke --json` plus `extra`, stored to
-/// `store`, whatever its exit status.
-fn smoke_run(extra: &[&str], store: &Path) -> Output {
+/// `sfence-sweep EXPERIMENT --json` plus `extra`, stored to `store`,
+/// whatever its exit status.
+fn sweep_run(experiment: &[&str], extra: &[&str], store: &Path) -> Output {
     let store = store.to_str().unwrap();
-    let mut args = vec!["--experiment", "smoke", "--json"];
+    let mut args = experiment.to_vec();
+    args.push("--json");
     args.extend_from_slice(&["--store", store, "--git", "ci", "--timestamp", "0"]);
     args.extend_from_slice(extra);
     run(SWEEP, &args)
 }
 
-/// [`smoke_run`] that must succeed; returns stdout, and stderr for
+/// [`sweep_run`] that must succeed; returns stdout, and stderr for
 /// the caller to inspect.
-fn smoke(extra: &[&str], store: &Path) -> (Vec<u8>, String) {
-    let out = smoke_run(extra, store);
+fn sweep(experiment: &[&str], extra: &[&str], store: &Path) -> (Vec<u8>, String) {
+    let out = sweep_run(experiment, extra, store);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(
         out.status.success(),
-        "sfence-sweep {extra:?} failed:\n{stderr}"
+        "sfence-sweep {experiment:?} {extra:?} failed:\n{stderr}"
     );
     (out.stdout, stderr)
 }
@@ -51,8 +43,9 @@ fn workers_merge_byte_identical_to_in_process_and_warm_pass_executes_nothing() {
     let dir = scratch("merge");
     let cache = dir.join("cache");
     let cache = cache.to_str().unwrap();
-    let (single, _) = smoke(&[], &dir.join("single.jsonl"));
-    let (dist, log) = smoke(
+    let (single, _) = sweep(SMOKE, &[], &dir.join("single.jsonl"));
+    let (dist, log) = sweep(
+        SMOKE,
         &["--workers", "2", "--cache-dir", cache],
         &dir.join("dist.jsonl"),
     );
@@ -70,7 +63,8 @@ fn workers_merge_byte_identical_to_in_process_and_warm_pass_executes_nothing() {
         "cold pass runs every cell:\n{log}"
     );
 
-    let (warm, log) = smoke(
+    let (warm, log) = sweep(
+        SMOKE,
         &["--workers", "2", "--cache-dir", cache],
         &dir.join("warm.jsonl"),
     );
@@ -82,48 +76,66 @@ fn workers_merge_byte_identical_to_in_process_and_warm_pass_executes_nothing() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Checked for `smoke` and for `litmus` on the functional backend, so
+/// a cached functional sweep must also answer every cell from cache.
 #[test]
 fn interrupted_sweep_resumes_to_the_reference_bytes() {
-    let dir = scratch("resume");
-    let cache = dir.join("cache");
-    let cache = cache.to_str().unwrap();
-    let full = dir.join("full.jsonl");
-    let resumed = dir.join("resumed.jsonl");
-    let (reference, _) = smoke(&[], &full);
+    for (tag, experiment) in [
+        ("resume", SMOKE),
+        (
+            "resume-functional",
+            &["--experiment", "litmus", "--backend", "functional"][..],
+        ),
+    ] {
+        let dir = scratch(tag);
+        let cache = dir.join("cache");
+        let cache = cache.to_str().unwrap();
+        let full = dir.join("full.jsonl");
+        let resumed = dir.join("resumed.jsonl");
+        let (reference, _) = sweep(experiment, &[], &full);
 
-    // The budget runs out after 3 cells: exit 3, and no store line.
-    let out = smoke_run(&["--cache-dir", cache, "--max-cells", "3"], &resumed);
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "budgeted run:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        !resumed.exists(),
-        "an incomplete run must not write the store"
-    );
+        // The budget runs out after 3 cells: exit 3, and no store line.
+        let out = sweep_run(
+            experiment,
+            &["--cache-dir", cache, "--max-cells", "3"],
+            &resumed,
+        );
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "budgeted run:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            !resumed.exists(),
+            "an incomplete run must not write the store"
+        );
 
-    // Rerunning with the same cache finishes the sweep.
-    let (stdout, _) = smoke(&["--cache-dir", cache], &resumed);
-    assert_eq!(
-        reference, stdout,
-        "resumed stdout differs from the reference"
-    );
-    assert_eq!(
-        std::fs::read(&full).unwrap(),
-        std::fs::read(&resumed).unwrap(),
-        "resumed store differs from the reference"
-    );
+        // Rerunning with the same cache finishes the sweep.
+        let (stdout, _) = sweep(experiment, &["--cache-dir", cache], &resumed);
+        assert_eq!(
+            reference, stdout,
+            "{experiment:?}: resumed stdout differs from the reference"
+        );
+        assert_eq!(
+            std::fs::read(&full).unwrap(),
+            std::fs::read(&resumed).unwrap(),
+            "{experiment:?}: resumed store differs from the reference"
+        );
 
-    // --max-cells 0 forbids execution; completing proves that every
-    // cell was answered by the cache.
-    let (stdout, _) = smoke(
-        &["--cache-dir", cache, "--max-cells", "0"],
-        &dir.join("cached.jsonl"),
-    );
-    assert_eq!(reference, stdout, "fully cached stdout differs");
-    let _ = std::fs::remove_dir_all(&dir);
+        // --max-cells 0 forbids execution; completing proves that every
+        // cell was answered by the cache.
+        let (stdout, _) = sweep(
+            experiment,
+            &["--cache-dir", cache, "--max-cells", "0"],
+            &dir.join("cached.jsonl"),
+        );
+        assert_eq!(
+            reference, stdout,
+            "{experiment:?}: fully cached stdout differs"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

@@ -3,6 +3,10 @@
 //! no matter how many worker threads executed the sweep. Per-core
 //! event streams are merged by `(cycle, core)` and jobs are emitted
 //! in index order, so thread scheduling can never reorder the file.
+//! Checked through the library for `fig13` and through the
+//! `sfence-sweep --trace` binary for `litmus`.
+
+mod common;
 
 use sfence_bench::experiment_by_name;
 use sfence_harness::{RunOptions, Session};
@@ -34,11 +38,15 @@ fn fig13_small_trace_is_byte_identical_across_thread_counts() {
     assert_eq!(jobs_one, jobs_four);
     assert!(jobs_one > 0, "fig13 produced traced jobs");
     assert_eq!(one, four, "trace bytes must not depend on --threads");
+    assert_chrome_trace(&one);
+}
 
-    // The file is one valid JSON document in Chrome's trace_event
-    // object form, with a non-empty event array.
-    let text = String::from_utf8(one).expect("trace is UTF-8");
-    let doc = sfence_harness::json::parse(&text).expect("trace parses as JSON");
+/// The file is one valid JSON document in Chrome's trace_event object
+/// form, with a non-empty event array of instant, complete and
+/// metadata events.
+fn assert_chrome_trace(bytes: &[u8]) {
+    let text = std::str::from_utf8(bytes).expect("trace is UTF-8");
+    let doc = sfence_harness::json::parse(text).expect("trace parses as JSON");
     let events = doc
         .get("traceEvents")
         .and_then(sfence_harness::Json::as_arr)
@@ -51,6 +59,23 @@ fn fig13_small_trace_is_byte_identical_across_thread_counts() {
             .expect("event has ph");
         assert!(matches!(ph, "i" | "X" | "M"), "unexpected phase {ph:?}");
     }
+}
+
+#[test]
+fn sweep_cli_litmus_trace_is_byte_identical_across_thread_counts() {
+    let trace = |threads: &str| {
+        let path = scratch(&format!("cli-t{threads}"));
+        let path_arg = path.to_str().unwrap();
+        let args = ["--experiment", "litmus", "--scale", "small", "--json"];
+        let args = [&args[..], &["--threads", threads, "--trace", path_arg]].concat();
+        common::run_ok(common::SWEEP, &args);
+        let bytes = std::fs::read(&path).expect("trace written");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let one = trace("1");
+    assert_eq!(one, trace("4"), "trace bytes must not depend on --threads");
+    assert_chrome_trace(&one);
 }
 
 #[test]

@@ -89,8 +89,8 @@ pub struct ServerOpts {
     /// checkpointing.
     pub checkpoint: Option<PathBuf>,
     /// Minimum interval between periodic snapshots. 0 = checkpoint
-    /// after every mutation (slow, but the CI kill-test wants zero
-    /// replay).
+    /// after every mutation (slow, but the kill-and-resume tests want
+    /// zero replay).
     pub checkpoint_every_ms: u64,
     /// Deadline for a connection's *opening* message. A peer that
     /// connects and says nothing (port scanner, half-open TCP) is

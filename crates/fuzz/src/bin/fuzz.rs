@@ -23,8 +23,9 @@
 //! Output (minus `--bench` timings) is byte-identical across
 //! `--threads`. Exit codes: 0 verdict as expected, 1 runtime error,
 //! 2 usage error, 4 expectation failure — a divergence on real
-//! hardware, or no divergence under `--expect-divergence` (the CI
-//! bug-injection run uses the latter to prove the fuzzer's teeth).
+//! hardware, or no divergence under `--expect-divergence` (the
+//! bug-injection test in `tests/cli.rs` uses the latter to prove the
+//! fuzzer's teeth).
 
 use sfence_fuzz::{run_fuzz, FuzzConfig};
 use sfence_harness::{default_threads, BackendId, Json, SCHEMA_VERSION};

@@ -346,6 +346,33 @@ impl Campaign {
         self.backend.timed()
     }
 
+    /// The safety expectations this campaign fails, one message each;
+    /// `sfence-litmus` exits 4 when the list is non-empty. A covering
+    /// scope must never observe a non-SC state, and non-covering
+    /// families must demonstrate a relaxed outcome wherever the engine
+    /// can exhibit one.
+    pub fn expectation_failures(&self) -> Vec<String> {
+        let s = self.summary();
+        let mut failures = Vec::new();
+        if s.covering_violations > 0 {
+            failures.push(format!(
+                "{} run(s) with a covering scope observed a non-SC final state",
+                s.covering_violations
+            ));
+        }
+        let ran_noncovering = self.families.iter().any(|f| !f.covering())
+            && self.seeds > 0
+            && self.can_demonstrate_relaxation();
+        if ran_noncovering && s.noncovering_scope_violations == 0 {
+            failures.push(
+                "non-covering families ran but demonstrated no relaxed outcome \
+                 (the scope boundary should be observable)"
+                    .to_string(),
+            );
+        }
+        failures
+    }
+
     /// The machine-readable artifact `sfence-litmus --json` emits.
     /// Deterministic: byte-identical across thread counts for the
     /// same `(families, seeds)`.

@@ -14,7 +14,8 @@
 //! emitted in index order, each stream is already `(cycle, core)`
 //! sorted by the simulator, and the JSON writer preserves insertion
 //! order. A fixed seed therefore produces byte-identical traces
-//! regardless of `--threads` — CI compares the files with `cmp`.
+//! regardless of `--threads` — `sfence-bench`'s `trace_determinism`
+//! test compares the files byte for byte.
 
 use sfence_core::{PipeEvent, PipeKind};
 use sfence_harness::Json;

@@ -843,7 +843,7 @@ pub fn seed_corpus() -> Vec<SynthSpec> {
 
 /// Minimized divergences harvested by `sfence-fuzz`, re-emitted
 /// forever as `litmus/regression/<index>` scenarios by every litmus
-/// campaign, sweep and CI job. Every entry must be `covering()` —
+/// campaign, sweep and test. Every entry must be `covering()` —
 /// the campaign expects its scoped rows to stay SC, so a hardware
 /// regression that re-breaks the path trips the verdict.
 ///
