@@ -72,6 +72,7 @@ use sfence_obs::log::{
     install_panic_dump, EventLog, LogLevel, DEFAULT_LOG_MAX_BYTES, DEFAULT_LOG_MAX_FILES,
 };
 use sfence_obs::prometheus_text;
+use sfence_workloads::Scale;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -143,62 +144,50 @@ fn parse_flag<T: std::str::FromStr>(
         .unwrap_or_else(|| usage(format!("{flag} expects {expects}")))
 }
 
+/// Parse a flag given in seconds, as milliseconds.
+fn ms_flag(it: &mut impl Iterator<Item = String>, flag: &str, check: impl Fn(&u64) -> bool) -> u64 {
+    parse_flag(it, flag, check, "seconds") * 1000
+}
+
 fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
     let mut addr: Option<String> = None;
-    let mut quiet = false;
-    let mut lease_size: usize = 4;
-    let mut lease_ttl_ms: u64 = 30_000;
-    let mut token: Option<String> = None;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut checkpoint_every_ms: u64 = 1000;
-    let mut retain_fetched_ms: u64 = 600_000;
-    let mut handshake_timeout_ms: u64 = 10_000;
+    let mut opts = ServerOpts::default();
     let mut log_path: Option<PathBuf> = None;
     let mut log_level = LogLevel::Info;
     let mut log_max_bytes: u64 = DEFAULT_LOG_MAX_BYTES;
     let mut log_max_files: usize = DEFAULT_LOG_MAX_FILES;
-    let mut metrics_log: Option<PathBuf> = None;
-    let mut metrics_interval_ms: u64 = 10_000;
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--lease" => {
-                lease_size =
+                opts.default_lease =
                     parse_flag(&mut it, "--lease", |&n: &usize| n > 0, "a positive integer")
             }
-            "--lease-ttl" => {
-                let secs: u64 = parse_flag(&mut it, "--lease-ttl", |&n| n > 0, "seconds");
-                lease_ttl_ms = secs * 1000;
-            }
+            "--lease-ttl" => opts.lease_ttl_ms = ms_flag(&mut it, "--lease-ttl", |&n| n > 0),
             "--token-file" => {
-                token = Some(read_token(
+                opts.token = Some(read_token(
                     &cli::take(&mut it, "--token-file").unwrap_or_else(|e| usage(e)),
                 )?)
             }
             "--checkpoint" => {
-                checkpoint = Some(PathBuf::from(
+                opts.checkpoint = Some(PathBuf::from(
                     cli::take(&mut it, "--checkpoint").unwrap_or_else(|e| usage(e)),
                 ))
             }
             "--checkpoint-every" => {
-                let secs: u64 = parse_flag(&mut it, "--checkpoint-every", |_| true, "seconds");
-                checkpoint_every_ms = secs * 1000;
+                opts.checkpoint_every_ms = ms_flag(&mut it, "--checkpoint-every", |_| true)
             }
             "--retain-fetched" => {
-                let secs: u64 = parse_flag(&mut it, "--retain-fetched", |_| true, "seconds");
-                retain_fetched_ms = secs * 1000;
+                opts.retain_fetched_ms = ms_flag(&mut it, "--retain-fetched", |_| true)
             }
             "--handshake-timeout" => {
-                let secs: u64 = parse_flag(&mut it, "--handshake-timeout", |_| true, "seconds");
-                handshake_timeout_ms = secs * 1000;
+                opts.handshake_timeout_ms = ms_flag(&mut it, "--handshake-timeout", |_| true)
             }
             "--log" => {
                 log_path = Some(PathBuf::from(
                     cli::take(&mut it, "--log").unwrap_or_else(|e| usage(e)),
                 ))
             }
-            "--log-level" => {
-                log_level = parse_log_level(&mut it);
-            }
+            "--log-level" => log_level = parse_log_level(&mut it),
             "--log-max-bytes" => {
                 log_max_bytes =
                     parse_flag(&mut it, "--log-max-bytes", |&n: &u64| n > 0, "a byte count")
@@ -212,15 +201,14 @@ fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
                 )
             }
             "--metrics-log" => {
-                metrics_log = Some(PathBuf::from(
+                opts.metrics_log = Some(PathBuf::from(
                     cli::take(&mut it, "--metrics-log").unwrap_or_else(|e| usage(e)),
                 ))
             }
             "--metrics-interval" => {
-                let secs: u64 = parse_flag(&mut it, "--metrics-interval", |&n| n > 0, "seconds");
-                metrics_interval_ms = secs * 1000;
+                opts.metrics_interval_ms = ms_flag(&mut it, "--metrics-interval", |&n| n > 0)
             }
-            "--quiet" => quiet = true,
+            "--quiet" => opts.quiet = true,
             other if !other.starts_with('-') && addr.is_none() => addr = Some(other.to_string()),
             other => usage(format!("unknown flag {other:?}")),
         }
@@ -235,13 +223,13 @@ fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
 
     eprintln!(
         "dist: daemon on {local} (auth {}, checkpoint {})",
-        if token.is_some() { "on" } else { "off" },
-        checkpoint
+        if opts.token.is_some() { "on" } else { "off" },
+        opts.checkpoint
             .as_ref()
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "off".into()),
     );
-    let stderr_level = if quiet { None } else { Some(log_level) };
+    let stderr_level = if opts.quiet { None } else { Some(log_level) };
     let log = match &log_path {
         Some(path) => Arc::new(
             EventLog::with_file(
@@ -264,20 +252,7 @@ fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
         PathBuf::from(s)
     });
     install_panic_dump(Arc::clone(&log), panic_path);
-    let opts = ServerOpts {
-        default_lease: lease_size,
-        lease_ttl_ms,
-        quiet,
-        token,
-        checkpoint,
-        checkpoint_every_ms,
-        retain_fetched_ms,
-        handshake_timeout_ms,
-        log: Some(log),
-        metrics_log,
-        metrics_interval_ms,
-        ..ServerOpts::default()
-    };
+    opts.log = Some(log);
     // Runs until the process is killed; the periodic checkpoint is the
     // shutdown story.
     run_server(
@@ -326,7 +301,7 @@ fn cmd_submit(mut it: impl Iterator<Item = String>) -> Result<(), String> {
             }
             "--scale" => {
                 scale = Some(
-                    cli::parse_scale(&cli::take(&mut it, "--scale").unwrap_or_else(|e| usage(e)))
+                    Scale::parse(&cli::take(&mut it, "--scale").unwrap_or_else(|e| usage(e)))
                         .unwrap_or_else(|e| usage(e)),
                 )
             }
@@ -445,10 +420,7 @@ fn cmd_work(mut it: impl Iterator<Item = String>) -> Result<(), String> {
                 opts.reconnect_attempts =
                     parse_flag(&mut it, "--reconnect", |_| true, "an attempt count")
             }
-            "--idle-exit" => {
-                let secs: u64 = parse_flag(&mut it, "--idle-exit", |_| true, "seconds");
-                opts.idle_exit_ms = secs * 1000;
-            }
+            "--idle-exit" => opts.idle_exit_ms = ms_flag(&mut it, "--idle-exit", |_| true),
             "--progress" => opts.progress = true,
             "--quiet" => opts.quiet = true,
             other if !other.starts_with('-') && addr.is_none() => addr = Some(other.to_string()),

@@ -121,19 +121,20 @@ fn main() {
         eprintln!("error: unknown experiment {name:?} (--list for names)");
         std::process::exit(2);
     });
-    let experiment = args.common.configure(experiment).unwrap_or_else(|e| {
+    let spec = args.common.spec(&name);
+    let experiment = spec.apply(experiment).unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    if let Err(e) = run(&name, &experiment, &args) {
+    if let Err(e) = run(&spec, &experiment, &args) {
         eprintln!("error: {e}");
         std::process::exit(1);
     }
 }
 
-fn run(name: &str, experiment: &Experiment, args: &SweepArgs) -> Result<(), String> {
+fn run(spec: &ExperimentSpec, experiment: &Experiment, args: &SweepArgs) -> Result<(), String> {
     let rows = if let Some(workers) = args.workers {
-        run_distributed(name, experiment, args, workers)?
+        run_distributed(spec, experiment, args, workers)?
     } else {
         // In process; exit 3 if the `--max-cells` budget left cells
         // unrun.
@@ -165,7 +166,7 @@ fn threads_per_worker(requested: Option<usize>, workers: usize) -> usize {
 /// `sfence-dist work` processes, and this process as the submitting
 /// client — merged exactly like a remote campaign would be.
 fn run_distributed(
-    name: &str,
+    spec: &ExperimentSpec,
     experiment: &Experiment,
     args: &SweepArgs,
     workers: usize,
@@ -181,9 +182,6 @@ fn run_distributed(
         .local_addr()
         .map_err(|e| format!("local_addr: {e}"))?
         .to_string();
-    let spec = ExperimentSpec::new(name)
-        .scale(args.common.scale)
-        .backend(args.common.backend);
     let threads = threads_per_worker(args.common.threads, workers);
 
     let mut children = Vec::new();
@@ -222,7 +220,7 @@ fn run_distributed(
                 &opts,
             )
         });
-        let collected = collect(&addr, experiment, &spec, &mut children);
+        let collected = collect(&addr, experiment, spec, &mut children);
         // Workers idling on `wait` are told `done` once the daemon
         // notices the flag.
         shutdown.store(true, Ordering::SeqCst);

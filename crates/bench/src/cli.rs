@@ -3,6 +3,7 @@
 //! crates); unknown flags are errors so typos fail loudly instead of
 //! silently running the default sweep.
 
+use sfence_dist::ExperimentSpec;
 use sfence_harness::{
     default_threads, diff_rows, BackendId, Experiment, ResultCache, ResultStore, RunMeta,
     RunOptions, RunOutcome, SweepResult,
@@ -59,7 +60,7 @@ impl FigureArgs {
             "--json" => self.json = true,
             "--rows" => self.rows = true,
             "--scale" => {
-                self.scale = Some(parse_scale(&take(it, "--scale")?)?);
+                self.scale = Some(Scale::parse(&take(it, "--scale")?)?);
             }
             "--backend" => {
                 self.backend = Some(BackendId::parse(&take(it, "--backend")?)?);
@@ -96,27 +97,13 @@ impl FigureArgs {
         Ok(())
     }
 
-    /// Apply the experiment-shaping overrides (`--scale`,
-    /// `--backend`) to a registered experiment. Errors rather than
-    /// silently no-ops: on an `Axis::Backend` experiment every axis
-    /// point picks its own engine, so a `--backend` flag would be
-    /// dead.
-    pub fn configure(&self, mut experiment: Experiment) -> Result<Experiment, String> {
-        if let Some(scale) = self.scale {
-            experiment = experiment.scale(scale);
-        }
-        if let Some(backend) = self.backend {
-            if experiment.axis_name() == "backend" {
-                return Err(format!(
-                    "--backend {} has no effect on {:?}: its backend axis selects \
-                     the engine per cell",
-                    backend.name(),
-                    experiment.name
-                ));
-            }
-            experiment = experiment.backend(backend);
-        }
-        Ok(experiment)
+    /// The experiment-shaping overrides (`--scale`, `--backend`) as
+    /// the spec of experiment `name`; [`ExperimentSpec::apply`]
+    /// shapes a registered experiment with them.
+    pub fn spec(&self, name: &str) -> ExperimentSpec {
+        ExperimentSpec::new(name)
+            .scale(self.scale)
+            .backend(self.backend)
     }
 }
 
@@ -193,7 +180,7 @@ pub fn run_local(
 }
 
 /// The store/diff/output switches shared by `sfence-sweep` and
-/// `sfence-dist serve`, so a distributed campaign lands in — and
+/// `sfence-dist submit`, so a distributed campaign lands in — and
 /// diffs against — exactly the same history a local one would.
 #[derive(Debug, Clone, Default)]
 pub struct OutputArgs {
@@ -239,15 +226,11 @@ impl OutputArgs {
         }
         Ok(true)
     }
-
-    pub fn wants_store_or_diff(&self) -> bool {
-        self.store.is_some() || self.diff_run.is_some()
-    }
 }
 
 /// Post-run handling of one merged result: history diff, store
 /// append, and stdout rendering — the one implementation behind
-/// `sfence-sweep` and `sfence-dist serve`.
+/// `sfence-sweep` and `sfence-dist submit`.
 pub fn finish_run(
     experiment: &Experiment,
     result: &SweepResult,
@@ -259,11 +242,7 @@ pub fn finish_run(
     // experiment's resolved parameters (not the --scale flag), so a
     // run without the flag and one naming the same scale explicitly
     // land in — and diff against — the same history.
-    let scale = match experiment.uniform_scale() {
-        Some(Scale::Small) => "small",
-        Some(Scale::Eval) => "eval",
-        None => "mixed",
-    };
+    let scale = experiment.uniform_scale().map_or("mixed", Scale::name);
     // Same idea for the execution engine: sim and functional runs of
     // one experiment are separate histories ("mixed" = Axis::Backend).
     let backend = match experiment.uniform_backend() {
@@ -344,14 +323,6 @@ pub fn git_describe() -> String {
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
         .unwrap_or_else(|| "unknown".to_string())
-}
-
-pub fn parse_scale(s: &str) -> Result<Scale, String> {
-    match s {
-        "eval" => Ok(Scale::Eval),
-        "small" => Ok(Scale::Small),
-        other => Err(format!("unknown scale {other:?} (expected eval|small)")),
-    }
 }
 
 pub fn take(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {

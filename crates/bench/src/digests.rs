@@ -35,13 +35,6 @@ pub struct DigestRow {
     pub sha256: String,
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Small => "small",
-        Scale::Eval => "eval",
-    }
-}
-
 fn params(scale: Scale) -> WorkloadParams {
     match scale {
         // The figures' small runs use the small parameter preset.
@@ -67,7 +60,7 @@ pub fn digest_rows(scale: Scale) -> Vec<DigestRow> {
                 .run();
             rows.push(DigestRow {
                 workload: w.name().to_string(),
-                scale: scale_name(scale),
+                scale: scale.name(),
                 fence: fence.label(),
                 sha256: digest(&report),
             });
@@ -119,11 +112,7 @@ pub fn parse_digests(json: &Json) -> Result<Vec<DigestRow>, String> {
                     .and_then(Json::as_str)
                     .ok_or(format!("digest row missing {name}"))
             };
-            let scale = match field("scale")? {
-                "small" => "small",
-                "eval" => "eval",
-                other => return Err(format!("unknown scale {other:?}")),
-            };
+            let scale = Scale::parse(field("scale")?)?.name();
             let fence_label = field("fence")?;
             let fence = DIGEST_FENCES
                 .iter()

@@ -417,11 +417,8 @@ pub fn list_json() -> sfence_harness::Json {
                 .field("backend", e.uniform_backend().map_or("mixed", |b| b.name()))
                 .field(
                     "scale",
-                    match e.uniform_scale() {
-                        Some(sfence_workloads::Scale::Eval) => "eval",
-                        Some(sfence_workloads::Scale::Small) => "small",
-                        None => "mixed",
-                    },
+                    e.uniform_scale()
+                        .map_or("mixed", sfence_workloads::Scale::name),
                 )
                 .field(
                     "workloads",
@@ -587,10 +584,13 @@ pub fn figure_main(experiment: Experiment, render: impl Fn(&SweepResult), paper_
             std::process::exit(2);
         }
     }
-    let experiment = args.configure(experiment).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let experiment = args
+        .spec(&experiment.name)
+        .apply(experiment)
+        .unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
     let result = cli::run_local(&experiment, &args, None)
         .and_then(|run| {
             SweepResult::from_indexed(&experiment.name, experiment.job_count(), run.rows)

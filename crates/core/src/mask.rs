@@ -107,12 +107,6 @@ impl ColumnCounters {
         self.nonzero.0 & mask.0 == 0
     }
 
-    /// Outstanding count of one column.
-    #[inline]
-    pub fn count_of(&self, col: u8) -> u32 {
-        self.counts[col as usize]
-    }
-
     /// Mask of columns with outstanding operations.
     #[inline]
     pub fn nonzero_mask(&self) -> ScopeMask {

@@ -250,10 +250,6 @@ impl Core {
         self.scope.coverage
     }
 
-    pub fn branch_stats(&self) -> (u64, u64) {
-        (self.bpred.predictions, self.bpred.mispredictions)
-    }
-
     /// Snapshot of the architectural register file. Meaningful once
     /// the core is [`finished`](Self::finished): retired state only —
     /// in-flight speculative writes are not visible here.

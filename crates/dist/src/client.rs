@@ -7,8 +7,13 @@
 //! without any connection-level recovery: the next poll simply
 //! connects to the new process, which restored the campaign — under
 //! the same id — from its checkpoint.
+//!
+//! Every client exchange, the status and dump probes of
+//! [`crate::status`] included, takes one path: `open` connects and
+//! sends the opening frame, the caller matches only its own answer,
+//! and `refused` turns any other reply into the error.
 
-use crate::protocol::{write_msg, CampaignState, FrameError, FrameReader, Msg};
+use crate::protocol::{backoff_ms, write_msg, CampaignState, FrameError, FrameReader, Msg};
 use crate::spec::ExperimentSpec;
 use sfence_harness::IndexedRow;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -48,8 +53,15 @@ pub enum Poll {
     Complete { rows: Vec<IndexedRow>, total: u64 },
 }
 
-/// Open one connection with both timeouts armed.
-fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
+/// Open one connection with both timeouts armed and send its opening
+/// frame; the reply is read from the returned reader. Every client
+/// exchange (`submit`, `fetch`, the status and dump probes) starts
+/// here.
+pub(crate) fn open(
+    addr: &str,
+    timeout: Duration,
+    opening: &Msg,
+) -> Result<FrameReader<TcpStream>, String> {
     let sock_addr = addr
         .to_socket_addrs()
         .map_err(|e| format!("bad address {addr:?}: {e}"))?
@@ -61,19 +73,29 @@ fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, String> {
     stream
         .set_read_timeout(Some(timeout))
         .map_err(|e| format!("set_read_timeout: {e}"))?;
-    Ok(stream)
+    write_msg(&mut &stream, opening).map_err(|e| format!("send: {e}"))?;
+    Ok(FrameReader::new(stream))
 }
 
-/// Errors that no amount of retrying will fix (the daemon answered
-/// and said no). [`wait_for_campaign`] gives up on these immediately
-/// instead of burning its retry budget.
-fn fatal(msg: String) -> String {
-    format!("fatal: {msg}")
+/// The error for a reply that is not the answer the client asked
+/// for. A `reject` is fatal: the daemon answered and said no (a bad
+/// token, an unknown campaign id, a spec it cannot resolve), so
+/// [`wait_for_campaign`] gives up at once instead of burning its retry
+/// budget. Silence, EOF, a torn frame and `done` (a daemon shutting
+/// down) are worth retrying.
+pub(crate) fn refused(reply: Result<Option<Msg>, FrameError>, timeout: Duration) -> String {
+    match reply {
+        Ok(Some(Msg::Reject { reason })) => format!("{FATAL}daemon rejected the request: {reason}"),
+        Ok(Some(Msg::Done)) => "daemon is shutting down".into(),
+        Ok(Some(other)) => format!("unexpected reply {other:?}"),
+        Ok(None) => format!("daemon silent for {timeout:?}"),
+        Err(FrameError::Eof) => "daemon closed without answering".into(),
+        Err(e) => e.to_string(),
+    }
 }
 
-fn is_fatal(msg: &str) -> bool {
-    msg.starts_with("fatal: ")
-}
+/// Prefix of the errors that no amount of retrying will fix.
+const FATAL: &str = "fatal: ";
 
 /// Register `spec` with the daemon at `addr` and return its ticket.
 pub fn submit(
@@ -82,21 +104,12 @@ pub fn submit(
     priority: u64,
     opts: &ClientOpts,
 ) -> Result<CampaignTicket, String> {
-    let stream = connect(addr, opts.timeout)?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone stream: {e}"))?;
-    write_msg(
-        &mut writer,
-        &Msg::Submit {
-            token: opts.token.clone(),
-            spec: spec.to_json(),
-            priority,
-        },
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut reader = FrameReader::new(stream);
-    match reader.next_msg() {
+    let opening = Msg::Submit {
+        token: opts.token.clone(),
+        spec: spec.to_json(),
+        priority,
+    };
+    match open(addr, opts.timeout, &opening)?.next_msg() {
         Ok(Some(Msg::Submitted {
             campaign,
             job_count,
@@ -106,31 +119,18 @@ pub fn submit(
             job_count,
             fingerprint,
         }),
-        Ok(Some(Msg::Reject { reason })) => Err(fatal(format!("daemon rejected submit: {reason}"))),
-        Ok(Some(Msg::Done)) => Err("daemon is shutting down".into()),
-        Ok(Some(other)) => Err(format!("expected submitted, got {other:?}")),
-        Ok(None) => Err(format!("daemon silent for {:?}", opts.timeout)),
-        Err(FrameError::Eof) => Err("daemon closed without answering".into()),
-        Err(e) => Err(e.to_string()),
+        reply => Err(refused(reply, opts.timeout)),
     }
 }
 
 /// Ask the daemon where `campaign` stands; a complete campaign's
 /// merged rows come back with the answer.
 pub fn poll(addr: &str, campaign: &str, opts: &ClientOpts) -> Result<Poll, String> {
-    let stream = connect(addr, opts.timeout)?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone stream: {e}"))?;
-    write_msg(
-        &mut writer,
-        &Msg::Fetch {
-            token: opts.token.clone(),
-            campaign: campaign.to_string(),
-        },
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut reader = FrameReader::new(stream);
+    let opening = Msg::Fetch {
+        token: opts.token.clone(),
+        campaign: campaign.to_string(),
+    };
+    let mut reader = open(addr, opts.timeout, &opening)?;
     let mut rows: Vec<IndexedRow> = Vec::new();
     loop {
         match reader.next_msg() {
@@ -143,17 +143,7 @@ pub fn poll(addr: &str, campaign: &str, opts: &ClientOpts) -> Result<Poll, Strin
                     CampaignState::Complete => Poll::Complete { rows, total },
                 });
             }
-            // An unknown campaign is fatal: the daemon is up but has
-            // never heard of us (wrong address, or a checkpoint-less
-            // daemon restarted). Retrying would loop forever.
-            Ok(Some(Msg::Reject { reason })) => {
-                return Err(fatal(format!("daemon rejected fetch: {reason}")))
-            }
-            Ok(Some(Msg::Done)) => return Err("daemon is shutting down".into()),
-            Ok(Some(other)) => return Err(format!("unexpected fetch reply {other:?}")),
-            Ok(None) => return Err(format!("daemon silent for {:?}", opts.timeout)),
-            Err(FrameError::Eof) => return Err("daemon closed mid-fetch".into()),
-            Err(e) => return Err(e.to_string()),
+            reply => return Err(refused(reply, opts.timeout)),
         }
     }
 }
@@ -205,7 +195,7 @@ pub fn wait_for_campaign(
                 progress(done, total);
                 std::thread::sleep(Duration::from_millis(opts.poll_ms));
             }
-            Err(e) if is_fatal(&e) => return Err(e),
+            Err(e) if e.starts_with(FATAL) => return Err(e),
             Err(e) => {
                 failures += 1;
                 if failures > opts.retries {
@@ -213,11 +203,7 @@ pub fn wait_for_campaign(
                         "campaign {campaign}: {e} ({failures} consecutive failed polls)"
                     ));
                 }
-                let delay = opts
-                    .retry_base_ms
-                    .max(1)
-                    .saturating_mul(1u64 << (failures - 1).min(20))
-                    .min(opts.retry_cap_ms.max(1));
+                let delay = backoff_ms(failures, opts.retry_base_ms, opts.retry_cap_ms);
                 std::thread::sleep(Duration::from_millis(delay));
             }
         }

@@ -16,6 +16,8 @@
 //! `fetch`, `status_request`), and every client-opening message
 //! carries an optional shared auth token (checked with a
 //! constant-time compare server-side; see `server::token_matches`).
+//! [`Msg::token`] is the one list of the messages that may open a
+//! connection.
 //!
 //! Worker flow (worker connects to coordinator):
 //!
@@ -62,6 +64,7 @@
 use sfence_harness::json::{self, Json};
 use sfence_harness::IndexedRow;
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Version of this message set. Mixed protocol generations refuse
 /// each other at `hello` instead of mis-parsing frames.
@@ -103,6 +106,27 @@ impl std::fmt::Display for FrameError {
             FrameError::Io(e) => write!(f, "io error: {e}"),
         }
     }
+}
+
+/// Why [`FrameReader::next_msg_within`] returned without a message.
+#[derive(Debug)]
+pub enum ReadStop {
+    /// The caller's stop flag was seen set at an idle window.
+    Shutdown,
+    /// The idle-window budget ran out with no frame received.
+    TimedOut,
+    /// EOF, torn input or a socket error: the connection is over.
+    Dead(FrameError),
+}
+
+/// Capped exponential backoff for the `attempt`-th consecutive
+/// failure (counting from 1): `base_ms * 2^(attempt-1)`, at most
+/// `cap_ms`. Both bounds are floored at 1 ms.
+pub(crate) fn backoff_ms(attempt: u32, base_ms: u64, cap_ms: u64) -> u64 {
+    base_ms
+        .max(1)
+        .saturating_mul(1u64 << attempt.saturating_sub(1).min(20))
+        .min(cap_ms.max(1))
 }
 
 /// Serialize one message as a frame and write it whole. A message
@@ -182,6 +206,32 @@ impl<R: Read> FrameReader<R> {
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(FrameError::Io(e)),
+            }
+        }
+    }
+
+    /// Wait for a message, tolerating at most `max_idle` read-timeout
+    /// windows of silence (0 = no limit). `stop`, when given, is
+    /// checked at every idle window.
+    pub fn next_msg_within(
+        &mut self,
+        max_idle: u64,
+        stop: Option<&AtomicBool>,
+    ) -> Result<Msg, ReadStop> {
+        let mut idle: u64 = 0;
+        loop {
+            match self.next_msg() {
+                Ok(Some(msg)) => return Ok(msg),
+                Ok(None) => {
+                    if stop.is_some_and(|s| s.load(Ordering::SeqCst)) {
+                        return Err(ReadStop::Shutdown);
+                    }
+                    idle += 1;
+                    if max_idle > 0 && idle >= max_idle {
+                        return Err(ReadStop::TimedOut);
+                    }
+                }
+                Err(e) => return Err(ReadStop::Dead(e)),
             }
         }
     }
@@ -353,6 +403,20 @@ fn with_token(obj: Json, token: &Option<String>) -> Json {
 }
 
 impl Msg {
+    /// The auth token of a message that may open a connection
+    /// (`hello`, `submit`, `fetch`, `status_request`, `debug_dump`);
+    /// `None` for every message that cannot.
+    pub fn token(&self) -> Option<Option<&str>> {
+        match self {
+            Msg::Hello { token, .. }
+            | Msg::Submit { token, .. }
+            | Msg::Fetch { token, .. }
+            | Msg::StatusRequest { token }
+            | Msg::DumpRequest { token } => Some(token.as_deref()),
+            _ => None,
+        }
+    }
+
     pub fn to_json(&self) -> Json {
         match self {
             Msg::Hello {

@@ -25,14 +25,19 @@
 //!   are kept), bounding a persistent daemon's memory and checkpoint
 //!   growth.
 //! - **Authenticated.** With a shared token configured, every
-//!   opening message (`hello`, `submit`, `fetch`, `status_request`)
-//!   must carry it; the comparison is constant-time
-//!   ([`token_matches`]) so the token can't be guessed byte by byte
-//!   from timing.
+//!   opening message (`hello`, `submit`, `fetch`, `status_request`,
+//!   `debug_dump`) must carry it. One gate in the connection handler
+//!   checks it, before any flow is dispatched: a first frame that
+//!   cannot open a connection is refused as a bad opening message, a
+//!   wrong or missing token as a bad token. The comparison is
+//!   constant-time ([`token_matches`]) so the token can't be guessed
+//!   byte by byte from timing. Every flow ends its connection the
+//!   same way: the final frame, then a graceful close.
 
 use crate::checkpoint::{self, CampaignSnapshot, Snapshot};
 use crate::protocol::{
-    write_msg, CampaignState, FrameError, FrameReader, Msg, PROTOCOL_VERSION, RESULT_CHUNK_ROWS,
+    write_msg, CampaignState, FrameError, FrameReader, Msg, ReadStop, PROTOCOL_VERSION,
+    RESULT_CHUNK_ROWS,
 };
 use crate::scheduler::FairShare;
 use crate::spec::{ExperimentSpec, Registry};
@@ -219,6 +224,11 @@ impl Campaign {
     fn public_id(&self) -> String {
         format!("c{}", self.id)
     }
+}
+
+/// The table key of a public campaign id (`c<id>`), if it is one.
+fn parse_campaign_id(public: &str) -> Option<u64> {
+    public.strip_prefix('c')?.parse().ok()
 }
 
 /// Per-worker accounting behind the `status` frame.
@@ -898,25 +908,19 @@ pub fn run_server(
     })
 }
 
-/// Half-close after a final frame and linger until the peer closes.
-/// A plain drop with unread peer bytes in the receive buffer (a late
-/// heartbeat, say) sends RST, which can discard the buffered reply
-/// before the peer reads it.
-fn close_gracefully(writer: &TcpStream, reader: &mut FrameReader<TcpStream>, max_wait: Duration) {
+/// Send a connection's last frame, then half-close and linger until
+/// the peer closes (at most a second). A plain drop with unread peer
+/// bytes in the receive buffer (a late heartbeat, say) sends RST,
+/// which can discard the buffered reply before the peer reads it.
+/// Returns whether the frame was written.
+fn send_final(writer: &mut TcpStream, reader: &mut FrameReader<TcpStream>, msg: &Msg) -> bool {
+    if write_msg(writer, msg).is_err() {
+        return false;
+    }
     let _ = writer.shutdown(std::net::Shutdown::Write);
-    let deadline = Instant::now() + max_wait;
-    while Instant::now() < deadline {
-        match reader.next_msg() {
-            Ok(_) => {}
-            Err(_) => break,
-        }
-    }
-}
-
-fn send_done(writer: &mut TcpStream, reader: &mut FrameReader<TcpStream>) {
-    if write_msg(writer, &Msg::Done).is_ok() {
-        close_gracefully(writer, reader, Duration::from_secs(1));
-    }
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while Instant::now() < deadline && reader.next_msg().is_ok() {}
+    true
 }
 
 fn disconnect_reason(e: FrameError) -> Option<String> {
@@ -924,44 +928,6 @@ fn disconnect_reason(e: FrameError) -> Option<String> {
         FrameError::Eof => None,
         other => Some(other.to_string()),
     }
-}
-
-enum ReadStop {
-    Shutdown,
-    Dead(FrameError),
-    /// The idle-window budget ran out with no frame received (only
-    /// possible through [`read_msg_within`] with a nonzero budget).
-    TimedOut,
-}
-
-/// Wait for a frame, tolerating at most `max_idle` read-timeout
-/// windows of silence (0 = wait forever, i.e. until a frame, EOF, or
-/// shutdown).
-fn read_msg_within(
-    reader: &mut FrameReader<TcpStream>,
-    stop: &AtomicBool,
-    max_idle: u64,
-) -> Result<Msg, ReadStop> {
-    let mut idle: u64 = 0;
-    loop {
-        match reader.next_msg() {
-            Ok(Some(msg)) => return Ok(msg),
-            Ok(None) => {
-                if stop.load(Ordering::SeqCst) {
-                    return Err(ReadStop::Shutdown);
-                }
-                idle += 1;
-                if max_idle > 0 && idle >= max_idle {
-                    return Err(ReadStop::TimedOut);
-                }
-            }
-            Err(e) => return Err(ReadStop::Dead(e)),
-        }
-    }
-}
-
-fn read_msg(reader: &mut FrameReader<TcpStream>, stop: &AtomicBool) -> Result<Msg, ReadStop> {
-    read_msg_within(reader, stop, 0)
 }
 
 fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
@@ -981,27 +947,26 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
     };
     let mut reader = FrameReader::new(stream);
 
+    // Count a dropped or refused connection and log why. `event`
+    // distinguishes auth failures ("auth_reject") from every other
+    // refusal in the structured log.
+    let refuse = |event: &str, why: &[(&str, &str)]| {
+        shared.lock().unwrap().rejected += 1;
+        let conn = conn_id.to_string();
+        let mut fields = vec![("conn", conn.as_str())];
+        fields.extend_from_slice(why);
+        log.warn(event, &fields);
+    };
     // Reject a connection at its opening message: count it, tell the
-    // peer why, close. `event` distinguishes auth failures
-    // ("auth_reject") from every other refusal ("reject") in the
-    // structured log; the peer sees only the reason string we choose
+    // peer why, close. The peer sees only the reason string we choose
     // to send, so a probing client can't learn more from the wire.
     let reject = |writer: &mut TcpStream,
                   reader: &mut FrameReader<TcpStream>,
                   reason: String,
                   event: &str,
                   why: &str| {
-        let mut s = shared.lock().unwrap();
-        s.rejected += 1;
-        drop(s);
-        log.warn(event, &[("conn", &conn_id.to_string()), ("why", why)]);
-        if write_msg(writer, &Msg::Reject { reason }).is_ok() {
-            close_gracefully(writer, reader, Duration::from_secs(1));
-        }
-    };
-    let auth_ok = |token: &Option<String>| match &opts.token {
-        None => true,
-        Some(expected) => token_matches(expected, token.as_deref()),
+        refuse(event, &[("why", why)]);
+        send_final(writer, reader, &Msg::Reject { reason });
     };
 
     // The opening message must arrive promptly: a peer that connects
@@ -1012,38 +977,56 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
     } else {
         (opts.handshake_timeout_ms / opts.poll_ms.max(10)).max(1)
     };
-    let first = match read_msg_within(&mut reader, stop, handshake_windows) {
+    let first = match reader.next_msg_within(handshake_windows, Some(stop)) {
         Ok(msg) => msg,
         Err(ReadStop::Shutdown) => {
-            send_done(&mut writer, &mut reader);
+            send_final(&mut writer, &mut reader, &Msg::Done);
             return;
         }
         Err(ReadStop::TimedOut) => {
-            let mut s = shared.lock().unwrap();
-            s.rejected += 1;
-            drop(s);
-            log.warn(
-                "handshake_drop",
-                &[
-                    ("conn", &conn_id.to_string()),
-                    ("timeout_ms", &opts.handshake_timeout_ms.to_string()),
-                ],
-            );
+            let timeout = opts.handshake_timeout_ms.to_string();
+            refuse("handshake_drop", &[("timeout_ms", &timeout)]);
             return;
         }
         Err(ReadStop::Dead(e)) => {
             if let Some(why) = disconnect_reason(e) {
-                let mut s = shared.lock().unwrap();
-                s.rejected += 1;
-                drop(s);
-                log.warn(
-                    "conn_drop",
-                    &[("conn", &conn_id.to_string()), ("why", &why)],
-                );
+                refuse("conn_drop", &[("why", &why)]);
             }
             return;
         }
     };
+
+    // The one auth gate: only an opening message passes, and only
+    // with the shared token when one is configured. The shape is
+    // checked first, so a stray frame is a bad opening message, not
+    // a bad token.
+    let authorized = match first.token() {
+        None => {
+            reject(
+                &mut writer,
+                &mut reader,
+                format!("expected hello/submit/fetch/status_request/debug_dump, got {first:?}"),
+                "reject",
+                "bad opening message",
+            );
+            return;
+        }
+        Some(token) => opts
+            .token
+            .as_deref()
+            .is_none_or(|expected| token_matches(expected, token)),
+    };
+    if !authorized {
+        let reason = "bad token";
+        reject(
+            &mut writer,
+            &mut reader,
+            reason.into(),
+            "auth_reject",
+            reason,
+        );
+        return;
+    }
 
     match first {
         // --- Worker flow -----------------------------------------
@@ -1051,18 +1034,8 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
             schema_version,
             protocol_version,
             worker,
-            token,
+            ..
         } => {
-            if !auth_ok(&token) {
-                reject(
-                    &mut writer,
-                    &mut reader,
-                    "bad token".into(),
-                    "auth_reject",
-                    "bad token",
-                );
-                return;
-            }
             if schema_version != SCHEMA_VERSION || protocol_version != PROTOCOL_VERSION {
                 reject(
                     &mut writer,
@@ -1088,30 +1061,13 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
             {
                 return;
             }
-            {
-                let mut s = shared.lock().unwrap();
-                s.workers += 1;
-            }
+            shared.lock().unwrap().workers += 1;
             log.info("worker_ready", &[("worker", &worker_key)]);
             worker_loop(&worker_key, &mut writer, &mut reader, svc);
         }
 
         // --- Submit flow -----------------------------------------
-        Msg::Submit {
-            token,
-            spec,
-            priority,
-        } => {
-            if !auth_ok(&token) {
-                reject(
-                    &mut writer,
-                    &mut reader,
-                    "bad token".into(),
-                    "auth_reject",
-                    "bad token",
-                );
-                return;
-            }
+        Msg::Submit { spec, priority, .. } => {
             let Some(registry) = registry else {
                 reject(
                     &mut writer,
@@ -1124,15 +1080,10 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
                 );
                 return;
             };
-            let spec = match ExperimentSpec::from_json(&spec) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    reject(&mut writer, &mut reader, e.clone(), "reject", &e);
-                    return;
-                }
-            };
-            let experiment = match spec.resolve(registry) {
-                Ok(e) => e,
+            let resolved = ExperimentSpec::from_json(&spec)
+                .and_then(|spec| spec.resolve(registry).map(|experiment| (experiment, spec)));
+            let (experiment, spec) = match resolved {
+                Ok(resolved) => resolved,
                 Err(e) => {
                     reject(&mut writer, &mut reader, e.clone(), "reject", &e);
                     return;
@@ -1203,44 +1154,22 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
                     }
                 }
             };
-            if write_msg(&mut writer, &reply).is_ok() {
-                close_gracefully(&writer, &mut reader, Duration::from_secs(1));
-            }
+            send_final(&mut writer, &mut reader, &reply);
         }
 
         // --- Fetch flow ------------------------------------------
-        Msg::Fetch { token, campaign } => {
-            if !auth_ok(&token) {
-                reject(
-                    &mut writer,
-                    &mut reader,
-                    "bad token".into(),
-                    "auth_reject",
-                    "bad token",
-                );
-                return;
-            }
-            let parsed_id = campaign
-                .strip_prefix('c')
-                .and_then(|rest| rest.parse::<u64>().ok());
+        Msg::Fetch { campaign, .. } => {
+            let parsed_id = parse_campaign_id(&campaign);
             // Collect everything under the lock, send outside it:
             // result chunks for a big campaign are many frames and
-            // must not stall the lease path.
-            enum Fetched {
-                Unknown,
-                Running { done: u64, total: u64 },
-                Complete { rows: Vec<IndexedRow>, total: u64 },
-            }
+            // must not stall the lease path. A running campaign sends
+            // no rows.
             let fetched = {
                 let s = shared.lock().unwrap();
-                match parsed_id.and_then(|id| s.campaigns.get(&id)) {
-                    None => Fetched::Unknown,
-                    Some(c) if c.state() == CampaignState::Running => Fetched::Running {
-                        done: c.queue.done() as u64,
-                        total: c.queue.len() as u64,
-                    },
-                    Some(c) => Fetched::Complete {
-                        rows: c
+                parsed_id.and_then(|id| s.campaigns.get(&id)).map(|c| {
+                    let rows: Vec<IndexedRow> = match c.state() {
+                        CampaignState::Running => Vec::new(),
+                        CampaignState::Complete => c
                             .queue
                             .done_payloads()
                             .map(|(index, row)| IndexedRow {
@@ -1248,116 +1177,62 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
                                 row: row.clone(),
                             })
                             .collect(),
-                        total: c.queue.len() as u64,
-                    },
-                }
+                    };
+                    let (done, total) = (c.queue.done() as u64, c.queue.len() as u64);
+                    (c.state(), done, total, rows)
+                })
             };
-            let was_complete = matches!(fetched, Fetched::Complete { .. });
-            let ok = match fetched {
-                Fetched::Unknown => {
-                    reject(
-                        &mut writer,
-                        &mut reader,
-                        format!("unknown campaign {campaign:?}"),
-                        "reject",
-                        "unknown campaign",
-                    );
-                    return;
-                }
-                Fetched::Running { done, total } => write_msg(
+            let Some((state, done, total, rows)) = fetched else {
+                reject(
                     &mut writer,
-                    &Msg::CampaignStatus {
-                        campaign,
-                        state: CampaignState::Running,
-                        done,
-                        total,
-                    },
-                )
-                .is_ok(),
-                Fetched::Complete { rows, total } => {
-                    let mut ok = true;
-                    for chunk in rows.chunks(RESULT_CHUNK_ROWS) {
-                        ok = write_msg(
-                            &mut writer,
-                            &Msg::Result {
-                                campaign: campaign.clone(),
-                                rows: chunk.to_vec(),
-                                executed: 0,
-                                cache_hits: 0,
-                                wall_ms: 0.0,
-                            },
-                        )
-                        .is_ok();
-                        if !ok {
-                            break;
-                        }
-                    }
-                    ok && write_msg(
-                        &mut writer,
-                        &Msg::CampaignStatus {
-                            campaign,
-                            state: CampaignState::Complete,
-                            done: total,
-                            total,
-                        },
-                    )
-                    .is_ok()
-                }
+                    &mut reader,
+                    format!("unknown campaign {campaign:?}"),
+                    "reject",
+                    "unknown campaign",
+                );
+                return;
             };
-            if ok {
-                // The rows were delivered: start the retention clock
-                // (first successful fetch only).
-                if was_complete {
-                    let mut s = shared.lock().unwrap();
-                    if let Some(c) = parsed_id.and_then(|id| s.campaigns.get_mut(&id)) {
-                        c.fetched_at_ms.get_or_insert(now_ms());
-                    }
+            let chunks_sent = rows.chunks(RESULT_CHUNK_ROWS).all(|chunk| {
+                let msg = Msg::Result {
+                    campaign: campaign.clone(),
+                    rows: chunk.to_vec(),
+                    executed: 0,
+                    cache_hits: 0,
+                    wall_ms: 0.0,
+                };
+                write_msg(&mut writer, &msg).is_ok()
+            });
+            let status = Msg::CampaignStatus {
+                campaign,
+                state,
+                done,
+                total,
+            };
+            // The rows were delivered: start the retention clock
+            // (first successful fetch only).
+            if chunks_sent
+                && send_final(&mut writer, &mut reader, &status)
+                && state == CampaignState::Complete
+            {
+                let mut s = shared.lock().unwrap();
+                if let Some(c) = parsed_id.and_then(|id| s.campaigns.get_mut(&id)) {
+                    c.fetched_at_ms.get_or_insert(now_ms());
                 }
-                close_gracefully(&writer, &mut reader, Duration::from_secs(1));
             }
         }
 
         // --- Probe flow ------------------------------------------
-        Msg::StatusRequest { token } => {
-            if !auth_ok(&token) {
-                reject(
-                    &mut writer,
-                    &mut reader,
-                    "bad token".into(),
-                    "auth_reject",
-                    "bad token",
-                );
-                return;
-            }
-            let report = {
-                let s = shared.lock().unwrap();
-                status_metrics(&s, now_ms())
-            };
+        Msg::StatusRequest { .. } => {
+            let report = status_metrics(&shared.lock().unwrap(), now_ms());
             log.debug("status_probe", &[("conn", &conn_id.to_string())]);
-            if write_msg(
-                &mut writer,
-                &Msg::Status {
-                    metrics: report.to_json(),
-                },
-            )
-            .is_ok()
-            {
-                close_gracefully(&writer, &mut reader, Duration::from_secs(1));
-            }
+            let reply = Msg::Status {
+                metrics: report.to_json(),
+            };
+            send_final(&mut writer, &mut reader, &reply);
         }
 
         // --- Flight-recorder dump --------------------------------
-        Msg::DumpRequest { token } => {
-            if !auth_ok(&token) {
-                reject(
-                    &mut writer,
-                    &mut reader,
-                    "bad token".into(),
-                    "auth_reject",
-                    "bad token",
-                );
-                return;
-            }
+        Msg::DumpRequest { .. } => {
             let (events, dropped) = log.recent_with_dropped();
             log.debug(
                 "dump_probe",
@@ -1370,20 +1245,10 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
                 events: Json::Arr(events.iter().map(|e| e.to_json()).collect()),
                 dropped,
             };
-            if write_msg(&mut writer, &reply).is_ok() {
-                close_gracefully(&writer, &mut reader, Duration::from_secs(1));
-            }
+            send_final(&mut writer, &mut reader, &reply);
         }
 
-        other => {
-            reject(
-                &mut writer,
-                &mut reader,
-                format!("expected hello/submit/fetch/status_request/debug_dump, got {other:?}"),
-                "reject",
-                "bad opening message",
-            );
-        }
+        _ => unreachable!("Msg::token admits only opening messages"),
     }
 }
 
@@ -1429,10 +1294,10 @@ fn worker_loop(
     };
 
     loop {
-        let msg = match read_msg(reader, stop) {
+        let msg = match reader.next_msg_within(0, Some(stop)) {
             Ok(msg) => msg,
             Err(ReadStop::Shutdown) => {
-                send_done(writer, reader);
+                send_final(writer, reader, &Msg::Done);
                 finish(None);
                 return;
             }
@@ -1522,11 +1387,10 @@ fn worker_loop(
                 wall_ms,
             } => {
                 frame_kind = Some("result");
-                let parsed_id = campaign
-                    .strip_prefix('c')
-                    .and_then(|rest| rest.parse::<u64>().ok());
                 let mut s = shared.lock().unwrap();
-                let Some(id) = parsed_id.filter(|id| s.campaigns.contains_key(id)) else {
+                let Some(id) =
+                    parse_campaign_id(&campaign).filter(|id| s.campaigns.contains_key(id))
+                else {
                     drop(s);
                     finish(Some(format!("result for unknown campaign {campaign:?}")));
                     return;
@@ -1615,17 +1479,17 @@ fn worker_loop(
                 frame_t0.elapsed().as_secs_f64() * 1000.0,
             );
         }
-        if let Some(reply) = reply {
-            let done = reply == Msg::Done;
-            if write_msg(writer, &reply).is_err() {
+        match reply {
+            Some(Msg::Done) => {
+                send_final(writer, reader, &Msg::Done);
                 finish(None);
                 return;
             }
-            if done {
-                close_gracefully(writer, reader, Duration::from_secs(1));
+            Some(reply) if write_msg(writer, &reply).is_err() => {
                 finish(None);
                 return;
             }
+            _ => {}
         }
     }
 }

@@ -50,13 +50,22 @@ impl ExperimentSpec {
         self
     }
 
-    /// Resolve through `registry` and apply the overrides — the same
-    /// shaping `sfence-sweep` does, so a distributed run of a spec
-    /// and a local run of the equivalent flags build identical job
-    /// lists.
+    /// Look the experiment up in `registry` and [`apply`](Self::apply)
+    /// the overrides.
     pub fn resolve(&self, registry: Registry) -> Result<Experiment, String> {
-        let mut experiment = registry(&self.experiment)
+        let experiment = registry(&self.experiment)
             .ok_or_else(|| format!("unknown experiment {:?}", self.experiment))?;
+        self.apply(experiment)
+    }
+
+    /// Apply the `--scale` / `--backend` overrides to `experiment`:
+    /// the one shaping step of the figure binaries, `sfence-sweep`
+    /// and the daemon, so a distributed run of a spec and a local run
+    /// of the equivalent flags build identical job lists. A backend
+    /// override on an `Axis::Backend` experiment is an error rather
+    /// than a silent no-op: there every axis point picks its own
+    /// engine.
+    pub fn apply(&self, mut experiment: Experiment) -> Result<Experiment, String> {
         if let Some(scale) = self.scale {
             experiment = experiment.scale(scale);
         }
@@ -79,18 +88,11 @@ impl ExperimentSpec {
             .field("experiment", self.experiment.as_str())
             .field(
                 "scale",
-                match self.scale {
-                    None => Json::Null,
-                    Some(Scale::Eval) => Json::from("eval"),
-                    Some(Scale::Small) => Json::from("small"),
-                },
+                self.scale.map_or(Json::Null, |s| Json::from(s.name())),
             )
             .field(
                 "backend",
-                match self.backend {
-                    None => Json::Null,
-                    Some(b) => Json::from(b.name()),
-                },
+                self.backend.map_or(Json::Null, |b| Json::from(b.name())),
             )
     }
 
@@ -102,11 +104,7 @@ impl ExperimentSpec {
             .to_string();
         let scale = match doc.get("scale") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(match v.as_str() {
-                Some("eval") => Scale::Eval,
-                Some("small") => Scale::Small,
-                _ => return Err("spec: bad scale".into()),
-            }),
+            Some(v) => Some(Scale::parse(v.as_str().ok_or("spec: bad scale")?)?),
         };
         let backend = match doc.get("backend") {
             None | Some(Json::Null) => None,

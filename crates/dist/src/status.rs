@@ -1,13 +1,14 @@
 //! The status-probe clients: one connection, one request frame, one
-//! reply back. [`fetch_status`] speaks the `status_request` flow and
-//! returns a [`MetricsReport`]; [`fetch_dump`] speaks the
-//! `debug_dump` flow and returns the daemon's flight-recorder ring
-//! (`sfence-dist status` / `sfence-dist dump` are thin wrappers).
+//! reply back, over the same exchange as [`crate::client`].
+//! [`fetch_status`] speaks the `status_request` flow and returns a
+//! [`MetricsReport`]; [`fetch_dump`] speaks the `debug_dump` flow and
+//! returns the daemon's flight-recorder ring (`sfence-dist status` /
+//! `sfence-dist dump` are thin wrappers).
 
-use crate::protocol::{write_msg, FrameError, FrameReader, Msg};
+use crate::client::{open, refused};
+use crate::protocol::Msg;
 use sfence_obs::log::Event;
 use sfence_obs::MetricsReport;
-use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Connect to the coordinator at `addr` and fetch its live service
@@ -20,39 +21,12 @@ pub fn fetch_status(
     timeout: Duration,
     token: Option<&str>,
 ) -> Result<MetricsReport, String> {
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("bad address {addr:?}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("address {addr:?} resolves to nothing"))?;
-    let stream = TcpStream::connect_timeout(&sock_addr, timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| format!("set_read_timeout: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone stream: {e}"))?;
-    write_msg(
-        &mut writer,
-        &Msg::StatusRequest {
-            token: token.map(str::to_string),
-        },
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut reader = FrameReader::new(stream);
-    match reader.next_msg() {
+    let opening = Msg::StatusRequest {
+        token: token.map(str::to_string),
+    };
+    match open(addr, timeout, &opening)?.next_msg() {
         Ok(Some(Msg::Status { metrics })) => MetricsReport::from_json(&metrics),
-        Ok(Some(Msg::Reject { reason })) => Err(format!("coordinator rejected probe: {reason}")),
-        // A `done` here means the service finished before our probe
-        // was accepted (the coordinator drains its backlog with
-        // `done` frames) — report that plainly.
-        Ok(Some(Msg::Done)) => Err("service already finished".into()),
-        Ok(Some(other)) => Err(format!("expected status, got {other:?}")),
-        Ok(None) => Err(format!("coordinator silent for {timeout:?}")),
-        Err(FrameError::Eof) => Err("coordinator closed without answering".into()),
-        Err(e) => Err(e.to_string()),
+        reply => Err(refused(reply, timeout)),
     }
 }
 
@@ -65,45 +39,20 @@ pub fn fetch_dump(
     timeout: Duration,
     token: Option<&str>,
 ) -> Result<(Vec<Event>, u64), String> {
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(|e| format!("bad address {addr:?}: {e}"))?
-        .next()
-        .ok_or_else(|| format!("address {addr:?} resolves to nothing"))?;
-    let stream = TcpStream::connect_timeout(&sock_addr, timeout)
-        .map_err(|e| format!("connect {addr}: {e}"))?;
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(timeout))
-        .map_err(|e| format!("set_read_timeout: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("clone stream: {e}"))?;
-    write_msg(
-        &mut writer,
-        &Msg::DumpRequest {
-            token: token.map(str::to_string),
-        },
-    )
-    .map_err(|e| format!("send: {e}"))?;
-    let mut reader = FrameReader::new(stream);
-    match reader.next_msg() {
+    let opening = Msg::DumpRequest {
+        token: token.map(str::to_string),
+    };
+    match open(addr, timeout, &opening)?.next_msg() {
         Ok(Some(Msg::DumpReply { events, dropped })) => {
-            let arr = events
+            let events = events
                 .as_arr()
-                .ok_or_else(|| "debug_dump_reply: events is not an array".to_string())?;
-            let events = arr
+                .ok_or("debug_dump_reply: events is not an array")?
                 .iter()
                 .map(Event::from_json)
                 .collect::<Result<Vec<Event>, String>>()?;
             Ok((events, dropped))
         }
-        Ok(Some(Msg::Reject { reason })) => Err(format!("coordinator rejected dump: {reason}")),
-        Ok(Some(Msg::Done)) => Err("service already finished".into()),
-        Ok(Some(other)) => Err(format!("expected debug_dump_reply, got {other:?}")),
-        Ok(None) => Err(format!("coordinator silent for {timeout:?}")),
-        Err(FrameError::Eof) => Err("coordinator closed without answering".into()),
-        Err(e) => Err(e.to_string()),
+        reply => Err(refused(reply, timeout)),
     }
 }
 

@@ -18,7 +18,8 @@
 //! resume is hands-off end to end.
 
 use crate::protocol::{
-    write_msg, FrameError, FrameReader, Msg, PROTOCOL_VERSION, RESULT_CHUNK_ROWS,
+    backoff_ms, write_msg, FrameError, FrameReader, Msg, ReadStop, PROTOCOL_VERSION,
+    RESULT_CHUNK_ROWS,
 };
 use crate::spec::{ExperimentSpec, Registry};
 use sfence_harness::{host_token, Experiment, ResultCache, RunOptions, SCHEMA_VERSION};
@@ -50,7 +51,8 @@ pub struct WorkerOpts {
     /// Worker name sent in the handshake (default: host token + pid).
     pub name: Option<String>,
     /// Consecutive read-timeout windows tolerated before concluding
-    /// the coordinator is gone. Each window is `read_timeout_ms` long.
+    /// the coordinator is gone (0 = no limit). Each window is
+    /// `read_timeout_ms` long.
     pub max_idle_windows: u32,
     /// Read timeout granularity.
     pub read_timeout_ms: u64,
@@ -224,12 +226,10 @@ pub fn work(addr: &str, registry: Registry, opts: &WorkerOpts) -> Result<WorkerS
             }
             Err(e) if e.retryable && attempt < opts.reconnect_attempts => {
                 attempt += 1;
-                // Capped exponential backoff: base * 2^(attempt-1) up
-                // to the cap, plus up to 25% jitter so a worker fleet
-                // doesn't stampede a restarting coordinator.
-                let base = RECONNECT_BASE_MS
-                    .saturating_mul(1u64 << (attempt - 1).min(20))
-                    .min(RECONNECT_CAP_MS);
+                // Capped exponential backoff plus up to 25% jitter, so
+                // a worker fleet doesn't stampede a restarting
+                // coordinator.
+                let base = backoff_ms(attempt, RECONNECT_BASE_MS, RECONNECT_CAP_MS);
                 let jitter = rng.next_u64() % (base / 4 + 1);
                 let delay = base + jitter;
                 log.warn(
@@ -282,25 +282,18 @@ fn session(
             .map_err(|e| SessionError::retryable(format!("send: {e}")))
     };
     let recv = |reader: &mut FrameReader<TcpStream>| -> Result<Msg, SessionError> {
-        let mut idle: u32 = 0;
-        loop {
-            match reader.next_msg() {
-                Ok(Some(msg)) => return Ok(msg),
-                Ok(None) => {
-                    idle += 1;
-                    if idle >= opts.max_idle_windows {
-                        return Err(SessionError::retryable(format!(
-                            "coordinator silent for {} windows of {}ms",
-                            idle, opts.read_timeout_ms
-                        )));
-                    }
-                }
-                Err(FrameError::Eof) => {
-                    return Err(SessionError::retryable("coordinator closed the connection"))
-                }
-                Err(e) => return Err(SessionError::retryable(e.to_string())),
-            }
-        }
+        reader
+            .next_msg_within(opts.max_idle_windows.into(), None)
+            .map_err(|stop| {
+                SessionError::retryable(match stop {
+                    ReadStop::Dead(FrameError::Eof) => "coordinator closed the connection".into(),
+                    ReadStop::Dead(e) => e.to_string(),
+                    ReadStop::TimedOut | ReadStop::Shutdown => format!(
+                        "coordinator silent for {} windows of {}ms",
+                        opts.max_idle_windows, opts.read_timeout_ms
+                    ),
+                })
+            })
     };
 
     // --- Handshake ------------------------------------------------

@@ -8,10 +8,10 @@
 mod common;
 
 use common::{
-    fast_wait_opts, merged_json, registry, scratch_dir, test_server_opts, test_worker_opts,
+    fast_wait_opts, merged_json, registry, scratch_dir, test_server_opts, test_worker_opts, Daemon,
 };
 use sfence_dist::protocol::{write_msg, FrameReader, Msg, PROTOCOL_VERSION};
-use sfence_dist::{client, fetch_status, run_server, work, ExperimentSpec, ServerOpts};
+use sfence_dist::{client, fetch_dump, fetch_status, run_server, work, ExperimentSpec, ServerOpts};
 use sfence_harness::{Experiment, RunOptions, SCHEMA_VERSION};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -479,58 +479,72 @@ fn completed_campaigns_are_evicted_after_the_fetch_retention_window() {
 fn every_client_flow_is_refused_without_the_token() {
     let tiny = registry("tiny").unwrap();
     let expected = tiny.run_parallel().to_json_string();
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let opts = ServerOpts {
+    let daemon = Daemon::start(ServerOpts {
         token: Some("sesame".into()),
-        shutdown: Some(Arc::clone(&shutdown)),
         ..test_server_opts()
-    };
+    });
+    let addr = daemon.addr.as_str();
     let timeout = std::time::Duration::from_secs(5);
 
-    let json = std::thread::scope(|s| {
-        let server = s.spawn(|| run_server(&listener, Some(registry), Vec::new(), &opts));
+    // Status: missing and wrong tokens refused, right one served.
+    let err = fetch_status(addr, timeout, None).unwrap_err();
+    assert!(err.contains("rejected"), "{err}");
+    let err = fetch_status(addr, timeout, Some("wrong")).unwrap_err();
+    assert!(err.contains("rejected"), "{err}");
+    fetch_status(addr, timeout, Some("sesame")).expect("authed probe answered");
 
-        // Status: missing and wrong tokens refused, right one served.
-        let err = fetch_status(&addr, timeout, None).unwrap_err();
-        assert!(err.contains("rejected"), "{err}");
-        let err = fetch_status(&addr, timeout, Some("wrong")).unwrap_err();
-        assert!(err.contains("rejected"), "{err}");
-        fetch_status(&addr, timeout, Some("sesame")).expect("authed probe answered");
+    // Dump: the same gate as status.
+    let err = fetch_dump(addr, timeout, None).unwrap_err();
+    assert!(err.contains("rejected"), "{err}");
+    let err = fetch_dump(addr, timeout, Some("wrong")).unwrap_err();
+    assert!(err.contains("rejected"), "{err}");
+    fetch_dump(addr, timeout, Some("sesame")).expect("authed dump answered");
 
-        // Submit: refused without the token...
-        let bad = fast_wait_opts(None);
-        let err = client::submit(&addr, &ExperimentSpec::new("tiny"), 1, &bad.client).unwrap_err();
-        assert!(err.contains("rejected"), "{err}");
-        // ...accepted with it.
-        let wait = fast_wait_opts(Some("sesame"));
-        let ticket = client::submit(&addr, &ExperimentSpec::new("tiny"), 1, &wait.client).unwrap();
+    // A frame that cannot open a connection is refused for its shape,
+    // before any token check.
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    write_msg(&mut writer, &Msg::Request { batch: 1 }).unwrap();
+    match FrameReader::new(stream).next_msg().unwrap().unwrap() {
+        Msg::Reject { reason } => assert!(
+            reason.contains("expected hello/submit/fetch/status_request/debug_dump"),
+            "{reason}"
+        ),
+        other => panic!("expected reject, got {other:?}"),
+    }
 
-        // Fetch: an unauthenticated poll of a real campaign is refused.
-        let err = client::poll(&addr, &ticket.campaign, &bad.client).unwrap_err();
-        assert!(err.contains("rejected"), "{err}");
+    // Submit: refused without the token...
+    let bad = fast_wait_opts(None);
+    let err = client::submit(addr, &ExperimentSpec::new("tiny"), 1, &bad.client).unwrap_err();
+    assert!(err.contains("rejected"), "{err}");
+    // ...accepted with it.
+    let wait = fast_wait_opts(Some("sesame"));
+    let ticket = client::submit(addr, &ExperimentSpec::new("tiny"), 1, &wait.client).unwrap();
 
-        // Work: a token-less worker is turned away at the handshake...
-        let err = work(&addr, registry, &test_worker_opts("gatecrasher")).unwrap_err();
-        assert!(err.contains("rejected"), "{err}");
-        // ...an authed one completes the campaign.
-        let worker = {
-            let addr = addr.clone();
-            let mut w = test_worker_opts("keyholder");
-            w.token = Some("sesame".into());
-            s.spawn(move || work(&addr, registry, &w))
-        };
-        let rows = client::wait_for_campaign(&addr, &ticket.campaign, &wait, |_, _| {}).unwrap();
-        shutdown.store(true, Ordering::SeqCst);
-        let outcome = server.join().unwrap().expect("server exits");
-        worker.join().unwrap().expect("authed worker exits cleanly");
-        assert!(
-            outcome.rejected >= 4,
-            "every unauthenticated flow accounted (got {})",
-            outcome.rejected
-        );
-        merged_json(&tiny, rows)
-    });
-    assert_eq!(json, expected, "authed campaign byte-identical to solo");
+    // Fetch: an unauthenticated poll of a real campaign is refused.
+    let err = client::poll(addr, &ticket.campaign, &bad.client).unwrap_err();
+    assert!(err.contains("rejected"), "{err}");
+
+    // Work: a token-less worker is turned away at the handshake...
+    let err = work(addr, registry, &test_worker_opts("gatecrasher")).unwrap_err();
+    assert!(err.contains("rejected"), "{err}");
+    // ...an authed one completes the campaign.
+    let mut keyholder = test_worker_opts("keyholder");
+    keyholder.token = Some("sesame".into());
+    let worker = daemon.worker(keyholder);
+    let rows = client::wait_for_campaign(addr, &ticket.campaign, &wait, |_, _| {}).unwrap();
+    let outcome = daemon.stop();
+    worker.join().unwrap().expect("authed worker exits cleanly");
+    // Two status, two dump, the stray `request`, submit, fetch and
+    // hello.
+    assert!(
+        outcome.rejected >= 8,
+        "every refused connection accounted (got {})",
+        outcome.rejected
+    );
+    assert_eq!(
+        merged_json(&tiny, rows),
+        expected,
+        "authed campaign byte-identical to solo"
+    );
 }

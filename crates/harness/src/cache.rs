@@ -27,7 +27,7 @@ use crate::hash::sha256_hex;
 use crate::json::{self, Json};
 use crate::session::RunReport;
 use sfence_sim::MachineConfig;
-use sfence_workloads::{Scale, ScopeMode, WorkloadParams};
+use sfence_workloads::{ScopeMode, WorkloadParams};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
@@ -107,13 +107,7 @@ pub fn job_canonical_json(
     } else {
         Json::obj()
             .field("level", params.level)
-            .field(
-                "scale",
-                match params.scale {
-                    Scale::Eval => "eval",
-                    Scale::Small => "small",
-                },
-            )
+            .field("scale", params.scale.name())
             .field(
                 "scope",
                 match params.scope {

@@ -357,12 +357,6 @@ impl Instr {
             _ => None,
         }
     }
-
-    /// Is this a control-flow instruction (branch or jump)?
-    #[inline]
-    pub fn is_control(&self) -> bool {
-        matches!(self, Instr::Branch { .. } | Instr::Jump { .. })
-    }
 }
 
 impl fmt::Display for Instr {

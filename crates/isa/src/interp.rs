@@ -8,10 +8,6 @@
 //!   must produce exactly the same final memory regardless of any
 //!   timing knob or fence configuration — this is the strongest cheap
 //!   correctness oracle we have, and the property tests lean on it.
-//! - [`run_sc`] executes all threads under sequential consistency with
-//!   a caller-controlled (e.g. seeded round-robin) interleaving. It is
-//!   used for workload sanity checks: if an invariant fails under SC,
-//!   the bug is in the workload, not the memory model.
 
 use crate::instr::{Instr, Operand, Reg, NUM_REGS};
 use crate::program::Program;
@@ -203,42 +199,6 @@ pub fn run_single(
     Ok((InterpExit::OutOfFuel, stats))
 }
 
-/// Run all threads under sequential consistency.
-///
-/// `schedule` picks, for each step, which of the still-running threads
-/// advances: it receives the list of runnable thread indices and
-/// returns a position within that list. Use a seeded RNG for varied
-/// but reproducible interleavings, or `|r| 0` for round-robin-ish
-/// behaviour.
-pub fn run_sc(
-    prog: &Program,
-    mem: &mut [i64],
-    fuel: u64,
-    mut schedule: impl FnMut(&[usize]) -> usize,
-) -> Result<(InterpExit, InterpStats), InterpError> {
-    let mut threads: Vec<ThreadState> = (0..prog.threads.len())
-        .map(|_| ThreadState::default())
-        .collect();
-    let mut stats = InterpStats::default();
-    let mut runnable: Vec<usize> = (0..threads.len()).collect();
-    for _ in 0..fuel {
-        if runnable.is_empty() {
-            return Ok((InterpExit::Halted, stats));
-        }
-        let pick = schedule(&runnable).min(runnable.len() - 1);
-        let t = runnable[pick];
-        let alive = threads[t].step(t, &prog.threads[t], mem, &mut stats)?;
-        if !alive {
-            runnable.remove(pick);
-        }
-    }
-    if runnable.is_empty() {
-        Ok((InterpExit::Halted, stats))
-    } else {
-        Ok((InterpExit::OutOfFuel, stats))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,40 +310,6 @@ mod tests {
         let mut mem = prog.initial_memory();
         run_single(&prog, 0, &mut mem, 10_000).unwrap();
         assert_eq!(mem[prog.addr_of("out")], 9 + 49);
-    }
-
-    #[test]
-    fn sc_interleaving_message_passing_is_ordered() {
-        // Under SC, if the consumer sees flag==1 it must see data==42.
-        let mut p = IrProgram::new();
-        let data = p.shared("data");
-        let flag = p.shared("flag");
-        let got = p.global("got");
-        p.thread(|b| {
-            b.store(data.cell(), c(42));
-            b.store(flag.cell(), c(1));
-            b.halt();
-        });
-        p.thread(|b| {
-            b.spin_until(ld(flag.cell()).eq(c(1)));
-            b.store(got.cell(), ld(data.cell()));
-            b.halt();
-        });
-        let prog = compile(&p);
-        // Try a bunch of deterministic interleavings.
-        for seed in 0..20u64 {
-            let mut mem = prog.initial_memory();
-            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-            let (exit, _) = run_sc(&prog, &mut mem, 1_000_000, |runnable| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as usize) % runnable.len()
-            })
-            .unwrap();
-            assert_eq!(exit, InterpExit::Halted, "seed {seed}");
-            assert_eq!(mem[prog.addr_of("got")], 42, "seed {seed}");
-        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! core, a flat data segment, and a symbol table so tests and
 //! invariant checkers can locate globals by name.
 
-use crate::instr::{Addr, ClassId, Instr, NUM_REGS};
+use crate::instr::{Addr, Instr, NUM_REGS};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -123,14 +123,6 @@ impl Program {
             mem[addr] = val;
         }
         mem
-    }
-
-    /// The name of a class, for diagnostics.
-    pub fn class_name(&self, cid: ClassId) -> &str {
-        self.class_names
-            .get(cid.0 as usize)
-            .map(String::as_str)
-            .unwrap_or("?")
     }
 
     /// Static sanity checks: branch targets in range, registers in

@@ -281,7 +281,8 @@ mod tests {
     #[test]
     fn traces_conform_across_cores() {
         let (prog, _) = mp_program(true);
-        let mut cfg = small_cfg(FenceConfig::SFENCE).with_trace();
+        let mut cfg = small_cfg(FenceConfig::SFENCE);
+        cfg.core.trace = true;
         cfg.max_cycles = 5_000_000;
         let mut m = Machine::new(&prog, cfg);
         m.run();

@@ -55,19 +55,6 @@ impl MachineConfig {
         self
     }
 
-    /// Convenience: enable retired-event tracing on every core.
-    pub fn with_trace(mut self) -> Self {
-        self.core.trace = true;
-        self
-    }
-
-    /// Convenience: enable the pipeline event trace on every core
-    /// (plus the machine's directory-walk events).
-    pub fn with_pipe_trace(mut self) -> Self {
-        self.core.pipe_trace = true;
-        self
-    }
-
     /// Canonical JSON of the *complete* configuration, with object
     /// keys in sorted order: the stable serialization that
     /// content-addressed result caching hashes. Every field that can
@@ -463,15 +450,6 @@ impl Machine {
     /// observable final state of a run.
     pub fn reg_snapshot(&self) -> Vec<Vec<i64>> {
         self.cores.iter().map(|c| c.arch_regs().to_vec()).collect()
-    }
-
-    /// Read a word of the final memory by symbol, via the program.
-    pub fn read_word(&self, addr: usize) -> i64 {
-        self.mem[addr]
-    }
-
-    pub fn mem_system(&self) -> &MemorySystem {
-        &self.memsys
     }
 }
 

@@ -34,6 +34,24 @@ pub enum Scale {
     Small,
 }
 
+impl Scale {
+    /// The spelling every flag, cache key, store line and spec uses.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Eval => "eval",
+            Scale::Small => "small",
+        }
+    }
+
+    pub fn parse(s: &str) -> Result<Scale, String> {
+        match s {
+            "eval" => Ok(Scale::Eval),
+            "small" => Ok(Scale::Small),
+            other => Err(format!("unknown scale {other:?} (expected eval|small)")),
+        }
+    }
+}
+
 /// Parameters every registry builder understands. Knobs that a
 /// benchmark does not have (the workload level on full applications,
 /// the scope mode on set-scope benchmarks) are ignored by it.
