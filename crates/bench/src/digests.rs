@@ -92,38 +92,26 @@ pub fn digests_json(rows: &[DigestRow]) -> Json {
 /// Parse a committed `sim_digests.json` back into rows (static strs
 /// resolved against the known scale/fence vocabulary).
 pub fn parse_digests(json: &Json) -> Result<Vec<DigestRow>, String> {
-    let version = json
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema_version")?;
+    let version: u64 = json.req("schema_version")?;
     if version != DIGESTS_SCHEMA_VERSION {
         return Err(format!(
             "sim_digests schema_version {version} != supported {DIGESTS_SCHEMA_VERSION}"
         ));
     }
-    let rows = json
-        .get("digests")
-        .and_then(Json::as_arr)
-        .ok_or("missing digests")?;
-    rows.iter()
+    json.req::<Vec<&Json>>("digests")?
+        .into_iter()
         .map(|r| {
-            let field = |name: &str| -> Result<&str, String> {
-                r.get(name)
-                    .and_then(Json::as_str)
-                    .ok_or(format!("digest row missing {name}"))
-            };
-            let scale = Scale::parse(field("scale")?)?.name();
-            let fence_label = field("fence")?;
+            let fence_label: &str = r.req("fence")?;
             let fence = DIGEST_FENCES
                 .iter()
                 .map(FenceConfig::label)
                 .find(|&l| l == fence_label)
                 .ok_or_else(|| format!("unknown fence label {fence_label:?}"))?;
             Ok(DigestRow {
-                workload: field("workload")?.to_string(),
-                scale,
+                workload: r.req("workload")?,
+                scale: Scale::parse(r.req("scale")?)?.name(),
                 fence,
-                sha256: field("sha256")?.to_string(),
+                sha256: r.req("sha256")?,
             })
         })
         .collect()

@@ -420,10 +420,7 @@ pub fn list_json() -> sfence_harness::Json {
                     e.uniform_scale()
                         .map_or("mixed", sfence_workloads::Scale::name),
                 )
-                .field(
-                    "workloads",
-                    Json::Arr(e.workload_names().into_iter().map(Json::from).collect()),
-                )
+                .field("workloads", e.workload_names())
                 .field("fingerprint", e.fingerprint())
         })
         .collect();

@@ -59,27 +59,15 @@ impl PerfRow {
     }
 
     pub fn to_json(&self) -> Json {
-        let row = Json::obj()
+        Json::obj()
             .field("name", self.name)
             .field("backend", self.backend)
             .field("scale", self.scale)
             .field("cells", self.cells)
-            .field(
-                "cycles",
-                match self.cycles {
-                    Some(c) => Json::UInt(c),
-                    None => Json::Null,
-                },
-            )
+            .field("cycles", self.cycles)
             .field("wall_ms", round3(self.wall_ms))
-            .field("cells_per_sec", round3(self.cells_per_sec()));
-        row.field(
-            "cycles_per_sec",
-            match self.cycles_per_sec() {
-                Some(c) => Json::Num(round3(c)),
-                None => Json::Null,
-            },
-        )
+            .field("cells_per_sec", round3(self.cells_per_sec()))
+            .field("cycles_per_sec", self.cycles_per_sec().map(round3))
     }
 }
 
@@ -282,35 +270,20 @@ pub struct CommittedRow {
 
 /// Pull the per-task rows out of a committed `BENCH_perf.json`.
 pub fn parse_committed(artifact: &Json) -> Result<Vec<CommittedRow>, String> {
-    let version = artifact
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema_version")?;
+    let version: u64 = artifact.req("schema_version")?;
     if version != PERF_SCHEMA_VERSION {
         return Err(format!(
             "artifact schema_version {version} != supported {PERF_SCHEMA_VERSION}"
         ));
     }
-    let rows = artifact
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("missing rows")?;
-    rows.iter()
+    artifact
+        .req::<Vec<&Json>>("rows")?
+        .into_iter()
         .map(|r| {
             Ok(CommittedRow {
-                name: r
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("row missing name")?
-                    .to_string(),
-                cells: r
-                    .get("cells")
-                    .and_then(Json::as_u64)
-                    .ok_or("row missing cells")?,
-                cells_per_sec: r
-                    .get("cells_per_sec")
-                    .and_then(Json::as_f64)
-                    .ok_or("row missing cells_per_sec")?,
+                name: r.req("name")?,
+                cells: r.req("cells")?,
+                cells_per_sec: r.req("cells_per_sec")?,
             })
         })
         .collect()

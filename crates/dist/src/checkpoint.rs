@@ -154,26 +154,17 @@ impl Snapshot {
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header_line = lines.next().ok_or("snapshot is empty")?;
         let header = json::parse(header_line).map_err(|e| format!("bad header: {e}"))?;
-        if header.get("type").and_then(Json::as_str) != Some("server") {
+        if header.opt::<&str>("type") != Ok(Some("server")) {
             return Err("first line is not a server header".into());
         }
-        let version = header
-            .get("checkpoint_version")
-            .and_then(Json::as_u64)
-            .ok_or("header: missing checkpoint_version")?;
+        let version: u64 = header.req("checkpoint_version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "checkpoint version {version} (this binary reads {CHECKPOINT_VERSION})"
             ));
         }
-        let schema_version = header
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("header: missing schema_version")?;
-        let next_campaign = header
-            .get("next_campaign")
-            .and_then(Json::as_u64)
-            .ok_or("header: missing next_campaign")?;
+        let schema_version = header.req("schema_version")?;
+        let next_campaign = header.req("next_campaign")?;
         let mut campaigns = Vec::new();
         let mut ended = false;
         for line in lines {
@@ -181,35 +172,19 @@ impl Snapshot {
                 return Err("content after the end marker".into());
             }
             let doc = json::parse(line).map_err(|e| format!("bad line: {e}"))?;
-            match doc.get("type").and_then(Json::as_str) {
-                Some("campaign") => {
-                    let u64_field = |key: &str| -> Result<u64, String> {
-                        doc.get(key)
-                            .and_then(Json::as_u64)
-                            .ok_or_else(|| format!("campaign: missing {key}"))
-                    };
-                    campaigns.push(CampaignSnapshot {
-                        id: u64_field("id")?,
-                        spec: ExperimentSpec::from_json(
-                            doc.get("spec").ok_or("campaign: missing spec")?,
-                        )?,
-                        priority: u64_field("priority")?,
-                        served: u64_field("served")?,
-                        fingerprint: doc
-                            .get("fingerprint")
-                            .and_then(Json::as_str)
-                            .ok_or("campaign: missing fingerprint")?
-                            .to_string(),
-                        job_count: u64_field("job_count")?,
-                        queue: doc.get("queue").cloned().ok_or("campaign: missing queue")?,
-                    });
-                }
+            match doc.opt::<&str>("type")? {
+                Some("campaign") => campaigns.push(CampaignSnapshot {
+                    id: doc.req("id")?,
+                    spec: ExperimentSpec::from_json(doc.req("spec")?)?,
+                    priority: doc.req("priority")?,
+                    served: doc.req("served")?,
+                    fingerprint: doc.req("fingerprint")?,
+                    job_count: doc.req("job_count")?,
+                    queue: doc.req::<&Json>("queue")?.clone(),
+                }),
                 Some("end") => {
-                    let count = doc
-                        .get("campaigns")
-                        .and_then(Json::as_u64)
-                        .ok_or("end marker: missing campaign count")?;
-                    if count as usize != campaigns.len() {
+                    let count: usize = doc.req("campaigns")?;
+                    if count != campaigns.len() {
                         return Err(format!(
                             "end marker says {count} campaigns, found {}",
                             campaigns.len()

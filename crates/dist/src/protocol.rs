@@ -454,10 +454,7 @@ impl Msg {
                 .field("spec", spec.clone())
                 .field("fingerprint", fingerprint.as_str())
                 .field("job_count", *job_count)
-                .field(
-                    "jobs",
-                    Json::Arr(jobs.iter().map(|&j| Json::from(j)).collect()),
-                ),
+                .field("jobs", jobs.as_slice()),
             Msg::Wait { ms } => Json::obj().field("type", "wait").field("ms", *ms),
             Msg::Done => Json::obj().field("type", "done"),
             Msg::Result {
@@ -531,112 +528,77 @@ impl Msg {
     }
 
     pub fn from_json(doc: &Json) -> Result<Msg, String> {
-        let ty = doc
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("message has no type")?;
-        let str_field = |key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{ty}: missing string field {key:?}"))
-        };
-        let u64_field = |key: &str| -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{ty}: missing u64 field {key:?}"))
-        };
-        let token =
-            || -> Option<String> { doc.get("token").and_then(Json::as_str).map(str::to_string) };
-        let rows = || -> Result<Vec<IndexedRow>, String> {
-            doc.get("rows")
-                .and_then(Json::as_arr)
-                .ok_or("result: missing rows")?
-                .iter()
-                .map(IndexedRow::from_json)
-                .collect()
-        };
+        let ty: &str = doc.opt("type")?.ok_or("message has no type")?;
         Ok(match ty {
             "hello" => Msg::Hello {
-                schema_version: u64_field("schema_version")?,
-                protocol_version: u64_field("protocol_version")?,
-                worker: str_field("worker")?,
-                token: token(),
+                schema_version: doc.req("schema_version")?,
+                protocol_version: doc.req("protocol_version")?,
+                worker: doc.req("worker")?,
+                token: doc.opt("token")?,
             },
             "welcome" => Msg::Welcome {
-                lease_ttl_ms: u64_field("lease_ttl_ms")?,
+                lease_ttl_ms: doc.req("lease_ttl_ms")?,
             },
             "reject" => Msg::Reject {
-                reason: str_field("reason")?,
+                reason: doc.req("reason")?,
             },
             "abort" => Msg::Abort {
-                reason: str_field("reason")?,
+                reason: doc.req("reason")?,
             },
             "request" => Msg::Request {
-                batch: u64_field("batch")?,
+                batch: doc.req("batch")?,
             },
             "lease" => Msg::Lease {
-                campaign: str_field("campaign")?,
-                spec: doc.get("spec").cloned().ok_or("lease: missing spec")?,
-                fingerprint: str_field("fingerprint")?,
-                job_count: u64_field("job_count")?,
-                jobs: doc
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or("lease: missing jobs")?
-                    .iter()
-                    .map(|j| j.as_u64().map(|v| v as usize).ok_or("lease: bad job index"))
-                    .collect::<Result<Vec<usize>, &str>>()
-                    .map_err(str::to_string)?,
+                campaign: doc.req("campaign")?,
+                spec: doc.req::<&Json>("spec")?.clone(),
+                fingerprint: doc.req("fingerprint")?,
+                job_count: doc.req("job_count")?,
+                jobs: doc.req("jobs")?,
             },
-            "wait" => Msg::Wait {
-                ms: u64_field("ms")?,
-            },
+            "wait" => Msg::Wait { ms: doc.req("ms")? },
             "done" => Msg::Done,
             "result" => Msg::Result {
-                campaign: str_field("campaign")?,
-                rows: rows()?,
-                executed: u64_field("executed")?,
-                cache_hits: u64_field("cache_hits")?,
+                campaign: doc.req("campaign")?,
+                rows: doc.req("rows")?,
+                executed: doc.req("executed")?,
+                cache_hits: doc.req("cache_hits")?,
                 // Absent on frames from pre-telemetry senders; 0
                 // means "not measured" everywhere it is read.
-                wall_ms: doc.get("wall_ms").and_then(Json::as_f64).unwrap_or(0.0),
+                wall_ms: doc.opt("wall_ms")?.unwrap_or(0.0),
             },
             "heartbeat" => Msg::Heartbeat,
             "submit" => Msg::Submit {
-                token: token(),
-                spec: doc.get("spec").cloned().ok_or("submit: missing spec")?,
-                priority: u64_field("priority")?,
+                token: doc.opt("token")?,
+                spec: doc.req::<&Json>("spec")?.clone(),
+                priority: doc.req("priority")?,
             },
             "submitted" => Msg::Submitted {
-                campaign: str_field("campaign")?,
-                job_count: u64_field("job_count")?,
-                fingerprint: str_field("fingerprint")?,
+                campaign: doc.req("campaign")?,
+                job_count: doc.req("job_count")?,
+                fingerprint: doc.req("fingerprint")?,
             },
             "fetch" => Msg::Fetch {
-                token: token(),
-                campaign: str_field("campaign")?,
+                token: doc.opt("token")?,
+                campaign: doc.req("campaign")?,
             },
             "campaign_status" => Msg::CampaignStatus {
-                campaign: str_field("campaign")?,
-                state: CampaignState::parse(&str_field("state")?)?,
-                done: u64_field("done")?,
-                total: u64_field("total")?,
+                campaign: doc.req("campaign")?,
+                state: CampaignState::parse(doc.req("state")?)?,
+                done: doc.req("done")?,
+                total: doc.req("total")?,
             },
-            "status_request" => Msg::StatusRequest { token: token() },
+            "status_request" => Msg::StatusRequest {
+                token: doc.opt("token")?,
+            },
             "status" => Msg::Status {
-                metrics: doc
-                    .get("metrics")
-                    .cloned()
-                    .ok_or("status: missing metrics")?,
+                metrics: doc.req::<&Json>("metrics")?.clone(),
             },
-            "debug_dump" => Msg::DumpRequest { token: token() },
+            "debug_dump" => Msg::DumpRequest {
+                token: doc.opt("token")?,
+            },
             "debug_dump_reply" => Msg::DumpReply {
-                events: doc
-                    .get("events")
-                    .cloned()
-                    .ok_or("debug_dump_reply: missing events")?,
-                dropped: u64_field("dropped")?,
+                events: doc.req::<&Json>("events")?.clone(),
+                dropped: doc.req("dropped")?,
             },
             other => return Err(format!("unknown message type {other:?}")),
         })

@@ -86,34 +86,15 @@ impl ExperimentSpec {
     pub fn to_json(&self) -> Json {
         Json::obj()
             .field("experiment", self.experiment.as_str())
-            .field(
-                "scale",
-                self.scale.map_or(Json::Null, |s| Json::from(s.name())),
-            )
-            .field(
-                "backend",
-                self.backend.map_or(Json::Null, |b| Json::from(b.name())),
-            )
+            .field("scale", self.scale.map(Scale::name))
+            .field("backend", self.backend.as_ref().map(BackendId::name))
     }
 
     pub fn from_json(doc: &Json) -> Result<ExperimentSpec, String> {
-        let experiment = doc
-            .get("experiment")
-            .and_then(Json::as_str)
-            .ok_or("spec: missing experiment")?
-            .to_string();
-        let scale = match doc.get("scale") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(Scale::parse(v.as_str().ok_or("spec: bad scale")?)?),
-        };
-        let backend = match doc.get("backend") {
-            None | Some(Json::Null) => None,
-            Some(v) => Some(BackendId::parse(v.as_str().ok_or("spec: bad backend")?)?),
-        };
         Ok(ExperimentSpec {
-            experiment,
-            scale,
-            backend,
+            experiment: doc.req("experiment")?,
+            scale: doc.opt("scale")?.map(Scale::parse).transpose()?,
+            backend: doc.opt("backend")?.map(BackendId::parse).transpose()?,
         })
     }
 }

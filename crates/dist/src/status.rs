@@ -7,6 +7,7 @@
 
 use crate::client::{open, refused};
 use crate::protocol::Msg;
+use sfence_harness::json::FromJson;
 use sfence_obs::log::Event;
 use sfence_obs::MetricsReport;
 use std::time::Duration;
@@ -43,15 +44,7 @@ pub fn fetch_dump(
         token: token.map(str::to_string),
     };
     match open(addr, timeout, &opening)?.next_msg() {
-        Ok(Some(Msg::DumpReply { events, dropped })) => {
-            let events = events
-                .as_arr()
-                .ok_or("debug_dump_reply: events is not an array")?
-                .iter()
-                .map(Event::from_json)
-                .collect::<Result<Vec<Event>, String>>()?;
-            Ok((events, dropped))
-        }
+        Ok(Some(Msg::DumpReply { events, dropped })) => Ok((Vec::from_json(&events)?, dropped)),
         reply => Err(refused(reply, timeout)),
     }
 }

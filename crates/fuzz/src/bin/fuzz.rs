@@ -10,7 +10,6 @@
 //!             [--no-minimize]             report divergences without delta-minimizing
 //!             [--expect-divergence]       invert the verdict: finding nothing FAILS
 //!             [--json]                    machine-readable report
-//!             [--bench]                   measure throughput; emit a timing artifact
 //! ```
 //!
 //! Each candidate program (synthesized from the grammar in
@@ -20,22 +19,20 @@
 //! the SC enumerator, with per-candidate expectations from the
 //! grammar's static covering analysis.
 //!
-//! Output (minus `--bench` timings) is byte-identical across
-//! `--threads`. Exit codes: 0 verdict as expected, 1 runtime error,
-//! 2 usage error, 4 expectation failure — a divergence on real
-//! hardware, or no divergence under `--expect-divergence` (the
-//! bug-injection test in `tests/cli.rs` uses the latter to prove the
-//! fuzzer's teeth).
+//! Output is byte-identical across `--threads`. Exit codes: 0 verdict
+//! as expected, 1 runtime error, 2 usage error, 4 expectation failure
+//! — a divergence on real hardware, or no divergence under
+//! `--expect-divergence` (the bug-injection test in `tests/cli.rs`
+//! uses the latter to prove the fuzzer's teeth).
 
 use sfence_fuzz::{run_fuzz, FuzzConfig};
-use sfence_harness::{default_threads, BackendId, Json, SCHEMA_VERSION};
+use sfence_harness::{default_threads, BackendId};
 
 struct Args {
     cfg: FuzzConfig,
     threads: Option<usize>,
     expect_divergence: bool,
     json: bool,
-    bench: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -44,7 +41,6 @@ fn parse_args() -> Result<Args, String> {
         threads: None,
         expect_divergence: false,
         json: false,
-        bench: false,
     };
     let mut it = std::env::args().skip(1);
     let take = |it: &mut dyn Iterator<Item = String>, flag: &str| -> Result<String, String> {
@@ -83,7 +79,6 @@ fn parse_args() -> Result<Args, String> {
             "--no-minimize" => args.cfg.minimize = false,
             "--expect-divergence" => args.expect_divergence = true,
             "--json" => args.json = true,
-            "--bench" => args.bench = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -95,7 +90,7 @@ fn main() {
         eprintln!("error: {e}");
         eprintln!(
             "usage: sfence-fuzz [--seed N] [--budget N] [--backend sim|functional] \
-             [--inject-bug] [--no-minimize] [--expect-divergence] [--json] [--bench]"
+             [--inject-bug] [--no-minimize] [--expect-divergence] [--json]"
         );
         std::process::exit(2);
     });
@@ -109,34 +104,7 @@ fn run(args: &Args) -> Result<(), String> {
     let threads = args
         .threads
         .unwrap_or_else(|| default_threads(args.cfg.budget));
-    let started = std::time::Instant::now();
     let report = run_fuzz(&args.cfg, threads)?;
-    let elapsed = started.elapsed();
-
-    if args.bench {
-        // Perf-trajectory artifact: wall-clock throughput for a fixed
-        // fuzzing budget. The timing fields are the one part of the
-        // fuzzer's output that is *not* deterministic; everything
-        // else in the report still is.
-        let secs = elapsed.as_secs_f64();
-        let rate = if secs > 0.0 {
-            report.cases as f64 / secs
-        } else {
-            0.0
-        };
-        let bench = Json::obj()
-            .field("schema_version", SCHEMA_VERSION)
-            .field("bench", "fuzz")
-            .field("seed", report.seed)
-            .field("budget", report.budget)
-            .field("backend", report.backend.name())
-            .field("cases", report.cases)
-            .field("elapsed_ms", elapsed.as_millis() as u64)
-            .field("cases_per_sec", Json::Num(rate));
-        print!("{}", bench.to_string_pretty());
-        eprintln!("{}", report.summary_line());
-        return Ok(());
-    }
 
     if args.json {
         print!("{}", report.to_json().to_string_pretty());

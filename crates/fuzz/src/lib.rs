@@ -42,7 +42,7 @@
 use sfence_harness::{enumerate_sc, run_indexed, BackendId, CheckerConfig, Json, SCHEMA_VERSION};
 use sfence_harness::{RunReport, Session};
 use sfence_isa::Program;
-use sfence_litmus::overflow_scope;
+use sfence_litmus::{base_config, overflow_scope};
 use sfence_sim::{FenceConfig, MachineConfig, RunExit};
 use sfence_workloads::support::{compile, Prng};
 use sfence_workloads::synth::{self, mutate, seed_corpus, SynthSpec};
@@ -64,7 +64,7 @@ pub struct FuzzConfig {
     /// divergence stops the run at its batch boundary).
     pub budget: usize,
     /// Execution engine for the matrix: sim (full differential power)
-    /// or functional (SC-only cross-check, used by `--bench`).
+    /// or functional (SC-only cross-check).
     pub backend: BackendId,
     /// Enable the scope unit's fault-injection knob on the scoped
     /// rows: degraded fences wait on nothing instead of everything.
@@ -125,13 +125,6 @@ pub struct Divergence {
     /// Registry name of the delta-minimized reproducer, when
     /// minimization ran.
     pub minimized: Option<String>,
-}
-
-fn base_config(num_threads: usize) -> MachineConfig {
-    let mut cfg = MachineConfig::paper_default();
-    cfg.num_cores = num_threads;
-    cfg.max_cycles = 50_000_000;
-    cfg
 }
 
 fn run_row(program: &Program, cfg: MachineConfig, backend: BackendId) -> Result<RunReport, String> {
@@ -363,10 +356,7 @@ impl FuzzReport {
             .field("cases", self.cases)
             .field("skipped", self.skipped)
             .field("corpus_size", self.corpus.len())
-            .field(
-                "corpus",
-                Json::Arr(self.corpus.iter().map(|n| Json::from(n.as_str())).collect()),
-            )
+            .field("corpus", self.corpus.as_slice())
             .field(
                 "coverage",
                 self.coverage
@@ -382,17 +372,8 @@ impl FuzzReport {
                             Json::obj()
                                 .field("name", d.name.as_str())
                                 .field("config", d.config.as_str())
-                                .field(
-                                    "observed",
-                                    Json::Arr(d.observed.iter().map(|&x| Json::Int(x)).collect()),
-                                )
-                                .field(
-                                    "minimized",
-                                    match &d.minimized {
-                                        Some(m) => Json::from(m.as_str()),
-                                        None => Json::Null,
-                                    },
-                                )
+                                .field("observed", d.observed.as_slice())
+                                .field("minimized", d.minimized.as_deref())
                         })
                         .collect(),
                 ),

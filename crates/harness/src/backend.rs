@@ -12,7 +12,7 @@
 //! single final memory):
 //!
 //! - [`SimBackend`] — the cycle-accurate out-of-order multicore
-//!   simulator (`sfence_sim::execute`). The only engine that reports
+//!   simulator (`sfence_sim::Machine`). The only engine that reports
 //!   timing (cycles, stall breakdowns, watchpoints, retired traces);
 //!   the default everywhere, and bit-identical to the pre-trait
 //!   `Session` output.
@@ -37,7 +37,7 @@ use crate::session::RunReport;
 use sfence_cpu::CoreStats;
 use sfence_isa::interp::{InterpStats, ThreadState};
 use sfence_isa::{Addr, Program, NUM_REGS};
-use sfence_sim::{execute, MachineConfig, RunExit};
+use sfence_sim::{Machine, MachineConfig, RunExit};
 
 /// Identity of an execution engine — the discriminant that selects an
 /// engine by name (`--backend`), tags every report
@@ -144,8 +144,8 @@ pub trait Backend: Sync {
 // ---------------------------------------------------------------------
 // Sim
 
-/// The cycle-accurate machine (`sfence_sim::execute`) behind the
-/// trait. Output is bit-identical to calling `execute` directly.
+/// The cycle-accurate machine (`sfence_sim::Machine`) behind the
+/// trait.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimBackend;
 
@@ -155,20 +155,35 @@ impl Backend for SimBackend {
     }
 
     fn run(&self, program: &Program, cfg: &MachineConfig, watch: &[Addr]) -> RunReport {
-        let out = execute(program, cfg.clone(), watch);
+        let mut m = Machine::new(program, cfg.clone());
+        for &addr in watch {
+            m.watch(addr);
+        }
+        let summary = m.run();
+        let traces = if cfg.core.trace {
+            m.traces().iter().map(|t| t.to_vec()).collect()
+        } else {
+            Vec::new()
+        };
+        let pipe = if cfg.core.pipe_trace {
+            m.pipe_trace()
+        } else {
+            Vec::new()
+        };
+        let regs = m.reg_snapshot();
         RunReport {
             backend: BackendId::Sim,
-            exit: out.summary.exit,
-            cycles: Some(out.summary.cycles),
-            core_stats: out.summary.core_stats,
-            mem_stats: out.summary.mem_stats,
-            scope_stats: out.summary.scope_stats,
-            scope_coverage: out.summary.scope_coverage,
-            watch_log: out.watch_log,
-            traces: out.traces,
-            pipe: out.pipe,
-            mem: out.mem,
-            regs: out.regs,
+            exit: summary.exit,
+            cycles: Some(summary.cycles),
+            core_stats: summary.core_stats,
+            mem_stats: summary.mem_stats,
+            scope_stats: summary.scope_stats,
+            scope_coverage: summary.scope_coverage,
+            watch_log: m.watch_log,
+            traces,
+            pipe,
+            mem: m.mem,
+            regs,
             sc_states: None,
             sc_states_explored: None,
         }

@@ -26,7 +26,8 @@ use crate::backend::BackendId;
 use crate::hash::sha256_hex;
 use crate::json::{self, Json};
 use crate::session::RunReport;
-use sfence_sim::MachineConfig;
+use sfence_core::{ScopeConfig, ScopeRecovery};
+use sfence_sim::{CoreConfig, FenceConfig, MachineConfig, MemConfig};
 use sfence_workloads::{ScopeMode, WorkloadParams};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
@@ -86,18 +87,13 @@ pub fn unique_writer_name(prefix: &str) -> String {
     )
 }
 
-/// Canonical JSON description of one sweep cell. The machine config
-/// string comes from `MachineConfig::canonical_json` (the one place
-/// that enumerates every simulator knob) and is re-parsed here so the
-/// whole document canonicalizes as a unit.
+/// Canonical JSON description of one sweep cell.
 pub fn job_canonical_json(
     workload: &str,
     params: &WorkloadParams,
     cfg: &MachineConfig,
     backend: BackendId,
 ) -> Json {
-    let cfg_json =
-        json::parse(&cfg.canonical_json()).expect("MachineConfig::canonical_json emits valid JSON");
     // Litmus scenarios (`litmus/<family>/<seed>`) are fully
     // parameterized by their name and the builder ignores `params`;
     // keying on the no-op knobs would fork the cache (re-executing
@@ -120,7 +116,7 @@ pub fn job_canonical_json(
         .field("backend", backend.name())
         .field("workload", workload)
         .field("params", params_json)
-        .field("cfg", cfg_json);
+        .field("cfg", machine_config_json(cfg));
     // Engine knobs that live outside the MachineConfig (the
     // enumerator's search bounds) must key the cell too — tuning
     // their defaults correctly invalidates previously cached cells.
@@ -128,6 +124,104 @@ pub fn job_canonical_json(
         doc = doc.field("engine_params", engine_params);
     }
     doc.canonicalize()
+}
+
+/// The *complete* machine configuration: every field that can change
+/// a run's output, so a changed knob (correctly) moves the key.
+fn machine_config_json(cfg: &MachineConfig) -> Json {
+    // Exhaustive destructuring (no `..`): adding a field to any of
+    // these config structs fails to compile here until the new knob
+    // is keyed — a forgotten knob would silently serve stale cached
+    // results for configurations that now differ.
+    let MachineConfig {
+        num_cores,
+        core,
+        mem,
+        max_cycles,
+    } = cfg;
+    let CoreConfig {
+        rob_size,
+        sb_size,
+        issue_width,
+        retire_width,
+        mispredict_penalty,
+        bpred_entries,
+        max_outstanding_stores,
+        sb_drain_in_order,
+        cas_drains_sb,
+        fence,
+        scope,
+        trace,
+        pipe_trace,
+    } = core;
+    let FenceConfig {
+        honor_scopes,
+        in_window_speculation,
+    } = fence;
+    let ScopeConfig {
+        fsb_entries,
+        fss_entries,
+        mapping_entries,
+        recovery,
+        skip_degrade_on_overflow,
+    } = scope;
+    let MemConfig {
+        line_bytes,
+        l1_size,
+        l1_ways,
+        l1_latency,
+        l2_size,
+        l2_ways,
+        l2_latency,
+        mem_latency,
+        remote_dirty_penalty,
+    } = mem;
+    let recovery = match recovery {
+        ScopeRecovery::ShadowStack => "shadow_stack",
+        ScopeRecovery::Checkpoint => "checkpoint",
+    };
+    let core = Json::obj()
+        .field("rob_size", *rob_size)
+        .field("sb_size", *sb_size)
+        .field("issue_width", *issue_width)
+        .field("retire_width", *retire_width)
+        .field("mispredict_penalty", *mispredict_penalty)
+        .field("bpred_entries", *bpred_entries)
+        .field("max_outstanding_stores", *max_outstanding_stores)
+        .field("sb_drain_in_order", *sb_drain_in_order)
+        .field("cas_drains_sb", *cas_drains_sb)
+        .field(
+            "fence",
+            Json::obj()
+                .field("honor_scopes", *honor_scopes)
+                .field("in_window_speculation", *in_window_speculation),
+        )
+        .field(
+            "scope",
+            Json::obj()
+                .field("fsb_entries", *fsb_entries)
+                .field("fss_entries", *fss_entries)
+                .field("mapping_entries", *mapping_entries)
+                .field("recovery", recovery)
+                .field("skip_degrade_on_overflow", *skip_degrade_on_overflow),
+        )
+        .field("trace", *trace)
+        .field("pipe_trace", *pipe_trace);
+    let mem = Json::obj()
+        .field("line_bytes", *line_bytes)
+        .field("l1_size", *l1_size)
+        .field("l1_ways", *l1_ways)
+        .field("l1_latency", *l1_latency)
+        .field("l2_size", *l2_size)
+        .field("l2_ways", *l2_ways)
+        .field("l2_latency", *l2_latency)
+        .field("mem_latency", *mem_latency)
+        .field("remote_dirty_penalty", *remote_dirty_penalty);
+    Json::obj()
+        .field("num_cores", *num_cores)
+        .field("core", core)
+        .field("mem", mem)
+        .field("max_cycles", *max_cycles)
 }
 
 /// Content-hash key of one sweep cell: SHA-256 over the canonical
@@ -261,14 +355,8 @@ impl ResultCache {
 
 fn parse_entry(line: &str) -> Result<(String, RunReport), String> {
     let doc = json::parse(line)?;
-    let key = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or("missing key")?
-        .to_string();
     // `RunReport::from_json` rejects mismatched schema_version.
-    let report = RunReport::from_json(doc.get("report").ok_or("missing report")?)?;
-    Ok((key, report))
+    Ok((doc.req("key")?, RunReport::from_json(doc.req("report")?)?))
 }
 
 #[cfg(test)]

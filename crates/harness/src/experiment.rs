@@ -10,11 +10,11 @@
 
 use crate::backend::BackendId;
 use crate::cache::{job_key, ResultCache};
-use crate::json::Json;
+use crate::json::{FromJson, Json};
 use crate::runner::run_indexed;
-use crate::session::{RunReport, Session, SCHEMA_VERSION};
+use crate::session::{exit_name, RunReport, Session, SCHEMA_VERSION};
 use sfence_core::PipeEvent;
-use sfence_sim::{FenceConfig, MachineConfig, RunExit};
+use sfence_sim::{FenceConfig, MachineConfig};
 use sfence_workloads::catalog;
 use sfence_workloads::{Scale, ScopeMode, WorkloadParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -356,10 +356,7 @@ impl Experiment {
             .field("schema_version", SCHEMA_VERSION)
             .field("experiment", self.name.as_str())
             .field("axis", self.axis.name())
-            .field(
-                "job_keys",
-                Json::Arr(self.job_keys().into_iter().map(Json::from).collect()),
-            );
+            .field("job_keys", self.job_keys());
         crate::hash::sha256_hex(doc.canonicalize().to_string_compact().as_bytes())
     }
 
@@ -610,14 +607,13 @@ impl IndexedRow {
             .field("job", self.index)
             .field("row", self.row.to_json())
     }
+}
 
-    pub fn from_json(json: &Json) -> Result<IndexedRow, String> {
+impl FromJson<'_> for IndexedRow {
+    fn from_json(json: &Json) -> Result<IndexedRow, String> {
         Ok(IndexedRow {
-            index: json
-                .get("job")
-                .and_then(Json::as_u64)
-                .ok_or("missing job index")? as usize,
-            row: SweepRow::from_json(json.get("row").ok_or("missing row")?)?,
+            index: json.req("job")?,
+            row: SweepRow::from_json(json.req("row")?)?,
         })
     }
 }
@@ -647,10 +643,7 @@ fn row_from_report(job: &Job, axis_name: &str, report: &RunReport) -> SweepRow {
         fence_stalls: timed.then(|| report.total_fence_stalls()),
         fence_stall_fraction: timed.then(|| report.fence_stall_fraction()),
         sc_states: report.sc_states.as_ref().map(|s| s.len() as u64),
-        exit: match report.exit {
-            RunExit::Completed => "completed".into(),
-            RunExit::CycleLimit => "cycle_limit".into(),
-        },
+        exit: exit_name(report.exit).to_string(),
     }
 }
 
@@ -730,48 +723,19 @@ impl SweepRow {
     }
 
     pub fn from_json(json: &Json) -> Result<SweepRow, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            json.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {key:?}"))
-        };
-        let opt_u64_field = |key: &str| -> Result<Option<u64>, String> {
-            match json.get(key) {
-                None | Some(Json::Null) => Ok(None),
-                Some(v) => v
-                    .as_u64()
-                    .map(Some)
-                    .ok_or_else(|| format!("bad u64 field {key:?}")),
-            }
-        };
         Ok(SweepRow {
-            workload: str_field("workload")?,
-            fence: str_field("fence")?,
+            workload: json.req("workload")?,
+            fence: json.req("fence")?,
             // Axis fields are omitted on axis-less experiments.
-            axis: json
-                .get("axis")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            value: json
-                .get("value")
-                .and_then(Json::as_str)
-                .unwrap_or("")
-                .to_string(),
-            backend: str_field("backend")?,
-            cycles: opt_u64_field("cycles")?,
-            instrs_retired: json
-                .get("instrs_retired")
-                .and_then(Json::as_u64)
-                .ok_or("missing u64 field \"instrs_retired\"")?,
-            fence_stalls: opt_u64_field("fence_stalls")?,
-            fence_stall_fraction: match json.get("fence_stall_fraction") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_f64().ok_or("bad f64 field \"fence_stall_fraction\"")?),
-            },
-            sc_states: opt_u64_field("sc_states")?,
-            exit: str_field("exit")?,
+            axis: json.opt("axis")?.unwrap_or_default(),
+            value: json.opt("value")?.unwrap_or_default(),
+            backend: json.req("backend")?,
+            cycles: json.opt("cycles")?,
+            instrs_retired: json.req("instrs_retired")?,
+            fence_stalls: json.opt("fence_stalls")?,
+            fence_stall_fraction: json.opt("fence_stall_fraction")?,
+            sc_states: json.opt("sc_states")?,
+            exit: json.req("exit")?,
         })
     }
 }

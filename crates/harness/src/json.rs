@@ -11,6 +11,10 @@
 //!   so cycle counts round-trip exactly.
 //! - Floats are written with Rust's shortest-roundtrip `Display`,
 //!   which re-parses to the identical `f64`.
+//! - Every record codec goes through this module: `From` impls decide
+//!   how a Rust value is written, [`FromJson`] how it is read back,
+//!   and [`Json::req`] / [`Json::opt`] what a missing or mistyped
+//!   field says.
 
 use std::fmt::Write as _;
 
@@ -49,6 +53,21 @@ impl Json {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Read the required field `key` as a `T`. An absent field is an
+    /// error unless `T` is an `Option`; errors name the key.
+    pub fn req<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<T, String> {
+        match self.get(key) {
+            Some(v) => T::from_json(v).map_err(|e| format!("field {key:?}: {e}")),
+            None => T::absent().ok_or_else(|| format!("missing field {key:?}")),
+        }
+    }
+
+    /// Read the optional field `key`: absent and `null` both give
+    /// `None`.
+    pub fn opt<'a, T: FromJson<'a>>(&'a self, key: &str) -> Result<Option<T>, String> {
+        self.req(key)
     }
 
     pub fn as_arr(&self) -> Option<&[Json]> {
@@ -94,6 +113,16 @@ impl Json {
         match *self {
             Json::Bool(b) => Some(b),
             _ => None,
+        }
+    }
+
+    /// What a mistyped value was, for [`FromJson`] errors.
+    fn describe(&self) -> String {
+        match self {
+            Json::Str(_) => "a string".into(),
+            Json::Arr(_) => "an array".into(),
+            Json::Obj(_) => "an object".into(),
+            scalar => scalar.to_string_compact(),
         }
     }
 
@@ -471,9 +500,124 @@ impl From<String> for Json {
         Json::Str(v)
     }
 }
-impl From<Vec<Json>> for Json {
-    fn from(v: Vec<Json>) -> Json {
-        Json::Arr(v)
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(v: Vec<T>) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+impl<T: Clone + Into<Json>> From<&[T]> for Json {
+    fn from(v: &[T]) -> Json {
+        Json::Arr(v.iter().cloned().map(Into::into).collect())
+    }
+}
+/// `None` is written as `null`. Records that leave an absent value
+/// out of the object instead skip the field themselves.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// A Rust value read back from one JSON value: the decoding half of
+/// the `From<T> for Json` impls above.
+pub trait FromJson<'a>: Sized {
+    /// Convert `json`, or say what was expected and what was found.
+    fn from_json(json: &'a Json) -> Result<Self, String>;
+
+    /// The value of an absent field; `None` makes absence an error.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+// The error paths are out of line so each decoder stays small enough
+// to inline into the loops that read long arrays (memory images).
+#[cold]
+fn mistyped(expected: &str, found: &Json) -> String {
+    format!("expected {expected}, found {}", found.describe())
+}
+
+#[cold]
+fn in_element(index: usize, err: String) -> String {
+    format!("[{index}]: {err}")
+}
+
+macro_rules! from_json_scalar {
+    ($($t:ty: $what:literal => $read:expr;)*) => {$(
+        impl FromJson<'_> for $t {
+            fn from_json(json: &Json) -> Result<$t, String> {
+                ($read)(json).ok_or_else(|| mistyped($what, json))
+            }
+        }
+    )*};
+}
+
+from_json_scalar! {
+    u64: "u64" => Json::as_u64;
+    i64: "i64" => Json::as_i64;
+    u32: "u32" => |j: &Json| j.as_u64().and_then(|v| u32::try_from(v).ok());
+    usize: "usize" => |j: &Json| j.as_u64().and_then(|v| usize::try_from(v).ok());
+    f64: "a number" => Json::as_f64;
+    bool: "a bool" => Json::as_bool;
+    String: "a string" => |j: &Json| j.as_str().map(str::to_string);
+}
+
+impl<'a> FromJson<'a> for &'a str {
+    fn from_json(json: &'a Json) -> Result<&'a str, String> {
+        json.as_str().ok_or_else(|| mistyped("a string", json))
+    }
+}
+
+/// Any value, left as JSON: a nested record with its own decoder, or
+/// an opaque payload such as a spec carried through a frame.
+impl<'a> FromJson<'a> for &'a Json {
+    fn from_json(json: &'a Json) -> Result<&'a Json, String> {
+        Ok(json)
+    }
+}
+
+/// `null` reads as `None`, and so does an absent field.
+impl<'a, T: FromJson<'a>> FromJson<'a> for Option<T> {
+    fn from_json(json: &'a Json) -> Result<Option<T>, String> {
+        match json {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+
+    fn absent() -> Option<Option<T>> {
+        Some(None)
+    }
+}
+
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<T> {
+    fn from_json(json: &'a Json) -> Result<Vec<T>, String> {
+        let items = json.as_arr().ok_or_else(|| mistyped("an array", json))?;
+        // A loop, not `collect`: collecting `Result`s loses the length
+        // hint, and a memory image would regrow its vector ~15 times.
+        let mut out = Vec::with_capacity(items.len());
+        for (i, item) in items.iter().enumerate() {
+            out.push(T::from_json(item).map_err(|e| in_element(i, e))?);
+        }
+        Ok(out)
+    }
+}
+
+/// An object read as its `(key, value)` pairs, in document order.
+impl<'a, T: FromJson<'a>> FromJson<'a> for Vec<(String, T)> {
+    fn from_json(json: &'a Json) -> Result<Vec<(String, T)>, String> {
+        let Json::Obj(fields) = json else {
+            return Err(mistyped("an object", json));
+        };
+        fields
+            .iter()
+            .map(|(k, v)| {
+                Ok((
+                    k.clone(),
+                    T::from_json(v).map_err(|e| format!("{k:?}: {e}"))?,
+                ))
+            })
+            .collect()
     }
 }
 
@@ -527,6 +671,59 @@ mod tests {
         // Arrays keep element order: [1,2] and [2,1] stay distinct.
         let c = parse("[1,2]").unwrap().canonicalize();
         assert_eq!(c.to_string_compact(), "[1,2]");
+    }
+
+    #[test]
+    fn typed_fields_name_the_key_in_every_error() {
+        let doc = parse(r#"{"n":7,"big":4294967296,"s":"x","nul":null,"xs":[1,"two"]}"#).unwrap();
+        assert_eq!(doc.req::<u64>("n"), Ok(7));
+        assert_eq!(doc.req::<&str>("s"), Ok("x"));
+        assert_eq!(doc.req::<u32>("big").ok(), None);
+
+        let missing = doc.req::<u64>("gone").unwrap_err();
+        assert!(missing.contains("\"gone\""), "{missing}");
+        let mistyped = doc.req::<u64>("s").unwrap_err();
+        assert!(
+            mistyped.contains("\"s\"") && mistyped.contains("u64"),
+            "{mistyped}"
+        );
+        let out_of_range = doc.req::<u32>("big").unwrap_err();
+        assert!(
+            out_of_range.contains("\"big\"") && out_of_range.contains("u32"),
+            "{out_of_range}"
+        );
+        let element = doc.req::<Vec<u64>>("xs").unwrap_err();
+        assert!(
+            element.contains("\"xs\"") && element.contains("[1]"),
+            "{element}"
+        );
+    }
+
+    #[test]
+    fn optional_fields_read_absent_and_null_as_none() {
+        let doc = parse(r#"{"nul":null,"n":3,"s":"x"}"#).unwrap();
+        assert_eq!(doc.opt::<u64>("gone"), Ok(None));
+        assert_eq!(doc.opt::<u64>("nul"), Ok(None));
+        assert_eq!(doc.opt::<u64>("n"), Ok(Some(3)));
+        assert_eq!(doc.req::<Option<u64>>("gone"), Ok(None));
+        // Present but mistyped is still an error, naming the key.
+        let err = doc.opt::<u64>("s").unwrap_err();
+        assert!(err.contains("\"s\""), "{err}");
+        // A required non-Option field that is null is mistyped.
+        let err = doc.req::<u64>("nul").unwrap_err();
+        assert!(err.contains("\"nul\"") && err.contains("null"), "{err}");
+    }
+
+    #[test]
+    fn options_and_slices_write_through_from() {
+        assert_eq!(Json::from(None::<u64>), Json::Null);
+        assert_eq!(Json::from(Some(-2i64)), Json::Int(-2));
+        let words: &[i64] = &[1, -1];
+        assert_eq!(Json::from(words).to_string_compact(), "[1,-1]");
+        assert_eq!(
+            Json::from(vec!["a", "b"]).to_string_compact(),
+            r#"["a","b"]"#
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! above the session.
 
 use crate::backend::{Backend, BackendId, SimBackend};
-use crate::json::Json;
+use crate::json::{FromJson, Json};
 use sfence_core::{PipeEvent, RetiredEvent, ScopeUnitStats};
 use sfence_cpu::CoreStats;
 use sfence_isa::{Addr, ClassId, FenceKind, Program};
@@ -292,157 +292,59 @@ impl RunReport {
         Json::obj()
             .field("schema_version", SCHEMA_VERSION)
             .field("backend", self.backend.name())
-            .field("exit", exit_str(self.exit))
-            .field("cycles", opt_u64_to_json(self.cycles))
-            .field(
-                "core_stats",
-                Json::Arr(self.core_stats.iter().map(core_stats_to_json).collect()),
-            )
-            .field("mem_stats", mem_stats_to_json(&self.mem_stats))
-            .field(
-                "scope_stats",
-                Json::Arr(self.scope_stats.iter().map(scope_stats_to_json).collect()),
-            )
-            .field(
-                "scope_coverage",
-                Json::Arr(
-                    self.scope_coverage
-                        .iter()
-                        .map(|&b| Json::UInt(b as u64))
-                        .collect(),
-                ),
-            )
-            .field(
-                "watch_log",
-                Json::Arr(self.watch_log.iter().map(watch_event_to_json).collect()),
-            )
+            .field("exit", exit_name(self.exit))
+            .field("cycles", self.cycles)
+            .field("core_stats", records(&self.core_stats))
+            .field("mem_stats", &self.mem_stats)
+            .field("scope_stats", records(&self.scope_stats))
+            .field("scope_coverage", self.scope_coverage.as_slice())
+            .field("watch_log", records(&self.watch_log))
             .field(
                 "traces",
-                Json::Arr(
-                    self.traces
-                        .iter()
-                        .map(|t| Json::Arr(t.iter().map(retired_event_to_json).collect()))
-                        .collect(),
-                ),
+                Json::Arr(self.traces.iter().map(|t| records(t)).collect()),
             )
-            .field(
-                "mem",
-                Json::Arr(self.mem.iter().map(|&w| Json::Int(w)).collect()),
-            )
-            .field(
-                "regs",
-                Json::Arr(
-                    self.regs
-                        .iter()
-                        .map(|core| Json::Arr(core.iter().map(|&w| Json::Int(w)).collect()))
-                        .collect(),
-                ),
-            )
-            .field(
-                "sc_states",
-                match &self.sc_states {
-                    None => Json::Null,
-                    Some(states) => Json::Arr(
-                        states
-                            .iter()
-                            .map(|s| Json::Arr(s.iter().map(|&w| Json::Int(w)).collect()))
-                            .collect(),
-                    ),
-                },
-            )
-            .field(
-                "sc_states_explored",
-                opt_u64_to_json(self.sc_states_explored),
-            )
+            .field("mem", self.mem.as_slice())
+            .field("regs", words(&self.regs))
+            .field("sc_states", self.sc_states.as_deref().map(words))
+            .field("sc_states_explored", self.sc_states_explored)
     }
 
     pub fn from_json(json: &Json) -> Result<RunReport, String> {
-        let version = get_u64(json, "schema_version")?;
+        let version: u64 = json.req("schema_version")?;
         if version != SCHEMA_VERSION {
             return Err(format!(
                 "schema_version {version} (supported: {SCHEMA_VERSION})"
             ));
         }
         Ok(RunReport {
-            backend: BackendId::parse(get_str(json, "backend")?)?,
-            exit: exit_from_str(get_str(json, "exit")?)?,
-            cycles: get_opt_u64(json, "cycles")?,
-            core_stats: get_arr(json, "core_stats")?
-                .iter()
-                .map(core_stats_from_json)
-                .collect::<Result<_, _>>()?,
-            mem_stats: mem_stats_from_json(json.get("mem_stats").ok_or("missing mem_stats")?)?,
-            scope_stats: get_arr(json, "scope_stats")?
-                .iter()
-                .map(scope_stats_from_json)
-                .collect::<Result<_, _>>()?,
-            scope_coverage: get_arr(json, "scope_coverage")?
-                .iter()
-                .map(|b| {
-                    b.as_u64()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or_else(|| "bad coverage bitmap".to_string())
-                })
-                .collect::<Result<_, _>>()?,
-            watch_log: get_arr(json, "watch_log")?
-                .iter()
-                .map(watch_event_from_json)
-                .collect::<Result<_, _>>()?,
-            traces: get_arr(json, "traces")?
-                .iter()
-                .map(|t| {
-                    t.as_arr()
-                        .ok_or_else(|| "trace is not an array".to_string())?
-                        .iter()
-                        .map(retired_event_from_json)
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<_, _>>()?,
+            backend: BackendId::parse(json.req("backend")?)?,
+            exit: exit_from_name(json.req("exit")?)?,
+            cycles: json.opt("cycles")?,
+            core_stats: json.req("core_stats")?,
+            mem_stats: json.req("mem_stats")?,
+            scope_stats: json.req("scope_stats")?,
+            scope_coverage: json.req("scope_coverage")?,
+            watch_log: json.req("watch_log")?,
+            traces: json.req("traces")?,
             // Pipe traces are in-memory only (see the field docs).
             pipe: Vec::new(),
-            mem: get_arr(json, "mem")?
-                .iter()
-                .map(|w| w.as_i64().ok_or_else(|| "bad memory word".to_string()))
-                .collect::<Result<_, _>>()?,
-            regs: get_arr(json, "regs")?
-                .iter()
-                .map(|core| {
-                    core.as_arr()
-                        .ok_or_else(|| "core regs is not an array".to_string())?
-                        .iter()
-                        .map(|w| w.as_i64().ok_or_else(|| "bad register word".to_string()))
-                        .collect::<Result<Vec<_>, _>>()
-                })
-                .collect::<Result<_, _>>()?,
-            sc_states: match json.get("sc_states") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(
-                    v.as_arr()
-                        .ok_or("sc_states is not an array")?
-                        .iter()
-                        .map(|s| {
-                            s.as_arr()
-                                .ok_or_else(|| "sc state is not an array".to_string())?
-                                .iter()
-                                .map(|w| w.as_i64().ok_or_else(|| "bad sc state word".to_string()))
-                                .collect::<Result<Vec<_>, _>>()
-                        })
-                        .collect::<Result<_, _>>()?,
-                ),
-            },
-            sc_states_explored: get_opt_u64(json, "sc_states_explored")?,
+            mem: json.req("mem")?,
+            regs: json.req("regs")?,
+            sc_states: json.opt("sc_states")?,
+            sc_states_explored: json.opt("sc_states_explored")?,
         })
     }
 }
 
-fn exit_str(exit: RunExit) -> &'static str {
+/// The serialized name of a run's exit status (reports and rows).
+pub(crate) fn exit_name(exit: RunExit) -> &'static str {
     match exit {
         RunExit::Completed => "completed",
         RunExit::CycleLimit => "cycle_limit",
     }
 }
 
-fn exit_from_str(s: &str) -> Result<RunExit, String> {
+fn exit_from_name(s: &str) -> Result<RunExit, String> {
     match s {
         "completed" => Ok(RunExit::Completed),
         "cycle_limit" => Ok(RunExit::CycleLimit),
@@ -450,160 +352,85 @@ fn exit_from_str(s: &str) -> Result<RunExit, String> {
     }
 }
 
-fn get_str<'j>(json: &'j Json, key: &str) -> Result<&'j str, String> {
-    json.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field {key:?}"))
+/// An array of records, each written through its `From<&T>` impl.
+fn records<'a, T>(items: &'a [T]) -> Json
+where
+    &'a T: Into<Json>,
+{
+    Json::Arr(items.iter().map(Into::into).collect())
 }
 
-fn get_u64(json: &Json, key: &str) -> Result<u64, String> {
-    json.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing u64 field {key:?}"))
+/// An array of word vectors (register files, SC states).
+fn words(rows: &[Vec<i64>]) -> Json {
+    Json::Arr(rows.iter().map(|r| Json::from(r.as_slice())).collect())
 }
 
-fn get_opt_u64(json: &Json, key: &str) -> Result<Option<u64>, String> {
-    match json.get(key) {
-        None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("bad optional u64 field {key:?}")),
-    }
+/// A flat stats record: written as an object with one field per
+/// listed struct field, in list order, and read back field by field.
+/// The struct literal makes a field left off the list a compile error.
+macro_rules! json_record {
+    ($ty:ty { $($field:ident),* $(,)? }) => {
+        impl From<&$ty> for Json {
+            fn from(v: &$ty) -> Json {
+                Json::obj()$(.field(stringify!($field), v.$field))*
+            }
+        }
+
+        impl FromJson<'_> for $ty {
+            fn from_json(json: &Json) -> Result<$ty, String> {
+                Ok(Self { $($field: json.req(stringify!($field))?),* })
+            }
+        }
+    };
 }
 
-fn get_bool(json: &Json, key: &str) -> Result<bool, String> {
-    json.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing bool field {key:?}"))
-}
+json_record!(CoreStats {
+    instrs_retired,
+    instrs_issued,
+    loads,
+    stores,
+    cas_ops,
+    fences_retired,
+    forwarded_loads,
+    fence_stall_cycles,
+    rob_full_stall_cycles,
+    sb_full_stall_cycles,
+    load_disambiguation_blocks,
+    branches_resolved,
+    mispredictions,
+    speculation_replays,
+    halted_at,
+    finished_at,
+});
 
-fn get_arr<'j>(json: &'j Json, key: &str) -> Result<&'j [Json], String> {
-    json.get(key)
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("missing array field {key:?}"))
-}
+json_record!(CoreMemStats {
+    accesses,
+    l1_hits,
+    upgrades,
+    l2_hits,
+    remote_dirty,
+    mem_misses,
+    invalidations_received,
+});
 
-fn opt_u64_to_json(v: Option<u64>) -> Json {
-    match v {
-        Some(v) => Json::UInt(v),
-        None => Json::Null,
-    }
-}
+json_record!(ScopeUnitStats {
+    fs_starts,
+    fs_ends,
+    scoped_mem_ops,
+    flagged_mem_ops,
+    degraded_fences,
+    scoped_fences,
+    mispredict_recoveries,
+    fss_overflows,
+});
 
-fn core_stats_to_json(s: &CoreStats) -> Json {
-    Json::obj()
-        .field("instrs_retired", s.instrs_retired)
-        .field("instrs_issued", s.instrs_issued)
-        .field("loads", s.loads)
-        .field("stores", s.stores)
-        .field("cas_ops", s.cas_ops)
-        .field("fences_retired", s.fences_retired)
-        .field("forwarded_loads", s.forwarded_loads)
-        .field("fence_stall_cycles", s.fence_stall_cycles)
-        .field("rob_full_stall_cycles", s.rob_full_stall_cycles)
-        .field("sb_full_stall_cycles", s.sb_full_stall_cycles)
-        .field("load_disambiguation_blocks", s.load_disambiguation_blocks)
-        .field("branches_resolved", s.branches_resolved)
-        .field("mispredictions", s.mispredictions)
-        .field("speculation_replays", s.speculation_replays)
-        .field("halted_at", opt_u64_to_json(s.halted_at))
-        .field("finished_at", opt_u64_to_json(s.finished_at))
-}
-
-fn core_stats_from_json(json: &Json) -> Result<CoreStats, String> {
-    Ok(CoreStats {
-        instrs_retired: get_u64(json, "instrs_retired")?,
-        instrs_issued: get_u64(json, "instrs_issued")?,
-        loads: get_u64(json, "loads")?,
-        stores: get_u64(json, "stores")?,
-        cas_ops: get_u64(json, "cas_ops")?,
-        fences_retired: get_u64(json, "fences_retired")?,
-        forwarded_loads: get_u64(json, "forwarded_loads")?,
-        fence_stall_cycles: get_u64(json, "fence_stall_cycles")?,
-        rob_full_stall_cycles: get_u64(json, "rob_full_stall_cycles")?,
-        sb_full_stall_cycles: get_u64(json, "sb_full_stall_cycles")?,
-        load_disambiguation_blocks: get_u64(json, "load_disambiguation_blocks")?,
-        branches_resolved: get_u64(json, "branches_resolved")?,
-        mispredictions: get_u64(json, "mispredictions")?,
-        speculation_replays: get_u64(json, "speculation_replays")?,
-        halted_at: get_opt_u64(json, "halted_at")?,
-        finished_at: get_opt_u64(json, "finished_at")?,
-    })
-}
-
-fn mem_stats_to_json(s: &CoreMemStats) -> Json {
-    Json::obj()
-        .field("accesses", s.accesses)
-        .field("l1_hits", s.l1_hits)
-        .field("upgrades", s.upgrades)
-        .field("l2_hits", s.l2_hits)
-        .field("remote_dirty", s.remote_dirty)
-        .field("mem_misses", s.mem_misses)
-        .field("invalidations_received", s.invalidations_received)
-}
-
-fn mem_stats_from_json(json: &Json) -> Result<CoreMemStats, String> {
-    Ok(CoreMemStats {
-        accesses: get_u64(json, "accesses")?,
-        l1_hits: get_u64(json, "l1_hits")?,
-        upgrades: get_u64(json, "upgrades")?,
-        l2_hits: get_u64(json, "l2_hits")?,
-        remote_dirty: get_u64(json, "remote_dirty")?,
-        mem_misses: get_u64(json, "mem_misses")?,
-        invalidations_received: get_u64(json, "invalidations_received")?,
-    })
-}
-
-fn scope_stats_to_json(s: &ScopeUnitStats) -> Json {
-    Json::obj()
-        .field("fs_starts", s.fs_starts)
-        .field("fs_ends", s.fs_ends)
-        .field("scoped_mem_ops", s.scoped_mem_ops)
-        .field("flagged_mem_ops", s.flagged_mem_ops)
-        .field("degraded_fences", s.degraded_fences)
-        .field("scoped_fences", s.scoped_fences)
-        .field("mispredict_recoveries", s.mispredict_recoveries)
-        .field("fss_overflows", s.fss_overflows)
-}
-
-fn scope_stats_from_json(json: &Json) -> Result<ScopeUnitStats, String> {
-    Ok(ScopeUnitStats {
-        fs_starts: get_u64(json, "fs_starts")?,
-        fs_ends: get_u64(json, "fs_ends")?,
-        scoped_mem_ops: get_u64(json, "scoped_mem_ops")?,
-        flagged_mem_ops: get_u64(json, "flagged_mem_ops")?,
-        degraded_fences: get_u64(json, "degraded_fences")?,
-        scoped_fences: get_u64(json, "scoped_fences")?,
-        mispredict_recoveries: get_u64(json, "mispredict_recoveries")?,
-        fss_overflows: get_u64(json, "fss_overflows")?,
-    })
-}
-
-fn watch_event_to_json(ev: &WatchEvent) -> Json {
-    Json::obj()
-        .field("cycle", ev.cycle)
-        .field("core", ev.core)
-        .field("addr", ev.addr)
-        .field("old", ev.old)
-        .field("new", ev.new)
-}
-
-fn watch_event_from_json(json: &Json) -> Result<WatchEvent, String> {
-    Ok(WatchEvent {
-        cycle: get_u64(json, "cycle")?,
-        core: get_u64(json, "core")? as usize,
-        addr: get_u64(json, "addr")? as usize,
-        old: json
-            .get("old")
-            .and_then(Json::as_i64)
-            .ok_or("missing old")?,
-        new: json
-            .get("new")
-            .and_then(Json::as_i64)
-            .ok_or("missing new")?,
-    })
-}
+json_record!(WatchEvent {
+    cycle,
+    core,
+    addr,
+    old,
+    new,
+});
 
 fn fence_kind_str(kind: FenceKind) -> &'static str {
     match kind {
@@ -622,45 +449,49 @@ fn fence_kind_from_str(s: &str) -> Result<FenceKind, String> {
     }
 }
 
-fn retired_event_to_json(ev: &RetiredEvent) -> Json {
-    match *ev {
-        RetiredEvent::FsStart(ClassId(cid)) => {
-            Json::obj().field("ev", "fs_start").field("cid", cid)
+impl From<&RetiredEvent> for Json {
+    fn from(ev: &RetiredEvent) -> Json {
+        match *ev {
+            RetiredEvent::FsStart(ClassId(cid)) => {
+                Json::obj().field("ev", "fs_start").field("cid", cid)
+            }
+            RetiredEvent::FsEnd => Json::obj().field("ev", "fs_end"),
+            RetiredEvent::Mem {
+                id,
+                flagged,
+                issue,
+                complete,
+            } => Json::obj()
+                .field("ev", "mem")
+                .field("id", id)
+                .field("flagged", flagged)
+                .field("issue", issue)
+                .field("complete", complete),
+            RetiredEvent::Fence { kind, issue } => Json::obj()
+                .field("ev", "fence")
+                .field("kind", fence_kind_str(kind))
+                .field("issue", issue),
         }
-        RetiredEvent::FsEnd => Json::obj().field("ev", "fs_end"),
-        RetiredEvent::Mem {
-            id,
-            flagged,
-            issue,
-            complete,
-        } => Json::obj()
-            .field("ev", "mem")
-            .field("id", id)
-            .field("flagged", flagged)
-            .field("issue", issue)
-            .field("complete", complete),
-        RetiredEvent::Fence { kind, issue } => Json::obj()
-            .field("ev", "fence")
-            .field("kind", fence_kind_str(kind))
-            .field("issue", issue),
     }
 }
 
-fn retired_event_from_json(json: &Json) -> Result<RetiredEvent, String> {
-    match get_str(json, "ev")? {
-        "fs_start" => Ok(RetiredEvent::FsStart(ClassId(get_u64(json, "cid")? as u32))),
-        "fs_end" => Ok(RetiredEvent::FsEnd),
-        "mem" => Ok(RetiredEvent::Mem {
-            id: get_u64(json, "id")?,
-            flagged: get_bool(json, "flagged")?,
-            issue: get_u64(json, "issue")?,
-            complete: get_u64(json, "complete")?,
-        }),
-        "fence" => Ok(RetiredEvent::Fence {
-            kind: fence_kind_from_str(get_str(json, "kind")?)?,
-            issue: get_u64(json, "issue")?,
-        }),
-        other => Err(format!("unknown retired event {other:?}")),
+impl FromJson<'_> for RetiredEvent {
+    fn from_json(json: &Json) -> Result<RetiredEvent, String> {
+        match json.req("ev")? {
+            "fs_start" => Ok(RetiredEvent::FsStart(ClassId(json.req("cid")?))),
+            "fs_end" => Ok(RetiredEvent::FsEnd),
+            "mem" => Ok(RetiredEvent::Mem {
+                id: json.req("id")?,
+                flagged: json.req("flagged")?,
+                issue: json.req("issue")?,
+                complete: json.req("complete")?,
+            }),
+            "fence" => Ok(RetiredEvent::Fence {
+                kind: fence_kind_from_str(json.req("kind")?)?,
+                issue: json.req("issue")?,
+            }),
+            other => Err(format!("unknown retired event {other:?}")),
+        }
     }
 }
 

@@ -12,6 +12,8 @@
 //! merges the payloads in job order, byte-identical to a
 //! single-process `run_parallel()`.
 
+use crate::json::{FromJson, Json};
+
 /// The lifecycle of one job in a [`JobQueue`].
 #[derive(Debug, Clone, PartialEq)]
 enum JobState<T> {
@@ -213,8 +215,7 @@ impl<T> JobQueue<T> {
     /// [`JobQueue::from_json`] reloads them as *pending* — the leased
     /// list is recorded for observability (how much in-flight work a
     /// crash would re-run), not replayed.
-    pub fn to_json(&self, payload: impl Fn(&T) -> crate::json::Json) -> crate::json::Json {
-        use crate::json::Json;
+    pub fn to_json(&self, payload: impl Fn(&T) -> Json) -> Json {
         let mut done = Vec::new();
         let mut leased = Vec::new();
         for (i, slot) in self.slots.iter().enumerate() {
@@ -236,28 +237,18 @@ impl<T> JobQueue<T> {
     /// round-trip) comes back pending. Out-of-range or duplicated done
     /// indices are a corrupt snapshot and error out.
     pub fn from_json(
-        doc: &crate::json::Json,
-        payload: impl Fn(&crate::json::Json) -> Result<T, String>,
+        doc: &Json,
+        payload: impl Fn(&Json) -> Result<T, String>,
     ) -> Result<JobQueue<T>, String> {
-        use crate::json::Json;
-        let jobs = doc
-            .get("jobs")
-            .and_then(Json::as_u64)
-            .ok_or("queue: missing jobs count")? as usize;
-        let mut queue = JobQueue::new(jobs);
-        let done = doc
-            .get("done")
-            .and_then(Json::as_arr)
-            .ok_or("queue: missing done list")?;
-        for entry in done {
-            let pair = entry.as_arr().ok_or("queue: done entry is not a pair")?;
-            let [index, row] = pair else {
+        let mut queue = JobQueue::new(doc.req("jobs").map_err(|e| format!("queue: {e}"))?);
+        for entry in doc
+            .req::<Vec<&Json>>("done")
+            .map_err(|e| format!("queue: {e}"))?
+        {
+            let [index, row] = entry.as_arr().unwrap_or_default() else {
                 return Err("queue: done entry is not an [index, payload] pair".into());
             };
-            let index = index
-                .as_u64()
-                .ok_or("queue: done entry has a non-integer index")?
-                as usize;
+            let index = usize::from_json(index).map_err(|e| format!("queue: done index: {e}"))?;
             match queue.complete(index, payload(row)?) {
                 Ok(true) => {}
                 Ok(false) => return Err(format!("queue: done index {index} appears twice")),
@@ -369,7 +360,6 @@ mod tests {
 
     #[test]
     fn queue_serialization_round_trips_and_reloads_leases_as_pending() {
-        use crate::json::Json;
         let mut q: JobQueue<u64> = JobQueue::new(5);
         q.lease("a", 2, 0, 100); // 0, 1 leased
         q.complete(3, 33).unwrap();
@@ -397,7 +387,7 @@ mod tests {
 
     #[test]
     fn corrupt_queue_snapshots_error() {
-        use crate::json::{self, Json};
+        use crate::json;
         let payload = |j: &Json| j.as_u64().ok_or_else(|| "bad payload".to_string());
         let parse = |text: &str| {
             JobQueue::<u64>::from_json(&json::parse(text).unwrap(), payload)

@@ -5,7 +5,7 @@
 //! in stable row order:
 //!
 //! ```text
-//! {"kind":"meta","schema_version":3,"experiment":"fig12","axis":"level","scale":"eval","backend":"sim","git":"v0.1.0-3-gabc","timestamp":1700000000,"rows":48}
+//! {"kind":"meta","schema_version":4,"experiment":"fig12","axis":"level","scale":"eval","backend":"sim","git":"v0.1.0-3-gabc","timestamp":1700000000,"rows":48}
 //! {"kind":"row","row":{"workload":"dekker","fence":"T",...}}
 //! ...
 //! ```
@@ -202,9 +202,9 @@ impl ResultStore {
                     }
                 }
                 Some("row") => match runs.last_mut() {
-                    Some(run) => match doc.get("row").map(SweepRow::from_json) {
-                        Some(Ok(row)) => run.rows.push(row),
-                        _ => skipped += 1,
+                    Some(run) => match doc.req("row").and_then(SweepRow::from_json) {
+                        Ok(row) => run.rows.push(row),
+                        Err(_) => skipped += 1,
                     },
                     // A row with no preceding meta: torn head.
                     None => skipped += 1,
@@ -284,36 +284,19 @@ impl ResultStore {
     }
 }
 
-fn get_str(doc: &Json, key: &str) -> Result<String, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("meta line missing {key:?}"))
-}
-
 /// Parse a meta line into `(RunMeta, declared row count)`. The
 /// schema_version has already been checked against ours.
 fn parse_meta(doc: &Json) -> Result<(RunMeta, u64), String> {
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_u64)
-        .ok_or("meta line missing rows")?;
     let meta = RunMeta {
-        experiment: get_str(doc, "experiment")?,
-        axis: get_str(doc, "axis")?,
-        scale: get_str(doc, "scale")?,
-        backend: get_str(doc, "backend")?,
-        git: get_str(doc, "git")?,
-        timestamp: doc
-            .get("timestamp")
-            .and_then(Json::as_u64)
-            .ok_or("meta line missing timestamp")?,
-        schema_version: doc
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("meta line missing schema_version")?,
+        experiment: doc.req("experiment")?,
+        axis: doc.req("axis")?,
+        scale: doc.req("scale")?,
+        backend: doc.req("backend")?,
+        git: doc.req("git")?,
+        timestamp: doc.req("timestamp")?,
+        schema_version: doc.req("schema_version")?,
     };
-    Ok((meta, rows))
+    Ok((meta, doc.req("rows")?))
 }
 
 /// One row present in both runs whose numbers moved.

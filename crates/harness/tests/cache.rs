@@ -89,6 +89,43 @@ fn job_keys_separate_every_dimension() {
     );
 }
 
+/// Key values are part of every user's on-disk cache: a change to how
+/// the description is built (not just what it contains) would
+/// silently orphan every cached cell, so the values are pinned.
+#[test]
+fn job_keys_are_pinned() {
+    let params = WorkloadParams::small();
+    let cfg = MachineConfig::paper_default();
+    for (workload, backend, key) in [
+        (
+            "dekker",
+            BackendId::Sim,
+            "e20d37bf7713f948fe71cf28c3a9914a570a347b626fb58815ce9533a366510c",
+        ),
+        (
+            "dekker",
+            BackendId::Functional,
+            "cbe062c9153555bafd34da1bf403b766a693e30eb1d737382d42309adcc8757b",
+        ),
+        (
+            "dekker",
+            BackendId::Enumerative,
+            "70be156826b8fd84a3ff71a8a3b369092bcfa21951ba16f3b9bfbfdd16971e25",
+        ),
+        (
+            "litmus/sb/3",
+            BackendId::Sim,
+            "ec4389dcb9b23bd873bfc6d230f0b3e0b3f7ea246238a9f88bc7073a0b748deb",
+        ),
+    ] {
+        assert_eq!(
+            job_key(workload, &params, &cfg, backend),
+            key,
+            "{workload} on {backend}"
+        );
+    }
+}
+
 #[test]
 fn cache_hit_miss_accounting_and_round_trip() {
     let dir = scratch_dir("hits");

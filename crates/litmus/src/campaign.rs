@@ -152,6 +152,16 @@ pub fn overflow_scope() -> sfence_core::ScopeConfig {
     }
 }
 
+/// The machine every row of the differential matrix starts from: the
+/// paper's Table III with one core per thread and a cycle guard sized
+/// for small scenarios. The litmus campaign and the fuzzer share it.
+pub fn base_config(num_threads: usize) -> MachineConfig {
+    let mut cfg = MachineConfig::paper_default();
+    cfg.num_cores = num_threads;
+    cfg.max_cycles = 50_000_000;
+    cfg
+}
+
 /// Run one case end to end: generate, enumerate SC outcomes (the
 /// enumerative engine's fallible entry point), run the differential
 /// matrix on `backend` (sim by default; functional for
@@ -197,25 +207,26 @@ pub fn run_case(
     let covering = case.family.covering();
     let mut runs = Vec::with_capacity(4);
     let mut matrix: Vec<(&str, &sfence_workloads::BuiltWorkload, MachineConfig, bool)> = Vec::new();
+    let threads = fenced.program.num_threads();
     matrix.push((
         "T",
         &fenced,
-        base_config(&fenced).with_fence(FenceConfig::TRADITIONAL),
+        base_config(threads).with_fence(FenceConfig::TRADITIONAL),
         true,
     ));
     matrix.push((
         "S",
         &fenced,
-        base_config(&fenced).with_fence(FenceConfig::SFENCE),
+        base_config(threads).with_fence(FenceConfig::SFENCE),
         covering,
     ));
-    let mut overflow_cfg = base_config(&fenced).with_fence(FenceConfig::SFENCE);
+    let mut overflow_cfg = base_config(threads).with_fence(FenceConfig::SFENCE);
     overflow_cfg.core.scope = overflow_scope();
     matrix.push(("S-overflow", &fenced, overflow_cfg, covering));
     matrix.push((
         "S-nofence",
         &stripped,
-        base_config(&stripped).with_fence(FenceConfig::SFENCE),
+        base_config(threads).with_fence(FenceConfig::SFENCE),
         false,
     ));
 
@@ -266,13 +277,6 @@ pub fn run_case(
         states_explored,
         runs,
     })
-}
-
-fn base_config(w: &sfence_workloads::BuiltWorkload) -> MachineConfig {
-    let mut cfg = MachineConfig::paper_default();
-    cfg.num_cores = w.program.num_threads();
-    cfg.max_cycles = 50_000_000;
-    cfg
 }
 
 /// Aggregate accounting of a campaign.
@@ -487,21 +491,13 @@ pub fn run_campaign(
 // ---------------------------------------------------------------------
 // JSON serialization of cases.
 
-fn i64_arr(v: &[i64]) -> Json {
-    Json::Arr(v.iter().map(|&x| Json::Int(x)).collect())
-}
-
-fn u64_arr(v: &[u64]) -> Json {
-    Json::Arr(v.iter().map(|&x| Json::UInt(x)).collect())
-}
-
 fn case_to_json(case: &CaseVerdict) -> Json {
     Json::obj()
         .field("family", case.family.name())
         .field("seed", case.seed)
         .field(
             "sc_states",
-            Json::Arr(case.sc_states.iter().map(|s| i64_arr(s)).collect()),
+            Json::Arr(case.sc_states.iter().map(|s| s.as_slice().into()).collect()),
         )
         .field("sc_complete", case.sc_complete)
         .field("states_explored", case.states_explored)
@@ -513,20 +509,14 @@ fn case_to_json(case: &CaseVerdict) -> Json {
                     .map(|r| {
                         Json::obj()
                             .field("config", r.config.as_str())
-                            .field("observed", i64_arr(&r.observed))
+                            .field("observed", r.observed.as_slice())
                             .field("sc_allowed", r.sc_allowed)
                             .field("expect_sc", r.expect_sc)
                             .field("degraded_fences", r.degraded_fences)
-                            .field("degraded_by_core", u64_arr(&r.degraded_by_core))
-                            .field("fss_overflows_by_core", u64_arr(&r.fss_overflows_by_core))
-                            .field("recoveries_by_core", u64_arr(&r.recoveries_by_core))
-                            .field(
-                                "cycles",
-                                match r.cycles {
-                                    Some(c) => Json::UInt(c),
-                                    None => Json::Null,
-                                },
-                            )
+                            .field("degraded_by_core", r.degraded_by_core.as_slice())
+                            .field("fss_overflows_by_core", r.fss_overflows_by_core.as_slice())
+                            .field("recoveries_by_core", r.recoveries_by_core.as_slice())
+                            .field("cycles", r.cycles)
                     })
                     .collect(),
             ),

@@ -37,8 +37,8 @@
 pub mod campaign;
 
 pub use campaign::{
-    all_families, cases, overflow_scope, parse_families, run_campaign, run_case, summarize,
-    Campaign, Case, CaseVerdict, RunVerdict, Summary,
+    all_families, base_config, cases, overflow_scope, parse_families, run_campaign, run_case,
+    summarize, Campaign, Case, CaseVerdict, RunVerdict, Summary,
 };
 pub use sfence_workloads::litmus::{
     build, parse_name, scenario_name, Family, LitmusSpec, FAMILIES, LITMUS_PREFIX,

@@ -17,7 +17,7 @@
 //! three see the same [`Event`] with the same sequence number.
 
 use crate::ring::EventRing;
-use sfence_harness::{json, Json};
+use sfence_harness::json::{self, FromJson, Json};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -96,47 +96,6 @@ impl Event {
             .field("fields", fields)
     }
 
-    /// Parse one record, rejecting other schema versions.
-    pub fn from_json(json: &Json) -> Result<Event, String> {
-        let v = json.get("v").and_then(Json::as_u64).ok_or("missing v")?;
-        if v != LOG_SCHEMA_VERSION {
-            return Err(format!("log schema v{v} (supported: {LOG_SCHEMA_VERSION})"));
-        }
-        let level = json
-            .get("level")
-            .and_then(Json::as_str)
-            .and_then(LogLevel::parse)
-            .ok_or("missing or unknown level")?;
-        let fields = match json.get("fields") {
-            Some(Json::Obj(pairs)) => pairs
-                .iter()
-                .map(|(k, v)| {
-                    v.as_str()
-                        .map(|v| (k.clone(), v.to_string()))
-                        .ok_or_else(|| format!("non-string field {k:?}"))
-                })
-                .collect::<Result<_, _>>()?,
-            _ => return Err("missing fields object".to_string()),
-        };
-        Ok(Event {
-            seq: json
-                .get("seq")
-                .and_then(Json::as_u64)
-                .ok_or("missing seq")?,
-            t_ms: json
-                .get("t_ms")
-                .and_then(Json::as_u64)
-                .ok_or("missing t_ms")?,
-            level,
-            event: json
-                .get("event")
-                .and_then(Json::as_str)
-                .ok_or("missing event")?
-                .to_string(),
-            fields,
-        })
-    }
-
     /// Parse one JSONL line.
     pub fn parse_line(line: &str) -> Result<Event, String> {
         Event::from_json(&json::parse(line)?)
@@ -152,6 +111,23 @@ impl Event {
             out.push_str(v);
         }
         out
+    }
+}
+
+/// Parse one record, rejecting other schema versions.
+impl FromJson<'_> for Event {
+    fn from_json(json: &Json) -> Result<Event, String> {
+        let v: u64 = json.req("v")?;
+        if v != LOG_SCHEMA_VERSION {
+            return Err(format!("log schema v{v} (supported: {LOG_SCHEMA_VERSION})"));
+        }
+        Ok(Event {
+            seq: json.req("seq")?,
+            t_ms: json.req("t_ms")?,
+            level: LogLevel::parse(json.req("level")?).ok_or("unknown level")?,
+            event: json.req("event")?,
+            fields: json.req("fields")?,
+        })
     }
 }
 

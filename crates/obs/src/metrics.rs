@@ -8,7 +8,7 @@
 //! the other side of a file or socket reject reports from a different
 //! [`METRICS_SCHEMA_VERSION`] rather than silently misreading them.
 
-use sfence_harness::Json;
+use sfence_harness::json::{FromJson, Json};
 
 /// Version tag stamped into every serialized [`MetricsReport`]. Bump
 /// on any incompatible change to the report shape or to the meaning
@@ -357,10 +357,7 @@ impl MetricsReport {
     /// Parse a report, rejecting any schema version other than
     /// [`METRICS_SCHEMA_VERSION`].
     pub fn from_json(json: &Json) -> Result<MetricsReport, String> {
-        let version = json
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or("missing schema_version")?;
+        let version: u64 = json.req("schema_version")?;
         if version != METRICS_SCHEMA_VERSION {
             return Err(format!(
                 "metrics schema_version {version} (supported: {METRICS_SCHEMA_VERSION})"
@@ -368,18 +365,8 @@ impl MetricsReport {
         }
         Ok(MetricsReport {
             schema_version: version,
-            produced_by: json
-                .get("produced_by")
-                .and_then(Json::as_str)
-                .ok_or("missing produced_by")?
-                .to_string(),
-            metrics: json
-                .get("metrics")
-                .and_then(Json::as_arr)
-                .ok_or("missing metrics")?
-                .iter()
-                .map(metric_from_json)
-                .collect::<Result<_, _>>()?,
+            produced_by: json.req("produced_by")?,
+            metrics: json.req("metrics")?,
         })
     }
 
@@ -465,89 +452,42 @@ fn metric_to_json(m: &Metric) -> Json {
             .field("sum", h.sum)
             .field("min", h.min)
             .field("max", h.max)
-            .field(
-                "buckets",
-                Json::Arr(h.buckets.iter().map(|&b| Json::UInt(b)).collect()),
-            ),
+            .field("buckets", h.buckets.as_slice()),
     }
 }
 
-fn metric_from_json(json: &Json) -> Result<Metric, String> {
-    let name = json
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or("metric missing name")?
-        .to_string();
-    let labels = match json.get("labels") {
-        Some(Json::Obj(fields)) => {
-            let mut labels: Vec<(String, String)> = fields
-                .iter()
-                .map(|(k, v)| {
-                    v.as_str()
-                        .map(|v| (k.clone(), v.to_string()))
-                        .ok_or_else(|| format!("metric {name:?}: non-string label {k:?}"))
+impl FromJson<'_> for Metric {
+    fn from_json(json: &Json) -> Result<Metric, String> {
+        let name: String = json.req("name")?;
+        let mut labels: Vec<(String, String)> = json.req("labels")?;
+        labels.sort();
+        let value = match json.req("type")? {
+            "counter" => MetricValue::Counter(json.req("value")?),
+            "gauge" => MetricValue::Gauge(json.req("value")?),
+            "histogram" => {
+                let raw: Vec<u64> = json.req("buckets")?;
+                let buckets = raw.try_into().map_err(|raw: Vec<u64>| {
+                    format!(
+                        "histogram {name:?}: {} buckets (expected {HIST_BUCKETS})",
+                        raw.len()
+                    )
+                })?;
+                MetricValue::Histogram(HistogramSnapshot {
+                    count: json.req("count")?,
+                    sum: json.req("sum")?,
+                    min: json.req("min")?,
+                    max: json.req("max")?,
+                    buckets,
                 })
-                .collect::<Result<_, _>>()?;
-            labels.sort();
-            labels
-        }
-        _ => return Err(format!("metric {name:?} missing labels object")),
-    };
-    let value = match json.get("type").and_then(Json::as_str) {
-        Some("counter") => MetricValue::Counter(
-            json.get("value")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("counter {name:?} missing value"))?,
-        ),
-        Some("gauge") => MetricValue::Gauge(
-            json.get("value")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("gauge {name:?} missing value"))?,
-        ),
-        Some("histogram") => {
-            let raw = json
-                .get("buckets")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| format!("histogram {name:?} missing buckets"))?;
-            if raw.len() != HIST_BUCKETS {
-                return Err(format!(
-                    "histogram {name:?}: {} buckets (expected {HIST_BUCKETS})",
-                    raw.len()
-                ));
             }
-            let mut buckets = [0u64; HIST_BUCKETS];
-            for (slot, b) in buckets.iter_mut().zip(raw.iter()) {
-                *slot = b
-                    .as_u64()
-                    .ok_or_else(|| format!("histogram {name:?}: non-integer bucket"))?;
-            }
-            MetricValue::Histogram(HistogramSnapshot {
-                count: json
-                    .get("count")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("histogram {name:?} missing count"))?,
-                sum: json
-                    .get("sum")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("histogram {name:?} missing sum"))?,
-                min: json
-                    .get("min")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("histogram {name:?} missing min"))?,
-                max: json
-                    .get("max")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("histogram {name:?} missing max"))?,
-                buckets,
-            })
-        }
-        other => return Err(format!("metric {name:?}: unknown type {other:?}")),
-    };
-    Ok(Metric {
-        name,
-        labels,
-        value,
-    })
+            other => return Err(format!("metric {name:?}: unknown type {other:?}")),
+        };
+        Ok(Metric {
+            name,
+            labels,
+            value,
+        })
+    }
 }
 
 #[cfg(test)]

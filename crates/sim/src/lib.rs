@@ -8,10 +8,7 @@
 
 pub mod machine;
 
-pub use machine::{
-    execute, fence_stall_fraction, ExecOutput, Machine, MachineConfig, RunExit, RunSummary,
-    WatchEvent,
-};
+pub use machine::{fence_stall_fraction, Machine, MachineConfig, RunExit, RunSummary, WatchEvent};
 pub use sfence_cpu::{CoreConfig, FenceConfig};
 pub use sfence_mem::MemConfig;
 
@@ -27,8 +24,9 @@ mod tests {
     }
 
     fn run_program(program: &Program, cfg: MachineConfig) -> (RunSummary, Vec<i64>) {
-        let out = execute(program, cfg, &[]);
-        (out.summary, out.mem)
+        let mut m = Machine::new(program, cfg);
+        let summary = m.run();
+        (summary, m.mem)
     }
 
     fn small_cfg(fence: FenceConfig) -> MachineConfig {
@@ -259,23 +257,16 @@ mod tests {
         }
     }
 
-    /// `fence_stall_fraction` on a degenerate zero-cycle summary must
-    /// not divide by zero.
+    /// `fence_stall_fraction` on a degenerate zero-cycle run must not
+    /// divide by zero.
     #[test]
     fn zero_cycle_summary_has_zero_stall_fraction() {
-        let summary = RunSummary {
-            exit: RunExit::Completed,
-            cycles: 0,
-            core_stats: vec![sfence_cpu::CoreStats {
-                instrs_retired: 1,
-                fence_stall_cycles: 5,
-                ..Default::default()
-            }],
-            mem_stats: Default::default(),
-            scope_stats: Vec::new(),
-            scope_coverage: Vec::new(),
-        };
-        assert_eq!(summary.fence_stall_fraction(), 0.0);
+        let core_stats = [sfence_cpu::CoreStats {
+            instrs_retired: 1,
+            fence_stall_cycles: 5,
+            ..Default::default()
+        }];
+        assert_eq!(fence_stall_fraction(&core_stats, 0), 0.0);
     }
 
     #[test]

@@ -54,122 +54,6 @@ impl MachineConfig {
         self.core.rob_size = rob;
         self
     }
-
-    /// Canonical JSON of the *complete* configuration, with object
-    /// keys in sorted order: the stable serialization that
-    /// content-addressed result caching hashes. Every field that can
-    /// change a run's output is listed here — adding a knob to any
-    /// config struct must extend this string, which (correctly)
-    /// invalidates old cache keys.
-    pub fn canonical_json(&self) -> String {
-        // Exhaustive destructuring (no `..`): adding a field to any of
-        // these config structs fails to compile here until the new
-        // knob is serialized — a forgotten knob would silently serve
-        // stale cached results for configurations that now differ.
-        let MachineConfig {
-            num_cores,
-            core,
-            mem,
-            max_cycles,
-        } = self;
-        let CoreConfig {
-            rob_size,
-            sb_size,
-            issue_width,
-            retire_width,
-            mispredict_penalty,
-            bpred_entries,
-            max_outstanding_stores,
-            sb_drain_in_order,
-            cas_drains_sb,
-            fence,
-            scope,
-            trace,
-            pipe_trace,
-        } = core;
-        let FenceConfig {
-            honor_scopes,
-            in_window_speculation,
-        } = fence;
-        let sfence_core::ScopeConfig {
-            fsb_entries,
-            fss_entries,
-            mapping_entries,
-            recovery,
-            skip_degrade_on_overflow,
-        } = scope;
-        let sfence_mem::MemConfig {
-            line_bytes,
-            l1_size,
-            l1_ways,
-            l1_latency,
-            l2_size,
-            l2_ways,
-            l2_latency,
-            mem_latency,
-            remote_dirty_penalty,
-        } = mem;
-        let recovery = match recovery {
-            sfence_core::ScopeRecovery::ShadowStack => "shadow_stack",
-            sfence_core::ScopeRecovery::Checkpoint => "checkpoint",
-        };
-        format!(
-            concat!(
-                "{{\"core\":{{",
-                "\"bpred_entries\":{},",
-                "\"cas_drains_sb\":{},",
-                "\"fence\":{{\"honor_scopes\":{},\"in_window_speculation\":{}}},",
-                "\"issue_width\":{},",
-                "\"max_outstanding_stores\":{},",
-                "\"mispredict_penalty\":{},",
-                "\"pipe_trace\":{},",
-                "\"retire_width\":{},",
-                "\"rob_size\":{},",
-                "\"sb_drain_in_order\":{},",
-                "\"sb_size\":{},",
-                "\"scope\":{{\"fsb_entries\":{},\"fss_entries\":{},",
-                "\"mapping_entries\":{},\"recovery\":\"{}\",",
-                "\"skip_degrade_on_overflow\":{}}},",
-                "\"trace\":{}}},",
-                "\"max_cycles\":{},",
-                "\"mem\":{{",
-                "\"l1_latency\":{},\"l1_size\":{},\"l1_ways\":{},",
-                "\"l2_latency\":{},\"l2_size\":{},\"l2_ways\":{},",
-                "\"line_bytes\":{},\"mem_latency\":{},",
-                "\"remote_dirty_penalty\":{}}},",
-                "\"num_cores\":{}}}"
-            ),
-            bpred_entries,
-            cas_drains_sb,
-            honor_scopes,
-            in_window_speculation,
-            issue_width,
-            max_outstanding_stores,
-            mispredict_penalty,
-            pipe_trace,
-            retire_width,
-            rob_size,
-            sb_drain_in_order,
-            sb_size,
-            fsb_entries,
-            fss_entries,
-            mapping_entries,
-            recovery,
-            skip_degrade_on_overflow,
-            trace,
-            max_cycles,
-            l1_latency,
-            l1_size,
-            l1_ways,
-            l2_latency,
-            l2_size,
-            l2_ways,
-            line_bytes,
-            mem_latency,
-            remote_dirty_penalty,
-            num_cores,
-        )
-    }
 }
 
 /// A watched write, recorded when a store/CAS to a watched address
@@ -271,8 +155,7 @@ pub struct RunSummary {
 /// Average across *active* cores (those that retired instructions) of
 /// the fraction of `cycles` spent stalled on fences — the paper's
 /// "Fence Stalls" bar component. Zero-cycle or all-idle runs report
-/// 0.0. The one definition shared by `RunSummary` and the harness's
-/// `RunReport`.
+/// 0.0. The one definition; the harness's `RunReport` calls it.
 pub fn fence_stall_fraction(core_stats: &[sfence_cpu::CoreStats], cycles: u64) -> f64 {
     let active: Vec<&sfence_cpu::CoreStats> =
         core_stats.iter().filter(|s| s.instrs_retired > 0).collect();
@@ -284,23 +167,6 @@ pub fn fence_stall_fraction(core_stats: &[sfence_cpu::CoreStats], cycles: u64) -
         .map(|s| s.fence_stall_cycles as f64 / cycles as f64)
         .sum::<f64>()
         / active.len() as f64
-}
-
-impl RunSummary {
-    /// Average across cores of the fraction of cycles stalled on
-    /// fences (the paper's "Fence Stalls" bar component).
-    pub fn fence_stall_fraction(&self) -> f64 {
-        fence_stall_fraction(&self.core_stats, self.cycles)
-    }
-
-    /// Aggregate fence stall cycles.
-    pub fn total_fence_stalls(&self) -> u64 {
-        self.core_stats.iter().map(|s| s.fence_stall_cycles).sum()
-    }
-
-    pub fn total_retired(&self) -> u64 {
-        self.core_stats.iter().map(|s| s.instrs_retired).sum()
-    }
 }
 
 /// The machine.
@@ -450,63 +316,5 @@ impl Machine {
     /// observable final state of a run.
     pub fn reg_snapshot(&self) -> Vec<Vec<i64>> {
         self.cores.iter().map(|c| c.arch_regs().to_vec()).collect()
-    }
-}
-
-/// Everything a finished run produced: the summary plus the final
-/// memory image, watchpoint log and (if tracing was enabled) the
-/// per-core retired-event traces.
-///
-/// This is the one sanctioned way to execute a program — every layer
-/// above `sfence-sim` (the `sfence-harness` `Session`, and through it
-/// the workloads, experiments, examples and tests) goes through
-/// [`execute`] rather than driving a [`Machine`] by hand.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExecOutput {
-    pub summary: RunSummary,
-    /// Final flat memory image.
-    pub mem: Vec<i64>,
-    /// Writes to watched addresses, in completion order.
-    pub watch_log: Vec<WatchEvent>,
-    /// Per-core retired-event traces (empty unless `cfg.core.trace`).
-    pub traces: Vec<Vec<sfence_core::RetiredEvent>>,
-    /// Merged pipeline event trace, sorted by `(cycle, core)` (empty
-    /// unless `cfg.core.pipe_trace`). In-memory only: deliberately
-    /// excluded from the harness's serialized `RunReport` so report
-    /// schemas and golden digests are untouched by tracing.
-    pub pipe: Vec<PipeEvent>,
-    /// Per-core architectural register snapshot at the end of the run
-    /// (retired state).
-    pub regs: Vec<Vec<i64>>,
-}
-
-/// Run `program` under `cfg`, watching writes to `watch`, and return
-/// the full output of the run.
-pub fn execute(program: &Program, cfg: MachineConfig, watch: &[usize]) -> ExecOutput {
-    let trace = cfg.core.trace;
-    let pipe_trace = cfg.core.pipe_trace;
-    let mut m = Machine::new(program, cfg);
-    for &addr in watch {
-        m.watch(addr);
-    }
-    let summary = m.run();
-    let traces = if trace {
-        m.traces().iter().map(|t| t.to_vec()).collect()
-    } else {
-        Vec::new()
-    };
-    let pipe = if pipe_trace {
-        m.pipe_trace()
-    } else {
-        Vec::new()
-    };
-    let regs = m.reg_snapshot();
-    ExecOutput {
-        summary,
-        mem: m.mem,
-        watch_log: m.watch_log,
-        traces,
-        pipe,
-        regs,
     }
 }
