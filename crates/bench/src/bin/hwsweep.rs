@@ -5,9 +5,10 @@
 //! `--json` emits the merged rows (pinned by
 //! `tests/golden/hwsweep.json` at `--scale small`); `--rows` prints
 //! the raw merged table; the default renders one table per axis. The
-//! four sub-sweeps are also individually runnable (with caching and
-//! `--workers` fan-out) through `sfence-sweep --experiment
-//! hwsweep-<axis>`.
+//! four sub-sweeps are also individually runnable (with caching,
+//! `--workers` fan-out, engine overrides, traces and progress) through
+//! `sfence-sweep --experiment hwsweep-<axis>`; this binary refuses
+//! `--cache-dir`, `--backend`, `--trace` and `--progress` (exit 2).
 
 use sfence_bench::cli::FigureArgs;
 use sfence_harness::default_threads;
@@ -17,12 +18,19 @@ fn main() {
         eprintln!("error: {e}");
         std::process::exit(2);
     });
-    if args.cache_dir.is_some() {
-        // Caching applies per experiment; use the registered
-        // hwsweep-<axis> names through sfence-sweep for that.
+    // hwsweep merges four sweeps in this process; caching, engine
+    // overrides, traces and progress apply per experiment, through
+    // the registered hwsweep-<axis> names.
+    let per_experiment = [
+        ("--cache-dir", args.cache_dir.is_some()),
+        ("--backend", args.backend.is_some()),
+        ("--trace", args.trace.is_some()),
+        ("--progress", args.progress),
+    ];
+    if let Some((flag, _)) = per_experiment.iter().find(|(_, set)| *set) {
         eprintln!(
             "error: hwsweep merges four sweeps; run `sfence-sweep --experiment hwsweep-<axis>` \
-             for --cache-dir"
+             for {flag}"
         );
         std::process::exit(2);
     }

@@ -3,8 +3,9 @@
 //! N spawned `sfence-dist work` processes) prints and stores exactly
 //! the bytes of an in-process run, a warm second pass is answered
 //! entirely from the workers' cache, an interrupted sweep resumes to
-//! the bytes of an uninterrupted one, and the retired fan-out flags
-//! are refused as usage errors.
+//! the bytes of an uninterrupted one, and the retired fan-out flags,
+//! and the per-experiment flags `hwsweep` cannot honour, are refused
+//! as usage errors.
 
 mod common;
 
@@ -13,6 +14,7 @@ use std::path::Path;
 use std::process::Output;
 
 const FIG13: &str = env!("CARGO_BIN_EXE_fig13");
+const HWSWEEP: &str = env!("CARGO_BIN_EXE_hwsweep");
 const SMOKE: &[&str] = &["--experiment", "smoke"];
 
 /// `sfence-sweep EXPERIMENT --json` plus `extra`, stored to `store`,
@@ -145,6 +147,8 @@ fn retired_fan_out_flags_are_usage_errors() {
     let dir = scratch("retired");
     let cache = dir.join("cache");
     let cache = cache.to_str().unwrap();
+    let trace = dir.join("trace.json");
+    let trace = trace.to_str().unwrap();
     for (bin, args) in [
         (SWEEP, &["--experiment", "smoke", "--spawn", "2"][..]),
         (DIST, &["serve", "127.0.0.1:0", "--experiment", "smoke"]),
@@ -154,8 +158,15 @@ fn retired_fan_out_flags_are_usage_errors() {
             SWEEP,
             &["--experiment", "smoke", "--cache-dir", cache, "--resume"],
         ),
+        (HWSWEEP, &["--scale", "small", "--backend", "functional"]),
+        (HWSWEEP, &["--scale", "small", "--trace", trace]),
+        (HWSWEEP, &["--scale", "small", "--progress"]),
     ] {
         assert_eq!(run(bin, args).status.code(), Some(2), "{bin} {args:?}");
     }
+    assert!(
+        !Path::new(trace).exists(),
+        "a refused --trace wrote its file"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -95,11 +95,6 @@ impl CoverageSet {
         CoverageSet(self.0 | other.0)
     }
 
-    /// Bits in `self` that `other` lacks.
-    pub fn novel_over(self, other: CoverageSet) -> CoverageSet {
-        CoverageSet(self.0 & !other.0)
-    }
-
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
@@ -154,7 +149,6 @@ mod tests {
         assert!(a.contains(FSS_PUSH) && a.contains(MAP_HIT));
         assert_eq!(a.count(), 2);
         let b = CoverageSet(FSS_PUSH | FENCE_SCOPED);
-        assert_eq!(a.novel_over(b), CoverageSet(MAP_HIT));
         assert_eq!(a.union(b).count(), 3);
         assert_eq!(a.names(), vec!["fss_push", "map_hit"]);
         assert_eq!(format!("{}", CoverageSet(FSS_POP)), "fss_pop");

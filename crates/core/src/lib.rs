@@ -13,9 +13,9 @@
 //! - [`unit`](mod@unit) — the per-core scope unit tying the above together,
 //!   including the shadow stack FSS′ for branch-misprediction recovery
 //!   and a precise checkpoint ablation.
-//! - [`semantics`] — the executable operational semantics of class
-//!   scope (paper Fig. 5) plus a trace conformance checker used to
-//!   validate the CPU model against the definition of S-Fence.
+//! - [`semantics`] — the Fig. 5 trace conformance checker: it applies
+//!   the paper's class-scope rules to a retired trace and validates the
+//!   CPU model against the definition of S-Fence.
 //! - [`coverage`] — the compact event bitmap of scope-unit paths the
 //!   fuzzer (`sfence-fuzz`) keys its corpus on.
 //! - [`pipe`] — the opt-in pipeline event taxonomy the CPU model emits
@@ -36,6 +36,6 @@ pub use cost::{hw_cost, HwCost};
 pub use coverage::CoverageSet;
 pub use mask::{ColumnCounters, ScopeMask, MAX_FSB_ENTRIES};
 pub use pipe::{PipeEvent, PipeKind, WalkKind};
-pub use semantics::{check_trace, ClassScopeModel, ConformanceStats, RetiredEvent, Violation};
+pub use semantics::{check_trace, ConformanceStats, RetiredEvent, Violation};
 pub use sfence_isa::ClassId;
 pub use unit::{FenceWait, ScopeConfig, ScopeRecovery, ScopeUnit, ScopeUnitStats};

@@ -124,19 +124,6 @@ impl MappingTable {
         self.mapped
     }
 
-    /// Columns currently mapped (for reclamation scans).
-    pub fn mapped_columns(&self) -> impl Iterator<Item = u8> + '_ {
-        let mut seen = [false; 16];
-        self.entries.iter().filter_map(move |e| {
-            if seen[e.col as usize] {
-                None
-            } else {
-                seen[e.col as usize] = true;
-                Some(e.col)
-            }
-        })
-    }
-
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -203,15 +190,5 @@ mod tests {
         assert!(!mt.column_in_use(1));
         assert_eq!(mt.len(), 1);
         assert_eq!(mt.lookup_or_alloc(ClassId(4)), MapResult::Column(1));
-    }
-
-    #[test]
-    fn mapped_columns_deduplicates() {
-        let mut mt = MappingTable::new(8, 2);
-        mt.lookup_or_alloc(ClassId(1)); // col 0
-        mt.lookup_or_alloc(ClassId(2)); // col 1
-        mt.lookup_or_alloc(ClassId(3)); // col 1 (fallback)
-        let cols: Vec<u8> = mt.mapped_columns().collect();
-        assert_eq!(cols, vec![0, 1]);
     }
 }

@@ -1,5 +1,5 @@
-//! Executable operational semantics of class scope (paper Fig. 5) and
-//! a trace conformance checker.
+//! The trace conformance checker for the class-scope semantics of
+//! paper Fig. 5.
 //!
 //! The paper defines class scope with four inference rules over the
 //! state `<FSeq, Scope, pc>`:
@@ -11,73 +11,14 @@
 //! - **FENCE**: a fence may complete only when `Scope(C(f))` of the
 //!   enclosing method is empty.
 //!
-//! [`ClassScopeModel`] implements these rules directly. On top of it,
-//! [`check_trace`] verifies a *hardware* execution against the S-Fence
-//! definition: for every retired fence, every prior in-scope memory
-//! access must have completed no later than the cycle at which the
-//! fence allowed issue to resume. The hardware is allowed to be more
+//! [`check_trace`] applies these rules to a *hardware* execution and
+//! verifies it against the S-Fence definition: for every retired
+//! fence, every prior in-scope memory access must have completed no
+//! later than the cycle at which the fence allowed issue to resume. The hardware is allowed to be more
 //! conservative (e.g. shared fallback columns), never less.
 
 use sfence_isa::{ClassId, FenceKind};
 use std::collections::{HashMap, HashSet};
-
-/// Direct implementation of the Fig. 5 rules.
-#[derive(Debug, Clone, Default)]
-pub struct ClassScopeModel {
-    fseq: Vec<ClassId>,
-    scope: HashMap<ClassId, HashSet<u64>>,
-}
-
-impl ClassScopeModel {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// SCOPEENT: `FSeq' = s · f`.
-    pub fn enter(&mut self, class: ClassId) {
-        self.fseq.push(class);
-    }
-
-    /// SCOPEEX: `FSeq = s · f  =>  FSeq' = s`.
-    pub fn exit(&mut self) {
-        self.fseq.pop();
-    }
-
-    /// MEMOP: add `mop` to the scope of every class in `[[FSeq]]`.
-    pub fn mem_op(&mut self, op: u64) {
-        let distinct: HashSet<ClassId> = self.fseq.iter().copied().collect();
-        for class in distinct {
-            self.scope.entry(class).or_default().insert(op);
-        }
-    }
-
-    /// Completion (handled by the memory subsystem in the paper):
-    /// remove the operation from every scope.
-    pub fn complete(&mut self, op: u64) {
-        for set in self.scope.values_mut() {
-            set.remove(&op);
-        }
-    }
-
-    /// FENCE: may the fence in the current innermost method complete?
-    /// (`Scope(C(f)) = ∅`). With an empty `FSeq` the rule does not
-    /// apply; we answer conservatively by requiring *all* scopes empty.
-    pub fn fence_allowed(&self) -> bool {
-        match self.fseq.last() {
-            Some(class) => self.scope.get(class).is_none_or(HashSet::is_empty),
-            None => self.scope.values().all(HashSet::is_empty),
-        }
-    }
-
-    /// Outstanding operations in the scope of `class`.
-    pub fn scope_size(&self, class: ClassId) -> usize {
-        self.scope.get(&class).map_or(0, HashSet::len)
-    }
-
-    pub fn depth(&self) -> usize {
-        self.fseq.len()
-    }
-}
 
 /// One retired (architectural) event of a single thread, in program
 /// order. Squashed wrong-path instructions never appear.
@@ -196,40 +137,6 @@ pub fn check_trace(events: &[RetiredEvent]) -> Result<ConformanceStats, Violatio
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn model_follows_fig5_rules() {
-        let mut m = ClassScopeModel::new();
-        let a = ClassId(0);
-        let b = ClassId(1);
-        m.enter(a);
-        m.mem_op(1);
-        m.enter(b);
-        m.mem_op(2); // joins scopes of both A and B
-        assert_eq!(m.scope_size(a), 2);
-        assert_eq!(m.scope_size(b), 1);
-        assert!(!m.fence_allowed(), "B's scope holds op 2");
-        m.complete(2);
-        assert!(m.fence_allowed(), "B's scope now empty");
-        assert_eq!(m.scope_size(a), 1, "A still holds op 1");
-        m.exit();
-        assert!(!m.fence_allowed(), "back in A; op 1 outstanding");
-        m.complete(1);
-        assert!(m.fence_allowed());
-        m.exit();
-        assert_eq!(m.depth(), 0);
-    }
-
-    #[test]
-    fn fence_with_empty_fseq_requires_everything_quiet() {
-        let mut m = ClassScopeModel::new();
-        m.enter(ClassId(0));
-        m.mem_op(7);
-        m.exit();
-        assert!(!m.fence_allowed());
-        m.complete(7);
-        assert!(m.fence_allowed());
-    }
 
     #[test]
     fn trace_check_accepts_correct_class_fence() {

@@ -23,10 +23,10 @@ mod tests {
     use super::*;
     use sfence_isa::interp::run_single;
     use sfence_isa::ir::*;
-    use sfence_isa::{CompileOpts, Program};
+    use sfence_isa::Program;
 
     fn compile(p: &IrProgram) -> Program {
-        p.compile(&CompileOpts::default()).expect("compile")
+        p.compile().expect("compile")
     }
 
     /// Run one thread on a single core over a flat bus; return final

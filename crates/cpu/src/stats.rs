@@ -33,13 +33,3 @@ pub struct CoreStats {
     /// Cycle at which the core fully drained (halt + empty SB).
     pub finished_at: Option<u64>,
 }
-
-impl CoreStats {
-    /// Fraction of this core's active cycles spent stalled on fences.
-    pub fn fence_stall_fraction(&self) -> f64 {
-        match self.finished_at {
-            Some(t) if t > 0 => self.fence_stall_cycles as f64 / t as f64,
-            _ => 0.0,
-        }
-    }
-}

@@ -5,7 +5,7 @@
 //! The litmus campaign replays *fixed* scenario families; the fuzzer
 //! searches the program space around them. Each candidate is a
 //! [`SynthSpec`] (the grammar in `sfence_workloads::synth`), run
-//! through the same differential matrix as the campaign — `T`
+//! through the campaign's differential matrix, [`run_matrix`] — `T`
 //! (traditional fences), `S` (scoped), `S-overflow` (scoped on tiny
 //! scope hardware) and `S-nofence` (stripped) — and judged against
 //! the SC enumerator, plus a functional-interpreter cross-check row
@@ -39,11 +39,12 @@
 //! byte-identical across `--threads`, like every artifact in this
 //! repository.
 
-use sfence_harness::{enumerate_sc, run_indexed, BackendId, CheckerConfig, Json, SCHEMA_VERSION};
-use sfence_harness::{RunReport, Session};
-use sfence_isa::Program;
-use sfence_litmus::{base_config, overflow_scope};
-use sfence_sim::{FenceConfig, MachineConfig, RunExit};
+use sfence_harness::{
+    enumerate_sc, run_indexed, BackendId, CheckerConfig, FunctionalBackend, Json, Session,
+    SCHEMA_VERSION,
+};
+use sfence_litmus::{base_config, run_matrix, Expect};
+use sfence_sim::RunExit;
 use sfence_workloads::support::{compile, Prng};
 use sfence_workloads::synth::{self, mutate, seed_corpus, SynthSpec};
 
@@ -127,80 +128,57 @@ pub struct Divergence {
     pub minimized: Option<String>,
 }
 
-fn run_row(program: &Program, cfg: MachineConfig, backend: BackendId) -> Result<RunReport, String> {
-    let exec = backend.instantiate();
-    let report = Session::for_program(program)
-        .config(cfg)
-        .backend(exec.as_ref())
-        .run();
-    if report.exit != RunExit::Completed {
-        return Err("run hit the cycle limit".into());
-    }
-    Ok(report)
-}
-
-/// Run one candidate through the differential matrix and judge every
-/// row. Mirrors `sfence_litmus::campaign::run_case`, with grammar-
-/// derived per-candidate expectations instead of per-family ones.
+/// Run one candidate through [`run_matrix`] and judge every row, with
+/// grammar-derived per-candidate expectations. A candidate whose SC
+/// enumeration hits the checker bounds is skipped.
 pub fn evaluate(spec: &SynthSpec, cfg: &FuzzConfig) -> Result<CaseOutcome, String> {
+    let name = spec.name();
     let fenced = compile(&synth::ir(spec, false));
     let stripped = compile(&synth::ir(spec, true));
-    let outcomes = enumerate_sc(&fenced, &cfg.checker)
-        .map_err(|e| format!("{}: checker: {e}", spec.name()))?;
+    let outcomes =
+        enumerate_sc(&fenced, &cfg.checker).map_err(|e| format!("{name}: checker: {e}"))?;
     if !outcomes.complete {
         return Ok(CaseOutcome {
             skipped: true,
             rows: Vec::new(),
         });
     }
-
-    let covering = spec.covering();
-    let mut matrix: Vec<(&'static str, &_, MachineConfig, bool)> = Vec::new();
-    let threads = fenced.num_threads();
-    matrix.push((
-        "T",
+    let expect = Expect {
+        traditional: spec.fenced_traditional(),
+        scoped: spec.covering(),
+    };
+    let matrix = run_matrix(
+        &name,
         &fenced,
-        base_config(threads).with_fence(FenceConfig::TRADITIONAL),
-        spec.fenced_traditional(),
-    ));
-    let mut s_cfg = base_config(threads).with_fence(FenceConfig::SFENCE);
-    s_cfg.core.scope.skip_degrade_on_overflow = cfg.inject_bug;
-    matrix.push(("S", &fenced, s_cfg, covering));
-    let mut overflow_cfg = base_config(threads).with_fence(FenceConfig::SFENCE);
-    overflow_cfg.core.scope = overflow_scope();
-    overflow_cfg.core.scope.skip_degrade_on_overflow = cfg.inject_bug;
-    matrix.push(("S-overflow", &fenced, overflow_cfg, covering));
-    matrix.push((
-        "S-nofence",
         &stripped,
-        base_config(threads).with_fence(FenceConfig::SFENCE),
-        false,
-    ));
-
-    let mut rows = Vec::with_capacity(5);
-    for (label, program, machine, expect_sc) in matrix {
-        // An SC engine must stay SC-allowed everywhere, exactly as in
-        // the campaign.
-        let expect_sc = expect_sc || !cfg.backend.timed();
-        let report = run_row(program, machine, cfg.backend)
-            .map_err(|e| format!("{}: {label}: {e}", spec.name()))?;
-        let observed = report.observed_state(program);
-        rows.push(RowOutcome {
-            config: label,
-            coverage: report.scope_coverage.iter().fold(0, |a, &b| a | b),
-            sc_allowed: outcomes.allows(&observed),
-            observed,
-            expect_sc,
-        });
-    }
+        &outcomes,
+        expect,
+        cfg.backend,
+        cfg.inject_bug,
+    )?;
+    let mut rows: Vec<RowOutcome> = matrix
+        .into_iter()
+        .map(|row| RowOutcome {
+            config: row.label,
+            coverage: row.report.scope_coverage.iter().fold(0, |a, &b| a | b),
+            observed: row.observed,
+            sc_allowed: row.sc_allowed,
+            expect_sc: row.expect_sc,
+        })
+        .collect();
 
     if cfg.backend.timed() {
         // Functional cross-check: the deterministic SC interpreter
         // must agree with the enumerator on every candidate (and,
         // when the SC set is a singleton, with the sim rows — which
         // membership already forces).
-        let report = run_row(&fenced, base_config(threads), BackendId::Functional)
-            .map_err(|e| format!("{}: functional: {e}", spec.name()))?;
+        let report = Session::for_program(&fenced)
+            .config(base_config(fenced.num_threads()))
+            .backend(&FunctionalBackend)
+            .run();
+        if report.exit != RunExit::Completed {
+            return Err(format!("{name}: functional: run hit the cycle limit"));
+        }
         let observed = report.observed_state(&fenced);
         rows.push(RowOutcome {
             config: "functional",
@@ -509,7 +487,7 @@ mod tests {
             .fences(vec![FenceConfig::TRADITIONAL, FenceConfig::SFENCE])
             .axis(Axis::Level(vec![1]))
             .backend(BackendId::Functional)
-            .run_serial();
+            .run(1);
         assert_eq!(sweep.rows.len(), 4);
     }
 
@@ -544,7 +522,24 @@ mod tests {
         assert!(report.divergences.is_empty());
     }
 
-    /// Satellite: a non-diverging input minimizes to itself.
+    /// The enumerator is the matrix's oracle, not an engine it can run
+    /// on: the fuzzer refuses it with the campaign's error instead of
+    /// reading a final memory the enumerator never produces.
+    #[test]
+    fn enumerative_backend_is_an_error() {
+        let cfg = FuzzConfig {
+            backend: BackendId::Enumerative,
+            budget: 1,
+            ..Default::default()
+        };
+        let err = run_fuzz(&cfg, 1).unwrap_err();
+        assert!(
+            err.contains("the enumerative backend is already the oracle"),
+            "{err}"
+        );
+    }
+
+    /// A non-diverging input minimizes to itself.
     #[test]
     fn minimizer_is_identity_on_non_diverging_inputs() {
         let cfg = FuzzConfig::default();

@@ -314,7 +314,6 @@ impl Backend for EnumerativeBackend {
 mod tests {
     use super::*;
     use sfence_isa::ir::*;
-    use sfence_isa::CompileOpts;
 
     fn mp_program() -> Program {
         let mut p = IrProgram::new();
@@ -336,7 +335,7 @@ mod tests {
             b.store(od.cell(), ld(data.cell()));
             b.halt();
         });
-        p.compile(&CompileOpts::default()).expect("compile")
+        p.compile().expect("compile")
     }
 
     #[test]

@@ -298,10 +298,9 @@ pub fn enumerate_sc(prog: &Program, cfg: &CheckerConfig) -> Result<ScOutcomes, S
 mod tests {
     use super::*;
     use sfence_isa::ir::*;
-    use sfence_isa::CompileOpts;
 
     fn compile(p: &IrProgram) -> Program {
-        p.compile(&CompileOpts::default()).expect("compile")
+        p.compile().expect("compile")
     }
 
     /// Hand-computed allowed set for the classic MP shape (no spin):

@@ -318,11 +318,6 @@ impl Experiment {
         self.workloads.len() * self.axis.points().len() * self.fences.len()
     }
 
-    /// Run every job serially on the calling thread.
-    pub fn run_serial(&self) -> SweepResult {
-        self.run(1)
-    }
-
     /// Run with `threads` OS worker threads. Row order is identical
     /// to the serial order no matter the thread count or scheduling:
     /// results are placed by job index.

@@ -58,6 +58,6 @@ pub use experiment::{
 };
 pub use json::Json;
 pub use runner::run_indexed;
-pub use session::{speedup_s_over_t, RunReport, Session, SCHEMA_VERSION};
+pub use session::{RunReport, Session, SCHEMA_VERSION};
 pub use shard::JobQueue;
 pub use store::{diff_rows, ResultStore, RunMeta, StoredRun, SweepDiff};

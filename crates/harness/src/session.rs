@@ -126,12 +126,6 @@ impl<'a> Session<'a> {
         self
     }
 
-    /// Watch a named global.
-    pub fn watch_var(self, name: &str) -> Self {
-        let addr = self.program.addr_of(name);
-        self.watch(addr)
-    }
-
     /// Record per-core retired-event traces.
     pub fn trace(mut self) -> Self {
         self.cfg.core.trace = true;
@@ -493,18 +487,4 @@ impl FromJson<'_> for RetiredEvent {
             other => Err(format!("unknown retired event {other:?}")),
         }
     }
-}
-
-/// Speedup of S-Fence over traditional fences for a workload under a
-/// base machine config: the paper's headline metric.
-pub fn speedup_s_over_t(w: &BuiltWorkload, base: &MachineConfig) -> f64 {
-    let t = Session::for_workload(w)
-        .config(base.clone())
-        .fence(FenceConfig::TRADITIONAL)
-        .run();
-    let s = Session::for_workload(w)
-        .config(base.clone())
-        .fence(FenceConfig::SFENCE)
-        .run();
-    t.timed_cycles() as f64 / s.timed_cycles() as f64
 }

@@ -77,10 +77,9 @@ fn job_keys_separate_every_dimension() {
             BackendId::Sim,
         )
     );
-    assert_ne!(
-        base,
-        job_key("dekker", &params, &cfg.clone().with_rob(64), BackendId::Sim)
-    );
+    let mut small_rob = cfg.clone();
+    small_rob.core.rob_size = 64;
+    assert_ne!(base, job_key("dekker", &params, &small_rob, BackendId::Sim));
     // The canonical description is itself in canonical (sorted) form.
     let canon = job_canonical_json("dekker", &params, &cfg, BackendId::Sim);
     assert_eq!(

@@ -16,7 +16,7 @@ fn small_experiment() -> Experiment {
 #[test]
 fn parallel_sweep_is_byte_identical_to_serial() {
     let exp = small_experiment();
-    let serial = exp.run_serial();
+    let serial = exp.run(1);
     let parallel = exp.run(4);
     assert_eq!(serial, parallel);
     assert_eq!(serial.to_json_string(), parallel.to_json_string());

@@ -4,7 +4,6 @@
 
 use sfence_harness::{json, RunReport, Session};
 use sfence_isa::ir::{c, ld, IrProgram};
-use sfence_isa::CompileOpts;
 use sfence_sim::FenceConfig;
 
 fn sample_report() -> RunReport {
@@ -28,14 +27,14 @@ fn sample_report() -> RunReport {
         b.store(got.cell(), ld(data.cell()));
         b.halt();
     });
-    let prog = p.compile(&CompileOpts::default()).unwrap();
+    let prog = p.compile().unwrap();
     Session::for_program(&prog)
         .cores(2)
         .max_cycles(5_000_000)
         .fence(FenceConfig::SFENCE)
         .trace()
-        .watch_var("data")
-        .watch_var("flag")
+        .watch(prog.addr_of("data"))
+        .watch(prog.addr_of("flag"))
         .run()
 }
 
@@ -93,7 +92,7 @@ fn functional_and_enumerative_reports_round_trip() {
         b.store(od.cell(), ld(data.cell()));
         b.halt();
     });
-    let prog = p.compile(&CompileOpts::default()).unwrap();
+    let prog = p.compile().unwrap();
 
     let functional = Session::for_program(&prog)
         .cores(2)

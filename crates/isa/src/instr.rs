@@ -125,18 +125,6 @@ impl CmpOp {
         }
     }
 
-    /// The comparison with operands swapped (`a op b == b op.flip() a`).
-    pub fn flip(self) -> CmpOp {
-        match self {
-            CmpOp::Eq => CmpOp::Eq,
-            CmpOp::Ne => CmpOp::Ne,
-            CmpOp::Lt => CmpOp::Gt,
-            CmpOp::Le => CmpOp::Ge,
-            CmpOp::Gt => CmpOp::Lt,
-            CmpOp::Ge => CmpOp::Le,
-        }
-    }
-
     /// The logical negation (`!(a op b) == a op.negate() b`).
     pub fn negate(self) -> CmpOp {
         match self {
@@ -453,7 +441,6 @@ mod tests {
             CmpOp::Ge,
         ] {
             for (a, b) in [(1, 2), (2, 1), (3, 3)] {
-                assert_eq!(op.apply(a, b), op.flip().apply(b, a), "{op:?} flip");
                 assert_eq!(op.apply(a, b), !op.negate().apply(a, b), "{op:?} negate");
             }
         }

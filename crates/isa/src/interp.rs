@@ -203,10 +203,9 @@ pub fn run_single(
 mod tests {
     use super::*;
     use crate::ir::*;
-    use crate::lower::CompileOpts;
 
     fn compile(p: &IrProgram) -> Program {
-        p.compile(&CompileOpts::default()).expect("compile")
+        p.compile().expect("compile")
     }
 
     #[test]

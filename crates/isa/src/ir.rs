@@ -11,7 +11,6 @@
 //!
 //! ```
 //! use sfence_isa::ir::*;
-//! use sfence_isa::CompileOpts;
 //!
 //! let mut p = IrProgram::new();
 //! let flag = p.shared("flag");
@@ -25,7 +24,7 @@
 //! p.thread(|b| {
 //!     b.call("Mailbox::send", &[c(7)]);
 //! });
-//! let prog = p.compile(&CompileOpts::default()).unwrap();
+//! let prog = p.compile().unwrap();
 //! assert!(prog.validate().is_ok());
 //! ```
 
@@ -341,11 +340,6 @@ impl IrProgram {
         Class { idx }
     }
 
-    /// Name of a declared class.
-    pub fn class_name_of(&self, class: Class) -> &str {
-        &self.class_names[class.idx as usize]
-    }
-
     fn add_routine(
         &mut self,
         full_name: String,
@@ -604,7 +598,6 @@ mod tests {
         assert_eq!(p.num_threads(), 1);
         assert!(p.routines.contains_key("Q::push"));
         assert!(p.routines.contains_key("free"));
-        assert_eq!(p.class_name_of(cls), "Q");
     }
 
     #[test]

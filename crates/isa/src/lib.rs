@@ -23,7 +23,7 @@ pub mod passes;
 pub mod program;
 
 pub use instr::{Addr, AluOp, ClassId, CmpOp, FenceKind, Instr, Operand, Reg, NUM_REGS};
-pub use lower::{CompileError, CompileOpts};
+pub use lower::CompileError;
 pub use program::{Program, ProgramError, Symbol, OBS_PREFIX};
 
 /// Words per cache line in the simulated memory system. Word-addressed

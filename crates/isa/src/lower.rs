@@ -37,26 +37,9 @@ use crate::program::{Program, Symbol};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-/// Compiler options.
-#[derive(Debug, Clone)]
-pub struct CompileOpts {
-    /// Emit `fs_start`/`fs_end` markers (on by default; turning this
-    /// off degrades every class-fence to a fence over an empty FSS —
-    /// only useful for ablation).
-    pub emit_scope_markers: bool,
-    /// Base address of the data segment (word address). Leaving a
-    /// guard gap at address 0 helps catch stray null-ish accesses.
-    pub data_base: Addr,
-}
-
-impl Default for CompileOpts {
-    fn default() -> Self {
-        Self {
-            emit_scope_markers: true,
-            data_base: 8,
-        }
-    }
-}
+/// Base address of the data segment (word address). Leaving a guard
+/// gap at address 0 helps catch stray null-ish accesses.
+const DATA_BASE: Addr = 8;
 
 /// Compile-time errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,9 +94,9 @@ impl std::error::Error for CompileError {}
 
 impl IrProgram {
     /// Compile this IR program to machine code.
-    pub fn compile(&self, opts: &CompileOpts) -> Result<Program, CompileError> {
+    pub fn compile(&self) -> Result<Program, CompileError> {
         // Data layout.
-        let mut addr = opts.data_base;
+        let mut addr = DATA_BASE;
         let mut global_addr = Vec::with_capacity(self.globals.len());
         let mut prog = Program::new();
         for g in &self.globals {
@@ -156,7 +139,6 @@ impl IrProgram {
         for body in &self.threads {
             let mut lw = Lower {
                 ir: self,
-                opts,
                 instrumented: &instrumented,
                 global_addr: &global_addr,
                 code: Vec::new(),
@@ -233,7 +215,6 @@ struct Frame {
 
 struct Lower<'a> {
     ir: &'a IrProgram,
-    opts: &'a CompileOpts,
     instrumented: &'a HashSet<u32>,
     global_addr: &'a [Addr],
     code: Vec<Instr>,
@@ -649,8 +630,7 @@ impl<'a> Lower<'a> {
         let instrument = routine
             .class
             .filter(|c| self.instrumented.contains(c))
-            .map(ClassId)
-            .filter(|_| self.opts.emit_scope_markers);
+            .map(ClassId);
 
         let exit = self.label();
         let mut frame = Frame {
@@ -694,7 +674,7 @@ mod tests {
     use crate::FenceKind;
 
     fn compile(p: &IrProgram) -> Program {
-        p.compile(&CompileOpts::default()).expect("compile")
+        p.compile().expect("compile")
     }
 
     #[test]
@@ -865,7 +845,7 @@ mod tests {
             b.halt();
         });
         assert_eq!(
-            p.compile(&CompileOpts::default()).unwrap_err(),
+            p.compile().unwrap_err(),
             CompileError::Recursion("f".into())
         );
     }
@@ -878,7 +858,7 @@ mod tests {
             b.halt();
         });
         assert_eq!(
-            p.compile(&CompileOpts::default()).unwrap_err(),
+            p.compile().unwrap_err(),
             CompileError::ClassFenceOutsideClass
         );
     }
@@ -887,10 +867,7 @@ mod tests {
     fn break_outside_loop_rejected() {
         let mut p = IrProgram::new();
         p.thread(|b| b.break_());
-        assert_eq!(
-            p.compile(&CompileOpts::default()).unwrap_err(),
-            CompileError::BreakOutsideLoop
-        );
+        assert_eq!(p.compile().unwrap_err(), CompileError::BreakOutsideLoop);
     }
 
     #[test]
@@ -904,10 +881,7 @@ mod tests {
             });
             b.halt();
         });
-        assert_eq!(
-            p.compile(&CompileOpts::default()).unwrap_err(),
-            CompileError::BreakOutsideLoop
-        );
+        assert_eq!(p.compile().unwrap_err(), CompileError::BreakOutsideLoop);
     }
 
     #[test]
@@ -919,7 +893,7 @@ mod tests {
             b.halt();
         });
         assert!(matches!(
-            p.compile(&CompileOpts::default()).unwrap_err(),
+            p.compile().unwrap_err(),
             CompileError::ArgCount {
                 expected: 2,
                 got: 1,

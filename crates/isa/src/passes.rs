@@ -215,7 +215,6 @@ mod tests {
     use super::*;
     use crate::instr::Instr;
     use crate::ir::*;
-    use crate::lower::CompileOpts;
     use crate::FenceKind;
 
     fn build() -> (IrProgram, Global, Global, Global) {
@@ -239,7 +238,7 @@ mod tests {
         let report = enforce_sc(&mut p, ScStyle::Traditional);
         // shared stmts: store s1, store s2, let x=ld s1 -> 2 fences
         assert_eq!(report.fences_inserted, 2);
-        let prog = p.compile(&CompileOpts::default()).unwrap();
+        let prog = p.compile().unwrap();
         let fences = prog.threads[0]
             .iter()
             .filter(|i| {
@@ -260,7 +259,7 @@ mod tests {
         let report = enforce_sc(&mut p, ScStyle::SetScope);
         assert_eq!(report.shared_accesses, 3);
         assert_eq!(report.private_accesses, 1);
-        let prog = p.compile(&CompileOpts::default()).unwrap();
+        let prog = p.compile().unwrap();
         let mem_flags: Vec<bool> = prog.threads[0]
             .iter()
             .filter(|i| i.is_mem())

@@ -8,7 +8,12 @@
 //! against the enumerator (every observed state must be allowed) and
 //! exercises the whole pipeline without the timing model; relaxed
 //! outcomes can only be *demonstrated* on the simulator, so that
-//! expectation is waived off-sim ([`Campaign::can_demonstrate_relaxation`]).
+//! expectation is waived off-sim.
+//!
+//! [`run_matrix`] is the one implementation of the differential
+//! matrix: [`run_case`] and the fuzzer (`sfence_fuzz::evaluate`) are
+//! adapters that build the two programs, enumerate SC outcomes, pass
+//! their own expectations and map the judged rows to their reports.
 //!
 //! Expectations encode the paper's safety argument (§IV, §VI-E):
 //!
@@ -31,9 +36,12 @@
 //! every value are functions of `(families, seeds)` alone, so output
 //! is byte-identical across worker-thread counts.
 
+use sfence_core::ScopeConfig;
 use sfence_harness::{
-    enumerate_sc, run_indexed, BackendId, CheckerConfig, Json, Session, SCHEMA_VERSION,
+    enumerate_sc, run_indexed, BackendId, CheckerConfig, Json, RunReport, ScOutcomes, Session,
+    SCHEMA_VERSION,
 };
+use sfence_isa::Program;
 use sfence_sim::{FenceConfig, MachineConfig, RunExit};
 use sfence_workloads::litmus::{build, Family, LitmusSpec, FAMILIES};
 
@@ -143,8 +151,8 @@ pub struct CaseVerdict {
 /// The tiny scope hardware of the forced-overflow configuration: one
 /// FSS entry (any nested scope overflows), the minimum FSB (one class
 /// column plus the reserved set column) and a single mapping row.
-pub fn overflow_scope() -> sfence_core::ScopeConfig {
-    sfence_core::ScopeConfig {
+pub fn overflow_scope() -> ScopeConfig {
+    ScopeConfig {
         fsb_entries: 2,
         fss_entries: 1,
         mapping_entries: 1,
@@ -162,119 +170,163 @@ pub fn base_config(num_threads: usize) -> MachineConfig {
     cfg
 }
 
-/// Run one case end to end: generate, enumerate SC outcomes (the
-/// enumerative engine's fallible entry point), run the differential
-/// matrix on `backend` (sim by default; functional for
-/// correctness-only campaigns), judge.
-pub fn run_case(
-    case: Case,
-    checker: &CheckerConfig,
+/// Which rows of the differential matrix must land in the SC-allowed
+/// set; `S-nofence` never must.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expect {
+    /// The `T` row: traditional fences, scopes ignored.
+    pub traditional: bool,
+    /// The `S` and `S-overflow` rows: scoped fences.
+    pub scoped: bool,
+}
+
+/// One judged row of the differential matrix.
+#[derive(Debug)]
+pub struct MatrixRow {
+    /// `T`, `S`, `S-overflow` or `S-nofence`.
+    pub label: &'static str,
+    /// Observed final state (the program's `obs_` globals).
+    pub observed: Vec<i64>,
+    pub sc_allowed: bool,
+    pub expect_sc: bool,
+    pub report: RunReport,
+}
+
+/// The differential matrix the litmus campaign and the fuzzer share:
+/// run `fenced` under `T`, `S` and `S-overflow` and `stripped` under
+/// `S-nofence` on `backend`, and judge each observed state against
+/// `outcomes`. `inject_bug` turns on the scope unit's fault-injection
+/// knob on the two scoped rows.
+///
+/// The SC-allowed set is a property of the *program shape*, not of
+/// its fences (fences are no-ops under SC), so the fenced variant's
+/// enumeration also judges the stripped run: stripping only removes
+/// fence/scope-marker instructions, which never touch memory or
+/// registers.
+pub fn run_matrix(
+    name: &str,
+    fenced: &Program,
+    stripped: &Program,
+    outcomes: &ScOutcomes,
+    expect: Expect,
     backend: BackendId,
-) -> Result<CaseVerdict, String> {
+    inject_bug: bool,
+) -> Result<Vec<MatrixRow>, String> {
     if backend == BackendId::Enumerative {
-        // The enumerator is the campaign's oracle, not an execution
+        // The enumerator is the matrix's oracle, not an execution
         // engine: it reports a state *set*, never the single final
-        // memory the matrix observes.
+        // memory a row observes.
         return Err(
             "campaigns execute on sim or functional; the enumerative backend \
                     is already the oracle every case is judged against"
                 .into(),
         );
     }
+    let threads = fenced.num_threads();
+    let machine = |fence, scope| {
+        let mut cfg = base_config(threads).with_fence(fence);
+        cfg.core.scope = scope;
+        cfg
+    };
+    let faulty = |scope| ScopeConfig {
+        skip_degrade_on_overflow: inject_bug,
+        ..scope
+    };
+    let (t, s) = (FenceConfig::TRADITIONAL, FenceConfig::SFENCE);
+    let plain = ScopeConfig::default();
+    let overflow = faulty(overflow_scope());
+    let matrix = [
+        ("T", fenced, machine(t, plain), expect.traditional),
+        ("S", fenced, machine(s, faulty(plain)), expect.scoped),
+        ("S-overflow", fenced, machine(s, overflow), expect.scoped),
+        ("S-nofence", stripped, machine(s, plain), false),
+    ];
+    let exec = backend.instantiate();
+    matrix
+        .into_iter()
+        .map(|(label, program, cfg, expect_sc)| {
+            let report = Session::for_program(program)
+                .config(cfg)
+                .backend(exec.as_ref())
+                .run();
+            if report.exit != RunExit::Completed {
+                return Err(format!("{name}: {label}: run hit the cycle limit"));
+            }
+            let observed = report.observed_state(program);
+            Ok(MatrixRow {
+                label,
+                sc_allowed: outcomes.allows(&observed),
+                observed,
+                // An engine that cannot exhibit relaxation (the SC
+                // interpreter) must stay SC-allowed in *every* row,
+                // fences or not: a non-SC state there is an
+                // interpreter bug, not a demonstration. Only the weak
+                // simulator earns the relaxed-outcome allowances.
+                expect_sc: expect_sc || !backend.timed(),
+                report,
+            })
+        })
+        .collect()
+}
+
+/// Run one case end to end: generate, enumerate SC outcomes, run the
+/// differential matrix on `backend` (sim by default; functional for
+/// correctness-only campaigns). `T` must always stay SC; the scoped
+/// rows must iff the family covers.
+pub fn run_case(
+    case: Case,
+    checker: &CheckerConfig,
+    backend: BackendId,
+) -> Result<CaseVerdict, String> {
     let fenced = build(&LitmusSpec::new(case.family, case.seed));
     let stripped = build(&LitmusSpec::new(case.family, case.seed).stripped());
-
-    // The SC-allowed set is a property of the *program shape*, not of
-    // its fences (fences are no-ops under SC), so the fenced variant's
-    // enumeration also judges the stripped runs: stripping only
-    // removes fence/scope-marker instructions, which never touch
-    // memory or registers.
-    //
-    // The oracle is the harness's enumerative engine; calling its
-    // fallible entry point directly (rather than `Backend::run`,
-    // which panics on malformed programs) keeps interpreter errors on
-    // the campaign's clean `Err` → exit-1 path.
+    // Calling the enumerator's fallible entry point directly (rather
+    // than `Backend::run`, which panics on malformed programs) keeps
+    // interpreter errors on the campaign's clean `Err` → exit-1 path.
     let outcomes = enumerate_sc(&fenced.program, checker)
         .map_err(|e| format!("{}: checker: {e}", fenced.name))?;
-    let states_explored = outcomes.states_explored;
     if !outcomes.complete {
         return Err(format!(
             "{}: SC enumeration incomplete after {} states — raise the checker bounds",
-            fenced.name, states_explored
+            fenced.name, outcomes.states_explored
         ));
     }
-    let exec = backend.instantiate();
-    let covering = case.family.covering();
-    let mut runs = Vec::with_capacity(4);
-    let mut matrix: Vec<(&str, &sfence_workloads::BuiltWorkload, MachineConfig, bool)> = Vec::new();
-    let threads = fenced.program.num_threads();
-    matrix.push((
-        "T",
-        &fenced,
-        base_config(threads).with_fence(FenceConfig::TRADITIONAL),
-        true,
-    ));
-    matrix.push((
-        "S",
-        &fenced,
-        base_config(threads).with_fence(FenceConfig::SFENCE),
-        covering,
-    ));
-    let mut overflow_cfg = base_config(threads).with_fence(FenceConfig::SFENCE);
-    overflow_cfg.core.scope = overflow_scope();
-    matrix.push(("S-overflow", &fenced, overflow_cfg, covering));
-    matrix.push((
-        "S-nofence",
-        &stripped,
-        base_config(threads).with_fence(FenceConfig::SFENCE),
+    let expect = Expect {
+        traditional: true,
+        scoped: case.family.covering(),
+    };
+    let rows = run_matrix(
+        &fenced.name,
+        &fenced.program,
+        &stripped.program,
+        &outcomes,
+        expect,
+        backend,
         false,
-    ));
-
-    for (label, workload, cfg, expect_sc) in matrix {
-        // An engine that cannot exhibit relaxation (the SC
-        // interpreter) must stay SC-allowed in *every* configuration,
-        // fences or not: a non-SC state there is an interpreter bug,
-        // not a demonstration. Only the weak simulator earns the
-        // relaxed-outcome allowances.
-        let expect_sc = expect_sc || !backend.timed();
-        let report = Session::for_program(&workload.program)
-            .config(cfg)
-            .backend(exec.as_ref())
-            .run();
-        if report.exit != RunExit::Completed {
-            return Err(format!(
-                "{}: {label}: run hit the cycle limit",
-                workload.name
-            ));
-        }
-        let observed = report.observed_state(&workload.program);
-        runs.push(RunVerdict {
-            config: label.to_string(),
-            sc_allowed: outcomes.allows(&observed),
-            observed,
-            expect_sc,
-            degraded_fences: report.scope_stats.iter().map(|s| s.degraded_fences).sum(),
-            degraded_by_core: report
-                .scope_stats
-                .iter()
-                .map(|s| s.degraded_fences)
-                .collect(),
-            fss_overflows_by_core: report.scope_stats.iter().map(|s| s.fss_overflows).collect(),
-            recoveries_by_core: report
-                .scope_stats
-                .iter()
-                .map(|s| s.mispredict_recoveries)
-                .collect(),
-            cycles: report.cycles,
-        });
-    }
-
+    )?;
+    let runs = rows
+        .into_iter()
+        .map(|row| {
+            let scope = &row.report.scope_stats;
+            RunVerdict {
+                config: row.label.to_string(),
+                observed: row.observed,
+                sc_allowed: row.sc_allowed,
+                expect_sc: row.expect_sc,
+                degraded_fences: scope.iter().map(|s| s.degraded_fences).sum(),
+                degraded_by_core: scope.iter().map(|s| s.degraded_fences).collect(),
+                fss_overflows_by_core: scope.iter().map(|s| s.fss_overflows).collect(),
+                recoveries_by_core: scope.iter().map(|s| s.mispredict_recoveries).collect(),
+                cycles: row.report.cycles,
+            }
+        })
+        .collect();
     Ok(CaseVerdict {
         family: case.family,
         seed: case.seed,
+        states_explored: outcomes.states_explored,
         sc_states: outcomes.states.into_iter().collect(),
         sc_complete: true,
-        states_explored,
         runs,
     })
 }
@@ -343,13 +395,6 @@ impl Campaign {
         summarize(&self.cases)
     }
 
-    /// Can this campaign's engine exhibit relaxed (non-SC) outcomes
-    /// at all? Only the cycle-accurate simulator models the weak
-    /// memory system.
-    pub fn can_demonstrate_relaxation(&self) -> bool {
-        self.backend.timed()
-    }
-
     /// The safety expectations this campaign fails, one message each;
     /// `sfence-litmus` exits 4 when the list is non-empty. A covering
     /// scope must never observe a non-SC state, and non-covering
@@ -364,9 +409,10 @@ impl Campaign {
                 s.covering_violations
             ));
         }
-        let ran_noncovering = self.families.iter().any(|f| !f.covering())
-            && self.seeds > 0
-            && self.can_demonstrate_relaxation();
+        // Only the cycle-accurate simulator models the weak memory
+        // system, so only it can exhibit a relaxed outcome.
+        let ran_noncovering =
+            self.families.iter().any(|f| !f.covering()) && self.seeds > 0 && self.backend.timed();
         if ran_noncovering && s.noncovering_scope_violations == 0 {
             failures.push(
                 "non-covering families ran but demonstrated no relaxed outcome \

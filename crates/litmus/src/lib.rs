@@ -29,6 +29,9 @@
 //!   (including under overflow, where fences degrade to full fences);
 //!   non-covering scopes are expected to demonstrate relaxed outcomes
 //!   on the simulator, and the campaign counts the demonstrations.
+//!   [`run_matrix`] is the one implementation of those rows; the
+//!   campaign's [`run_case`] and the fuzzer (`sfence-fuzz`) are
+//!   adapters that pass it their own programs and expectations.
 //!
 //! The `sfence-litmus` binary drives bulk campaigns
 //! (`--families all --seeds 50 --json`) with the same
@@ -38,7 +41,7 @@ pub mod campaign;
 
 pub use campaign::{
     all_families, base_config, cases, overflow_scope, parse_families, run_campaign, run_case,
-    summarize, Campaign, Case, CaseVerdict, RunVerdict, Summary,
+    run_matrix, summarize, Campaign, Case, CaseVerdict, Expect, MatrixRow, RunVerdict, Summary,
 };
 pub use sfence_workloads::litmus::{
     build, parse_name, scenario_name, Family, LitmusSpec, FAMILIES, LITMUS_PREFIX,

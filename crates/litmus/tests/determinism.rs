@@ -4,6 +4,7 @@
 //! campaign's verdict for that case; generated scenarios run
 //! through the ordinary `Experiment` sweep machinery unchanged.
 
+use sfence_harness::hash::sha256_hex;
 use sfence_harness::{Axis, BackendId, CheckerConfig, Experiment};
 use sfence_litmus::{all_families, cases, run_campaign, run_case, Family, LitmusSpec, FAMILIES};
 use sfence_sim::FenceConfig;
@@ -68,11 +69,27 @@ fn shard_union_equals_full_campaign() {
 /// non-covering scopes demonstrate the relaxed outcome somewhere. The
 /// functional backend cross-checks the SC interpreter against the
 /// enumerator. On the simulator the degrade path must really run.
+/// The verdict bytes (`sfence-litmus --seeds 8 --json`'s stdout) are
+/// pinned by SHA-256.
 #[test]
 fn expectations_hold_on_a_small_campaign() {
     let checker = CheckerConfig::default();
-    for backend in [BackendId::Sim, BackendId::Functional] {
+    for (backend, pin) in [
+        (
+            BackendId::Sim,
+            "d24754c389047f786a4b75f6ca4e41b416fdb4cc76b5a71c0a25c4c84768a2f1",
+        ),
+        (
+            BackendId::Functional,
+            "72845d520cd027563aaf435b9d30e24151a7a999697bce6e42e4581db4629df1",
+        ),
+    ] {
         let campaign = run_campaign(&all_families(), CAMPAIGN_SEEDS, 8, &checker, backend).unwrap();
+        assert_eq!(
+            sha256_hex(campaign.to_json().to_string_pretty().as_bytes()),
+            pin,
+            "{backend:?} verdict bytes changed"
+        );
         assert_eq!(
             campaign.expectation_failures(),
             Vec::<String>::new(),
@@ -127,7 +144,7 @@ fn litmus_names_sweep_through_experiment() {
         .fences(vec![FenceConfig::TRADITIONAL, FenceConfig::SFENCE])
         .axis(Axis::None);
     assert_eq!(experiment.job_count(), 6);
-    let serial = experiment.run_serial();
+    let serial = experiment.run(1);
     let parallel = experiment.run(4);
     assert_eq!(serial.to_json_string(), parallel.to_json_string());
     assert!(serial.cycles("litmus/sb/0", "T", "") > 0);

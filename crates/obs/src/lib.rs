@@ -18,7 +18,7 @@
 //!   summary table, for profiling the *harness* (not the simulated
 //!   machine): phase timings of benchmark and perf-gate runs.
 //! - [`progress`] — a throttled stderr progress meter (done/total,
-//!   cells/sec, ETA) built on the metrics registry, for long sweeps.
+//!   cells/sec, ETA) for long sweeps.
 //! - [`log`] — a leveled, structured JSONL event logger for
 //!   long-lived services: schema-versioned records with monotonic
 //!   sequence numbers, size-based rotation, and per-line flushing so

@@ -198,9 +198,6 @@ impl RotatingWriter {
 struct LogInner {
     seq: u64,
     writer: Option<RotatingWriter>,
-    /// Set once if the file sink fails; reported to stderr at the
-    /// first failure, then the sink is dropped rather than spamming.
-    file_error: Option<String>,
     ring: EventRing,
 }
 
@@ -238,7 +235,6 @@ impl EventLog {
             inner: Mutex::new(LogInner {
                 seq: 0,
                 writer: None,
-                file_error: None,
                 ring: EventRing::default(),
             }),
         }
@@ -282,7 +278,8 @@ impl EventLog {
             if level <= self.file_level {
                 if let Some(writer) = inner.writer.as_mut() {
                     if let Err(e) = writer.append_line(&ev.to_json().to_string_compact()) {
-                        inner.file_error = Some(e.to_string());
+                        // Reported once, then the sink is dropped
+                        // rather than spamming.
                         inner.writer = None;
                         eprintln!("{}: event log sink failed, disabling it: {e}", self.prefix);
                     }
@@ -309,11 +306,6 @@ impl EventLog {
 
     pub fn debug(&self, event: &str, fields: &[(&str, &str)]) {
         self.log(LogLevel::Debug, event, fields);
-    }
-
-    /// The first file-sink error, if the file sink has been dropped.
-    pub fn file_error(&self) -> Option<String> {
-        self.inner.lock().expect("log lock").file_error.clone()
     }
 
     /// Oldest-to-newest copy of the flight-recorder window.

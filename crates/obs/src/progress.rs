@@ -1,16 +1,9 @@
 //! A throttled stderr progress meter for long sweeps.
 //!
-//! Backed by the metrics [`Registry`] — the printed line is rendered
-//! *from* the registry's gauges, and [`ProgressMeter::snapshot`]
-//! exports the same numbers as a [`MetricsReport`], so what a human
-//! watches on stderr and what a `Status` frame reports over the wire
-//! are one set of values by construction.
-//!
-//! `Sync`: `update` is called from sweep worker threads; the state
-//! sits behind a mutex and the throttle keeps the lock traffic to a
-//! few acquisitions per second.
+//! `Sync`: `update` is called from sweep worker threads; the last
+//! print instant sits behind a mutex and the throttle keeps the lock
+//! traffic to a few acquisitions per second.
 
-use crate::metrics::{MetricsReport, Registry};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -18,18 +11,13 @@ use std::time::{Duration, Instant};
 /// prints).
 const PRINT_EVERY: Duration = Duration::from_millis(500);
 
-struct Inner {
-    reg: Registry,
-    last_print: Option<Instant>,
-}
-
 /// Tracks `done`/`total` work units and periodically prints
 /// `[label] done/total cells, rate cells/s, ETA`.
 pub struct ProgressMeter {
     label: String,
     total: usize,
     start: Instant,
-    inner: Mutex<Inner>,
+    last_print: Mutex<Option<Instant>>,
 }
 
 impl ProgressMeter {
@@ -40,18 +28,11 @@ impl ProgressMeter {
     /// Construction with an explicit start instant, so tests can
     /// drive the rate/ETA math with synthetic clocks.
     fn new_at(label: &str, total: usize, start: Instant) -> ProgressMeter {
-        let mut reg = Registry::new();
-        reg.gauge("cells_total", &[], total as f64);
-        reg.gauge("cells_done", &[], 0.0);
-        reg.gauge("cells_per_sec", &[], 0.0);
         ProgressMeter {
             label: label.to_string(),
             total,
             start,
-            inner: Mutex::new(Inner {
-                reg,
-                last_print: None,
-            }),
+            last_print: Mutex::new(None),
         }
     }
 
@@ -66,53 +47,35 @@ impl ProgressMeter {
     /// The clock-injected core of [`update`](Self::update): returns
     /// the line to print, or `None` when the throttle suppresses it.
     fn update_at(&self, done: usize, now: Instant) -> Option<String> {
-        let elapsed = now.duration_since(self.start).as_secs_f64();
-        let rate = if elapsed > 0.0 {
-            done as f64 / elapsed
-        } else {
-            0.0
-        };
-        let mut inner = self.inner.lock().expect("progress lock");
-        inner.reg.gauge("cells_done", &[], done as f64);
-        inner.reg.gauge("cells_per_sec", &[], rate);
-        let due = match inner.last_print {
+        let mut last_print = self.last_print.lock().expect("progress lock");
+        let due = match *last_print {
             None => true,
             Some(at) => now.duration_since(at) >= PRINT_EVERY,
         };
         if !(due || done >= self.total) {
             return None;
         }
-        inner.last_print = Some(now);
-        Some(render_line(&self.label, &inner.reg))
-    }
-
-    /// Export the meter's current values.
-    pub fn snapshot(&self) -> MetricsReport {
-        self.inner
-            .lock()
-            .expect("progress lock")
-            .reg
-            .snapshot("progress")
+        *last_print = Some(now);
+        let elapsed = now.duration_since(self.start).as_secs_f64();
+        let rate = if elapsed > 0.0 {
+            done as f64 / elapsed
+        } else {
+            0.0
+        };
+        Some(render_line(&self.label, done, self.total, rate))
     }
 }
 
-/// Render the progress line from registry gauges.
-fn render_line(label: &str, reg: &Registry) -> String {
-    let done = reg.gauge_value("cells_done", &[]).unwrap_or(0.0);
-    let total = reg.gauge_value("cells_total", &[]).unwrap_or(0.0);
-    let rate = reg.gauge_value("cells_per_sec", &[]).unwrap_or(0.0);
+/// Render the progress line.
+fn render_line(label: &str, done: usize, total: usize, rate: f64) -> String {
     let eta = if rate > 0.0 && total > done {
-        format!("{:.0}s", (total - done) / rate)
+        format!("{:.0}s", (total - done) as f64 / rate)
     } else if done >= total {
         "done".to_string()
     } else {
         "?".to_string()
     };
-    format!(
-        "[{label}] {done}/{total} cells, {rate:.1} cells/s, ETA {eta}",
-        done = done as u64,
-        total = total as u64,
-    )
+    format!("[{label}] {done}/{total} cells, {rate:.1} cells/s, ETA {eta}")
 }
 
 #[cfg(test)]
@@ -120,26 +83,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_tracks_updates() {
-        let meter = ProgressMeter::new("test", 10);
-        meter.update(4);
-        let snap = meter.snapshot();
-        let done = snap.get("cells_done", &[]).unwrap();
-        match done.value {
-            crate::metrics::MetricValue::Gauge(v) => assert_eq!(v, 4.0),
-            ref other => panic!("expected gauge, got {other:?}"),
-        }
-        assert!(snap.get("cells_total", &[]).is_some());
-        assert!(snap.get("cells_per_sec", &[]).is_some());
-    }
-
-    #[test]
     fn line_renders_from_the_registry() {
-        let mut reg = Registry::new();
-        reg.gauge("cells_done", &[], 5.0);
-        reg.gauge("cells_total", &[], 10.0);
-        reg.gauge("cells_per_sec", &[], 2.5);
-        let line = render_line("fig13", &reg);
+        let line = render_line("fig13", 5, 10, 2.5);
         assert_eq!(line, "[fig13] 5/10 cells, 2.5 cells/s, ETA 2s");
     }
 
@@ -178,11 +123,6 @@ mod tests {
         // 4 cells in 2s → 2 cells/s → 6 remaining → ETA 3s.
         let line = meter.update_at(4, t0 + Duration::from_secs(2)).unwrap();
         assert_eq!(line, "[fig13] 4/10 cells, 2.0 cells/s, ETA 3s");
-        let snap = meter.snapshot();
-        assert_eq!(
-            snap.get("cells_per_sec", &[]).map(|m| &m.value).cloned(),
-            Some(crate::metrics::MetricValue::Gauge(2.0))
-        );
     }
 
     #[test]

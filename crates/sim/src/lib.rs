@@ -16,11 +16,10 @@ pub use sfence_mem::MemConfig;
 mod tests {
     use super::*;
     use sfence_isa::ir::*;
-    use sfence_isa::CompileOpts;
     use sfence_isa::Program;
 
     fn compile(p: &IrProgram) -> Program {
-        p.compile(&CompileOpts::default()).expect("compile")
+        p.compile().expect("compile")
     }
 
     fn run_program(program: &Program, cfg: MachineConfig) -> (RunSummary, Vec<i64>) {

@@ -42,18 +42,6 @@ impl MachineConfig {
         self.core.fence = fence;
         self
     }
-
-    /// Convenience: set memory latency (Fig. 15 sweep).
-    pub fn with_mem_latency(mut self, lat: u64) -> Self {
-        self.mem.mem_latency = lat;
-        self
-    }
-
-    /// Convenience: set ROB size (Fig. 16 sweep).
-    pub fn with_rob(mut self, rob: usize) -> Self {
-        self.core.rob_size = rob;
-        self
-    }
 }
 
 /// A watched write, recorded when a store/CAS to a watched address

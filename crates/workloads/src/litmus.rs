@@ -26,7 +26,7 @@
 
 use crate::support::{BuiltWorkload, Prng};
 use sfence_isa::ir::{c, l, ld, BlockBuilder, Global, IrProgram};
-use sfence_isa::{CompileOpts, WORDS_PER_LINE};
+use sfence_isa::WORDS_PER_LINE;
 
 /// Registry namespace for generated scenarios.
 pub const LITMUS_PREFIX: &str = "litmus/";
@@ -316,9 +316,7 @@ pub fn ir(spec: &LitmusSpec) -> IrProgram {
 /// observations here — SC-membership verdicts are the litmus
 /// differential runner's job, not the workload's.
 pub fn build(spec: &LitmusSpec) -> BuiltWorkload {
-    let program = ir(spec)
-        .compile(&CompileOpts::default())
-        .expect("litmus scenario must compile");
+    let program = ir(spec).compile().expect("litmus scenario must compile");
     BuiltWorkload {
         name: spec.name(),
         program,
@@ -741,9 +739,7 @@ mod tests {
                 "{name}: not deterministic"
             );
             let synth = crate::synth::SynthSpec::decode(enc).unwrap();
-            let direct = crate::synth::ir(&synth, false)
-                .compile(&CompileOpts::default())
-                .unwrap();
+            let direct = crate::synth::ir(&synth, false).compile().unwrap();
             assert_eq!(
                 a.program.threads, direct.threads,
                 "{name}: registry dispatch and direct emission disagree"

@@ -2,7 +2,7 @@
 //! mode selection, built-workload plumbing and invariant checks.
 
 use sfence_isa::ir::{c, l, ld, BlockBuilder, Global, IrProgram};
-use sfence_isa::{CompileOpts, Program};
+use sfence_isa::Program;
 
 /// Which scope flavour a class-based benchmark uses (Fig. 14 compares
 /// the two).
@@ -53,10 +53,9 @@ pub(crate) fn run_for_test(
     report
 }
 
-/// Compile with default options, panicking on compiler errors.
+/// Compile, panicking on compiler errors.
 pub fn compile(p: &IrProgram) -> Program {
-    p.compile(&CompileOpts::default())
-        .expect("workload must compile")
+    p.compile().expect("workload must compile")
 }
 
 /// A small deterministic PRNG (xorshift64* over a splitmix64-mixed

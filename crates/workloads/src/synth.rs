@@ -872,7 +872,6 @@ pub fn regression(idx: u64) -> Option<SynthSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfence_isa::CompileOpts;
     use sfence_isa::Instr;
 
     #[test]
@@ -942,7 +941,7 @@ mod tests {
         for spec in seed_corpus() {
             for strip in [false, true] {
                 let prog = ir(&spec, strip)
-                    .compile(&CompileOpts::default())
+                    .compile()
                     .unwrap_or_else(|e| panic!("{}: {e:?}", spec.encode()));
                 assert!(
                     !prog.observed_symbols().is_empty(),
@@ -972,8 +971,8 @@ mod tests {
     #[test]
     fn emission_is_deterministic() {
         let spec = &seed_corpus()[4];
-        let a = ir(spec, false).compile(&CompileOpts::default()).unwrap();
-        let b = ir(spec, false).compile(&CompileOpts::default()).unwrap();
+        let a = ir(spec, false).compile().unwrap();
+        let b = ir(spec, false).compile().unwrap();
         assert_eq!(a.threads, b.threads);
     }
 

@@ -39,7 +39,7 @@ fn sb_litmus(fence: Option<&[&str]>) -> (i64, i64) {
             b.halt();
         });
     }
-    let prog = p.compile(&CompileOpts::default()).unwrap();
+    let prog = p.compile().unwrap();
     let report = Session::for_program(&prog)
         .cores(2)
         .fence(FenceConfig::SFENCE)

@@ -28,7 +28,7 @@ fn main() {
         b.call("Scope::op", &[]);
         b.halt();
     });
-    let prog = p.compile(&CompileOpts::default()).unwrap();
+    let prog = p.compile().unwrap();
     println!("program:\n{}", prog.disasm(0));
 
     println!("{:<12} {:>8} {:>14}", "config", "cycles", "fence stalls");

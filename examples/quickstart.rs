@@ -34,7 +34,7 @@ fn main() {
         });
         b.halt();
     });
-    let prog = p.compile(&CompileOpts::default()).expect("compiles");
+    let prog = p.compile().expect("compiles");
 
     println!("compiled {} instructions\n", prog.total_instrs());
 

@@ -29,7 +29,7 @@ fn main() {
         "delay-set pass: {} fences inserted, {} shared / {} private accesses",
         report.fences_inserted, report.shared_accesses, report.private_accesses
     );
-    let prog = p.compile(&CompileOpts::default()).unwrap();
+    let prog = p.compile().unwrap();
     println!("instrumented kernel:\n{}", prog.disasm(0));
 
     // And the two full applications built on it.

@@ -13,8 +13,8 @@
 //!   (scope instrumentation, set-scope flagging, SC enforcement).
 //! - [`core`] — the paper's contribution: fence scope bits (FSB), the
 //!   fence scope stack (FSS) with its branch-misprediction shadow, the
-//!   cid→FSB mapping table, and the executable operational semantics
-//!   of class scope (paper Fig. 5).
+//!   cid→FSB mapping table, and the Fig. 5 trace conformance checker
+//!   that validates the CPU model against the class-scope rules.
 //! - [`mem`] — caches, coherence and the latency model.
 //! - [`cpu`] — the out-of-order core (ROB, store buffer, branch
 //!   prediction, fence stall logic, in-window speculation).
@@ -47,7 +47,7 @@
 //!     b.call("Mailbox::send", &[c(7)]);
 //!     b.halt();
 //! });
-//! let prog = p.compile(&CompileOpts::default()).unwrap();
+//! let prog = p.compile().unwrap();
 //!
 //! // Layer 1: a Session is one configured run, reported as a typed,
 //! // JSON-serializable RunReport. Sessions execute through a
@@ -92,12 +92,12 @@ pub use sfence_workloads as workloads;
 pub mod prelude {
     pub use sfence_core::{ClassId, ScopeConfig, ScopeRecovery};
     pub use sfence_harness::{
-        speedup_s_over_t, Axis, Backend, BackendId, EnumerativeBackend, Experiment,
-        FunctionalBackend, Json, RunReport, Session, SimBackend, SweepResult, SweepRow,
+        Axis, Backend, BackendId, EnumerativeBackend, Experiment, FunctionalBackend, Json,
+        RunReport, Session, SimBackend, SweepResult, SweepRow,
     };
     pub use sfence_isa::ir::*;
     pub use sfence_isa::passes::{enforce_sc, ScStyle};
-    pub use sfence_isa::{CompileOpts, FenceKind, Program};
+    pub use sfence_isa::{FenceKind, Program};
     pub use sfence_sim::{FenceConfig, MachineConfig, RunExit};
     pub use sfence_workloads::{catalog, Scale, ScopeMode, WorkloadParams};
 }

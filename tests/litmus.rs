@@ -71,7 +71,7 @@ fn sb(kind: Option<FenceKind>, scope_over_flags: bool, run: FenceConfig) -> (i64
             b.halt();
         });
     }
-    let prog = p.compile(&CompileOpts::default()).unwrap();
+    let prog = p.compile().unwrap();
     let report = Session::for_program(&prog).config(two_core_cfg(run)).run();
     assert_eq!(report.exit, RunExit::Completed);
     (report.read_var(&prog, "r0"), report.read_var(&prog, "r1"))
@@ -163,7 +163,7 @@ fn message_passing_via_class_scope_mailbox() {
             b.store(got.cell(), ld(data.cell()));
             b.halt();
         });
-        let prog = p.compile(&CompileOpts::default()).unwrap();
+        let prog = p.compile().unwrap();
         let report = Session::for_program(&prog)
             .config(two_core_cfg(fence))
             .run();

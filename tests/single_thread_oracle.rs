@@ -83,7 +83,7 @@ fn build_program(ops: &[Op]) -> Program {
         b.store(sum.cell(), l("acc"));
         b.halt();
     });
-    p.compile(&CompileOpts::default()).expect("compiles")
+    p.compile().expect("compiles")
 }
 
 fn reference_memory(prog: &Program) -> Vec<i64> {

@@ -95,7 +95,9 @@ fn correct_when_scope_hardware_overflows() {
 fn rob_sweep_preserves_correctness_and_monotone_pressure() {
     let w = catalog::build("wsq", &WorkloadParams::small());
     for rob in [16, 64, 128, 256] {
-        run(&w, cfg().with_rob(rob).with_fence(FenceConfig::SFENCE));
+        let mut c = cfg().with_fence(FenceConfig::SFENCE);
+        c.core.rob_size = rob;
+        run(&w, c);
     }
 }
 
@@ -103,10 +105,9 @@ fn rob_sweep_preserves_correctness_and_monotone_pressure() {
 fn latency_sweep_preserves_correctness() {
     let w = catalog::build("msn", &WorkloadParams::small());
     for lat in [200, 300, 500] {
-        run(
-            &w,
-            cfg().with_mem_latency(lat).with_fence(FenceConfig::SFENCE),
-        );
+        let mut c = cfg().with_fence(FenceConfig::SFENCE);
+        c.mem.mem_latency = lat;
+        run(&w, c);
     }
 }
 
