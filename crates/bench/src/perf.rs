@@ -2,11 +2,13 @@
 //!
 //! One measured task per golden experiment (fig12–16, the merged
 //! hwsweep) at the golden `--scale small`, the Eval-scale fig13 sweep
-//! (the headline hot-loop number), and the two functional batches
+//! (the headline hot-loop number), the two functional batches
 //! (litmus campaign, fuzz campaign) that exercise the non-sim
-//! engines. Each task reports wall time plus throughput in cells/sec
-//! and — on the cycle-accurate engine — simulated cycles/sec, the
-//! rows `BENCH_perf.json` tracks across commits.
+//! engines, and the same fuzz campaign on the sim engine (the SC
+//! enumerator and the quiescent-cycle skip of many tiny runs). Each
+//! task reports wall time plus throughput in cells/sec and — on the
+//! cycle-accurate sweeps — simulated cycles/sec, the rows
+//! `BENCH_perf.json` tracks across commits.
 //!
 //! Timing noise is handled by running each task `runs` times and
 //! keeping the median-wall-time run; the CI gate compares medians
@@ -44,7 +46,7 @@ pub struct PerfRow {
     pub scale: &'static str,
     /// Completed sweep cells (or campaign runs / fuzz cases).
     pub cells: u64,
-    /// Total simulated cycles; absent off-sim.
+    /// Total simulated cycles; absent off-sim and on the fuzz tasks.
     pub cycles: Option<u64>,
     pub wall_ms: f64,
 }
@@ -76,7 +78,7 @@ fn round3(x: f64) -> f64 {
 }
 
 /// The suite's task names, in run order.
-pub fn perf_task_names() -> [&'static str; 9] {
+pub fn perf_task_names() -> [&'static str; 10] {
     [
         "fig12",
         "fig13",
@@ -87,6 +89,7 @@ pub fn perf_task_names() -> [&'static str; 9] {
         "fig13-eval",
         "litmus-functional",
         "fuzz-functional",
+        "fuzz-sim",
     ]
 }
 
@@ -141,24 +144,29 @@ pub fn run_task(name: &'static str, threads: usize) -> Result<PerfRow, String> {
                 wall_ms,
             })
         }
-        "fuzz-functional" => {
+        "fuzz-functional" | "fuzz-sim" => {
+            let backend = if name == "fuzz-sim" {
+                BackendId::Sim
+            } else {
+                BackendId::Functional
+            };
             let cfg = sfence_fuzz::FuzzConfig {
                 seed: 1,
                 budget: 256,
-                backend: BackendId::Functional,
+                backend,
                 ..sfence_fuzz::FuzzConfig::default()
             };
             let (res, wall_ms) = prof::measure(name, || sfence_fuzz::run_fuzz(&cfg, threads));
             let report = res?;
             if !report.divergences.is_empty() {
                 return Err(format!(
-                    "fuzz-functional: {} divergences in the perf batch",
+                    "{name}: {} divergences in the perf batch",
                     report.divergences.len()
                 ));
             }
             Ok(PerfRow {
                 name,
-                backend: "functional",
+                backend: backend.name(),
                 scale: "small",
                 cells: report.cases as u64,
                 cycles: None,
@@ -408,7 +416,8 @@ mod tests {
         // task list from drifting out from under the registry.
         for name in perf_task_names() {
             match name {
-                "fig13-eval" | "hwsweep" | "litmus-functional" | "fuzz-functional" => {}
+                "fig13-eval" | "hwsweep" | "litmus-functional" | "fuzz-functional" | "fuzz-sim" => {
+                }
                 fig => assert!(crate::experiment_by_name(fig).is_some(), "{fig}"),
             }
         }

@@ -121,6 +121,19 @@ enum Ev {
     Sb(u64),
 }
 
+/// What one quiescent cycle charges: the stall counters and coverage
+/// bits a stage bumps when it can do nothing else. See
+/// [`Core::next_wake`].
+#[derive(Debug, Default)]
+struct Quiet {
+    fence_stall: bool,
+    rob_full: bool,
+    sb_full: bool,
+    /// Blocked loads charged a failed disambiguation retry.
+    blocked_loads: u64,
+    coverage: u32,
+}
+
 /// One simulated core.
 pub struct Core {
     pub cfg: CoreConfig,
@@ -308,6 +321,121 @@ impl Core {
         }
     }
 
+    /// The first cycle after `now` at which this core can act, or
+    /// `None` if some stage could act at `now`. Until that cycle, and
+    /// while no other core acts either, every [`cycle`](Self::cycle)
+    /// would only repeat the same stall charges: the memory system
+    /// fixes a latency at access time, and cross-core writes and
+    /// coherence probes only happen at some core's events, so the
+    /// state the stages read cannot change before the earlier of the
+    /// event-heap head and `fetch_resume`. A finished core never acts
+    /// again (`u64::MAX`).
+    pub fn next_wake(&self, now: u64) -> Option<u64> {
+        if self.finished() {
+            return Some(u64::MAX);
+        }
+        self.quiet(now)?;
+        let event = self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
+        let fetch = if !self.fetch_done && self.fetch_resume > now {
+            self.fetch_resume
+        } else {
+            u64::MAX
+        };
+        Some(event.min(fetch))
+    }
+
+    /// Charge `cycles` quiescent cycles starting at `now` exactly as
+    /// that many calls of [`cycle`](Self::cycle) would. Only valid
+    /// while [`next_wake`](Self::next_wake)`(now)` is `Some(w)` and
+    /// `now + cycles <= w`.
+    pub fn skip(&mut self, now: u64, cycles: u64) {
+        if self.finished() {
+            return;
+        }
+        let q = self
+            .quiet(now)
+            .expect("skipped a cycle in which the core can act");
+        self.stats.fence_stall_cycles += cycles * u64::from(q.fence_stall);
+        self.stats.rob_full_stall_cycles += cycles * u64::from(q.rob_full);
+        self.stats.sb_full_stall_cycles += cycles * u64::from(q.sb_full);
+        self.stats.load_disambiguation_blocks += cycles * q.blocked_loads;
+        self.scope.coverage.insert(q.coverage);
+    }
+
+    /// What one cycle at `now` charges when no stage can act, or
+    /// `None` if some stage could. Each block mirrors its stage's own
+    /// checks in [`cycle`](Self::cycle) order and reads the same
+    /// state; a needless `None` only costs one stepped cycle.
+    fn quiet(&self, now: u64) -> Option<Quiet> {
+        let mut q = Quiet::default();
+        // Completions.
+        if self.events.peek().is_some_and(|&Reverse((t, _))| t <= now) {
+            return None;
+        }
+        // Store-buffer drain.
+        if self.sb_unissued > 0 {
+            let can_drain = if self.cfg.sb_drain_in_order {
+                self.sb_inflight == 0
+            } else {
+                self.sb_inflight < self.cfg.max_outstanding_stores
+                    && self.sb.iter().any(|s| !s.issued && !s.blocked)
+            };
+            if can_drain {
+                return None;
+            }
+        }
+        // Retire.
+        let retiring = self.rob.front().filter(|h| h.state == EState::Done);
+        if let Some(head) = retiring.filter(|_| self.cfg.retire_width > 0) {
+            match head.instr {
+                Instr::Fence { .. }
+                    if self.cfg.fence.in_window_speculation
+                        && !self.retire_fence_ready(head.fence_wait) =>
+                {
+                    q.fence_stall = true;
+                    q.coverage |= sfence_core::coverage::STALL_AT_RETIRE;
+                }
+                Instr::Store { .. } if self.sb.len() == self.cfg.sb_size => q.sb_full = true,
+                _ => return None,
+            }
+        }
+        // Execute: nothing newly ready, a head CAS still blocked, and
+        // every blocked load still behind an unresolved store or CAS.
+        if !self.ready_q.is_empty() {
+            return None;
+        }
+        if let Some(cas) = self.head_cas() {
+            if !self.cas_blocked(self.cas_addr(cas)) {
+                return None;
+            }
+        }
+        if let Some(&oldest) = self.blocked_loads.first() {
+            let blocker = [self.incomplete_cas.front(), self.unresolved_stores.front()]
+                .into_iter()
+                .flatten()
+                .min();
+            if blocker.is_none_or(|&b| oldest < b) {
+                return None;
+            }
+            q.blocked_loads = self.blocked_loads.len() as u64;
+        }
+        // Issue.
+        if self.cfg.issue_width > 0 && !self.fetch_done && now >= self.fetch_resume {
+            if self.rob.len() >= self.cfg.rob_size {
+                q.rob_full = true;
+            } else {
+                match self.blocked_fence {
+                    Some((_, wait, _)) if !self.fence_satisfied(wait) => {
+                        q.fence_stall = true;
+                        q.coverage |= sfence_core::coverage::STALL_AT_ISSUE;
+                    }
+                    _ => return None,
+                }
+            }
+        }
+        Some(q)
+    }
+
     // ------------------------------------------------------------------
     // Completion
 
@@ -435,7 +563,7 @@ impl Core {
         }
     }
 
-    fn complete_drain(&mut self, id: u64, _now: u64, bus: &mut impl MemBus) {
+    fn complete_drain(&mut self, id: u64, now: u64, bus: &mut impl MemBus) {
         // Store ids are handed out monotonically and entries are never
         // reordered, so the buffer is sorted by id.
         let pos = self.sb.partition_point(|s| s.id < id);
@@ -463,7 +591,7 @@ impl Core {
         }
         if let Some(idx) = entry.trace_idx {
             if let RetiredEvent::Mem { complete, .. } = &mut self.trace[idx] {
-                *complete = _now;
+                *complete = now;
             }
         }
     }
@@ -531,11 +659,7 @@ impl Core {
             // their (captured) condition is satisfied by the SB.
             if let Instr::Fence { .. } = instr {
                 if self.cfg.fence.in_window_speculation {
-                    let ok = match head.fence_wait {
-                        Some(FenceWait::All) | None => self.sb.is_empty(),
-                        Some(FenceWait::Mask(m)) => self.sb_counts.clear_in(m),
-                    };
-                    if !ok {
+                    if !self.retire_fence_ready(head.fence_wait) {
                         *fence_stalled = true;
                         self.scope
                             .coverage
@@ -670,18 +794,49 @@ impl Core {
         }
     }
 
+    /// May a fence at the ROB head retire under in-window speculation?
+    /// Its captured condition must be satisfied by the store buffer.
+    fn retire_fence_ready(&self, wait: Option<FenceWait>) -> bool {
+        match wait {
+            Some(FenceWait::All) | None => self.sb.is_empty(),
+            Some(FenceWait::Mask(m)) => self.sb_counts.clear_in(m),
+        }
+    }
+
     // ------------------------------------------------------------------
     // Execute
+
+    /// A Ready CAS parked at the ROB head (it re-checks every cycle).
+    fn head_cas(&self) -> Option<&RobEntry> {
+        self.rob
+            .front()
+            .filter(|h| matches!(h.instr, Instr::Cas { .. }) && h.state == EState::Ready)
+    }
+
+    /// The address of a Ready CAS entry (its operands are captured).
+    fn cas_addr(&self, e: &RobEntry) -> usize {
+        let Instr::Cas { base, offset, .. } = e.instr else {
+            unreachable!("cas_addr of {:?}", e.instr)
+        };
+        mem_addr(operand_val(base, &e.ops, 0), offset)
+    }
+
+    /// Must a CAS at the head to `addr` wait for the store buffer?
+    /// Prior stores are ordered only if `cas_drains_sb`, or when they
+    /// target the same address (single-thread semantics).
+    fn cas_blocked(&self, addr: usize) -> bool {
+        if self.cfg.cas_drains_sb {
+            !self.sb.is_empty() || self.sb_inflight > 0
+        } else {
+            self.sb_occ[bucket(addr)] > 0 && self.sb.iter().any(|s| s.addr == addr)
+        }
+    }
 
     fn execute(&mut self, now: u64, bus: &mut impl MemBus) {
         // Re-examine loads blocked on disambiguation and a CAS parked
         // at the head, then dispatch the newly ready instructions.
         // Also: a Ready CAS at the head re-checks every cycle.
-        let head_cas = self
-            .rob
-            .front()
-            .filter(|h| matches!(h.instr, Instr::Cas { .. }) && h.state == EState::Ready)
-            .map(|h| h.seq);
+        let head_cas = self.head_cas().map(|h| h.seq);
         if self.blocked_loads.is_empty() && self.ready_q.is_empty() && head_cas.is_none() {
             return;
         }
@@ -779,22 +934,14 @@ impl Core {
                 // memory effect happens after retire, from the SB.
                 self.start_exec(seq, val, 1, now);
             }
-            Instr::Cas { base, offset, .. } => {
-                // Non-speculative: only at the ROB head. Prior loads
-                // are thus complete; prior stores are ordered only if
-                // `cas_drains_sb` (or when they target the same
-                // address, preserving single-thread semantics).
+            Instr::Cas { .. } => {
+                // Non-speculative: only at the ROB head, so prior
+                // loads are complete; prior stores per `cas_blocked`.
                 if self.head_seq() != Some(seq) {
                     return; // stays Ready; retried next cycle
                 }
-                let ops = self.entry(seq).unwrap().ops;
-                let addr = mem_addr(operand_val(base, &ops, 0), offset);
-                let blocked = if self.cfg.cas_drains_sb {
-                    !self.sb.is_empty() || self.sb_inflight > 0
-                } else {
-                    self.sb_occ[bucket(addr)] > 0 && self.sb.iter().any(|s| s.addr == addr)
-                };
-                if blocked {
+                let addr = self.cas_addr(self.entry(seq).unwrap());
+                if self.cas_blocked(addr) {
                     return; // wait for the store buffer to make progress
                 }
                 let lat = bus.access_latency(self.id, addr, true).max(1);

@@ -19,10 +19,15 @@
 //!   search. If any memory instruction's address cannot be resolved
 //!   statically the analysis degrades soundly: every memory access is
 //!   treated as racy.
-//! - **State memoization.** Visited states (pcs, live registers,
+//! - **State memoization.** Visited states (pcs, nonzero registers,
 //!   written memory) are deduplicated, which also makes spin loops
 //!   finite: a spin that re-reads an unchanged flag revisits the same
-//!   state and is pruned.
+//!   state and is pruned. A state stores only the registers its
+//!   thread can write (found statically from `Instr::dest`), not the
+//!   128-wide register file, and threads step through one reused
+//!   scratch interpreter state each. The key is built into a reused
+//!   buffer, copied only when it is new, and hashed with a
+//!   multiplicative hasher.
 //! - **Bounds.** The search gives up (reporting `complete = false`)
 //!   past a configurable state budget, so a pathological input can
 //!   never hang the campaign.
@@ -32,8 +37,9 @@
 //! globals in address order.
 
 use sfence_isa::interp::{InterpStats, ThreadState};
-use sfence_isa::{Instr, Operand, Program};
+use sfence_isa::{Instr, Operand, Program, NUM_REGS};
 use std::collections::{BTreeSet, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Exploration bounds.
 #[derive(Debug, Clone)]
@@ -164,42 +170,145 @@ impl Conflicts {
     }
 }
 
-/// One SC machine state.
+/// Where each thread's registers live in a compact [`State`]. A
+/// register no instruction of its thread writes (`Instr::dest`) stays
+/// 0 for the whole search, so a state stores only the others.
+struct Layout {
+    /// Per thread, ascending: the registers the thread can write.
+    regs: Vec<Vec<u8>>,
+    /// Start of each thread's registers in [`State::regs`].
+    base: Vec<usize>,
+    /// Per thread and pc: is the instruction a scheduling choice
+    /// ([`Conflicts::visible`])?
+    visible: Vec<Vec<bool>>,
+}
+
+impl Layout {
+    fn new(prog: &Program, conflicts: &Conflicts) -> Layout {
+        let mut base = Vec::with_capacity(prog.threads.len());
+        let mut next = 0;
+        let regs: Vec<Vec<u8>> = prog
+            .threads
+            .iter()
+            .map(|code| {
+                let mut written = [false; NUM_REGS];
+                for rd in code.iter().filter_map(Instr::dest) {
+                    written[rd.0 as usize] = true;
+                }
+                let kept: Vec<u8> = (0..NUM_REGS as u8)
+                    .filter(|&r| written[r as usize])
+                    .collect();
+                base.push(next);
+                next += kept.len();
+                kept
+            })
+            .collect();
+        let visible = prog
+            .threads
+            .iter()
+            .map(|code| code.iter().map(|i| conflicts.visible(i)).collect())
+            .collect();
+        Layout {
+            regs,
+            base,
+            visible,
+        }
+    }
+
+    fn num_regs(&self) -> usize {
+        self.regs.iter().map(Vec::len).sum()
+    }
+}
+
+/// Program counter and halt flag of one thread.
+#[derive(Clone, Copy)]
+struct Pc {
+    pc: usize,
+    halted: bool,
+}
+
+/// One SC machine state: per-thread pcs, the writable registers of
+/// every thread flat in [`Layout`] order, and memory.
 #[derive(Clone)]
 struct State {
-    threads: Vec<ThreadState>,
+    pcs: Vec<Pc>,
+    regs: Vec<i64>,
     mem: Vec<i64>,
 }
 
 impl State {
-    fn initial(prog: &Program) -> State {
+    fn initial(prog: &Program, layout: &Layout) -> State {
         State {
-            threads: prog
-                .threads
-                .iter()
-                .map(|_| ThreadState::default())
-                .collect(),
+            pcs: vec![
+                Pc {
+                    pc: 0,
+                    halted: false
+                };
+                prog.threads.len()
+            ],
+            regs: vec![0; layout.num_regs()],
             mem: prog.initial_memory(),
         }
     }
 
     fn all_halted(&self) -> bool {
-        self.threads.iter().all(|t| t.halted)
+        self.pcs.iter().all(|p| p.halted)
     }
 
-    /// Compact dedup key: pcs + halt flags + nonzero registers +
-    /// tracked memory. Registers are sparse (litmus programs use a
-    /// handful of locals plus per-statement temporaries), so the key
-    /// stays small even though the register file is 128 wide.
-    fn key(&self, conflicts: &Conflicts) -> Vec<u8> {
-        let mut k = Vec::with_capacity(64);
-        for t in &self.threads {
-            k.extend_from_slice(&(t.pc as u32).to_le_bytes());
-            k.push(t.halted as u8);
-            for (i, &r) in t.regs.iter().enumerate() {
-                if r != 0 {
-                    k.push(i as u8);
-                    k.extend_from_slice(&r.to_le_bytes());
+    /// Copy thread `t` into its scratch interpreter state. Registers
+    /// outside the layout are never written, so they are already 0.
+    fn load(&self, t: usize, layout: &Layout, ts: &mut ThreadState) {
+        ts.pc = self.pcs[t].pc;
+        ts.halted = self.pcs[t].halted;
+        let regs = &self.regs[layout.base[t]..];
+        for (&r, &v) in layout.regs[t].iter().zip(regs) {
+            ts.regs[r as usize] = v;
+        }
+    }
+
+    /// Copy thread `t` back from its scratch interpreter state.
+    fn save(&mut self, t: usize, layout: &Layout, ts: &ThreadState) {
+        self.pcs[t] = Pc {
+            pc: ts.pc,
+            halted: ts.halted,
+        };
+        let regs = &mut self.regs[layout.base[t]..];
+        for (&r, v) in layout.regs[t].iter().zip(regs) {
+            *v = ts.regs[r as usize];
+        }
+    }
+
+    /// Execute one instruction of thread `t`.
+    fn step(
+        &mut self,
+        t: usize,
+        prog: &Program,
+        layout: &Layout,
+        ts: &mut ThreadState,
+        stats: &mut InterpStats,
+    ) -> Result<(), String> {
+        self.load(t, layout, ts);
+        ts.step(t, &prog.threads[t], &mut self.mem, stats)
+            .map_err(|e| e.to_string())?;
+        self.save(t, layout, ts);
+        Ok(())
+    }
+
+    /// Write the dedup key into `k`: per thread its pc, halt flag,
+    /// each nonzero register as (index, value) and a separator, then
+    /// the tracked memory. Registers go in index order, so the key is
+    /// the one a full 128-register scan would build and states are
+    /// deduplicated exactly as with whole register files.
+    fn key(&self, layout: &Layout, conflicts: &Conflicts, k: &mut Vec<u8>) {
+        k.clear();
+        for (t, p) in self.pcs.iter().enumerate() {
+            k.extend_from_slice(&(p.pc as u32).to_le_bytes());
+            k.push(p.halted as u8);
+            let regs = &self.regs[layout.base[t]..];
+            for (&r, &v) in layout.regs[t].iter().zip(regs) {
+                if v != 0 {
+                    k.push(r);
+                    k.extend_from_slice(&v.to_le_bytes());
                 }
             }
             k.push(0xff); // thread separator (no register index is 0xff: NUM_REGS = 128)
@@ -213,35 +322,74 @@ impl State {
                 k.extend_from_slice(&self.mem[a].to_le_bytes());
             }
         }
-        k
+    }
+}
+
+/// Multiplicative hasher for state keys (the FxHash step with a final
+/// rotate, so the low bits the table indexes by see the high bits of
+/// the product). Keys come from the program under test, not from an
+/// adversary, and the set is never iterated, so SipHash buys nothing
+/// and hash order is unobservable.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
     }
 }
 
 /// Enumerate every SC-reachable final state of `prog`.
 pub fn enumerate_sc(prog: &Program, cfg: &CheckerConfig) -> Result<ScOutcomes, String> {
     let conflicts = Conflicts::analyze(prog);
+    let layout = Layout::new(prog, &conflicts);
+    let mut scratch = vec![ThreadState::default(); prog.threads.len()];
     let mut stats = InterpStats::default();
-    let mut visited: HashSet<Vec<u8>> = HashSet::new();
+    let mut visited: HashSet<Box<[u8]>, BuildHasherDefault<KeyHasher>> = HashSet::default();
+    let mut key = Vec::new();
     let mut states = BTreeSet::new();
     let mut complete = true;
-    let mut stack = vec![State::initial(prog)];
+    let mut stack = vec![State::initial(prog, &layout)];
 
     while let Some(mut state) = stack.pop() {
         // Eager phase: run every thread up to its next visible step.
         // These steps commute with everything, so executing them in
         // fixed thread order loses no behaviours.
         let mut local_steps = 0u64;
-        for t in 0..state.threads.len() {
+        for (t, ts) in scratch.iter_mut().enumerate() {
+            state.load(t, &layout, ts);
+            let code = &prog.threads[t];
             loop {
-                let ts = &state.threads[t];
                 if ts.halted {
                     break;
                 }
-                let code = &prog.threads[t];
                 if ts.pc >= code.len() {
                     return Err(format!("thread {t}: pc {} out of range", ts.pc));
                 }
-                if conflicts.visible(&code[ts.pc]) {
+                if layout.visible[t][ts.pc] {
                     break;
                 }
                 local_steps += 1;
@@ -250,10 +398,10 @@ pub fn enumerate_sc(prog: &Program, cfg: &CheckerConfig) -> Result<ScOutcomes, S
                     complete = false;
                     break;
                 }
-                state.threads[t]
-                    .step(t, code, &mut state.mem, &mut stats)
+                ts.step(t, code, &mut state.mem, &mut stats)
                     .map_err(|e| e.to_string())?;
             }
+            state.save(t, &layout, ts);
             if local_steps > cfg.max_local_steps {
                 break;
             }
@@ -266,25 +414,32 @@ pub fn enumerate_sc(prog: &Program, cfg: &CheckerConfig) -> Result<ScOutcomes, S
             states.insert(prog.observed_state(&state.mem));
             continue;
         }
-        if !visited.insert(state.key(&conflicts)) {
+        state.key(&layout, &conflicts, &mut key);
+        if visited.contains(key.as_slice()) {
             continue;
         }
+        visited.insert(key.as_slice().into());
         if visited.len() >= cfg.max_states {
             complete = false;
             continue;
         }
 
-        // Branch over every enabled thread's next (visible) step.
-        for t in 0..state.threads.len() {
-            if state.threads[t].halted {
-                continue;
+        // Branch over every enabled thread's next (visible) step, in
+        // thread order. The last one takes `state` itself.
+        let last = state
+            .pcs
+            .iter()
+            .rposition(|p| !p.halted)
+            .expect("a thread that has not halted");
+        for (t, ts) in scratch.iter_mut().enumerate().take(last) {
+            if !state.pcs[t].halted {
+                let mut next = state.clone();
+                next.step(t, prog, &layout, ts, &mut stats)?;
+                stack.push(next);
             }
-            let mut next = state.clone();
-            next.threads[t]
-                .step(t, &prog.threads[t], &mut next.mem, &mut stats)
-                .map_err(|e| e.to_string())?;
-            stack.push(next);
         }
+        state.step(last, prog, &layout, &mut scratch[last], &mut stats)?;
+        stack.push(state);
     }
 
     Ok(ScOutcomes {
@@ -333,6 +488,7 @@ mod tests {
         let expect: BTreeSet<Vec<i64>> =
             [vec![0, 0], vec![0, 42], vec![1, 42]].into_iter().collect();
         assert_eq!(out.states, expect);
+        assert_eq!(out.states_explored, 10);
     }
 
     /// Hand-computed allowed set for the SB shape: both observations
@@ -361,6 +517,7 @@ mod tests {
         assert!(out.complete);
         let expect: BTreeSet<Vec<i64>> = [vec![0, 1], vec![1, 0], vec![1, 1]].into_iter().collect();
         assert_eq!(out.states, expect);
+        assert_eq!(out.states_explored, 10);
         assert!(
             !out.allows(&[0, 0]),
             "SB relaxed outcome must be SC-forbidden"
@@ -391,6 +548,7 @@ mod tests {
         assert!(out.complete);
         let expect: BTreeSet<Vec<i64>> = [vec![7]].into_iter().collect();
         assert_eq!(out.states, expect);
+        assert_eq!(out.states_explored, 4);
     }
 
     /// CAS increments never lose updates under SC.
@@ -417,6 +575,35 @@ mod tests {
         assert!(out.complete);
         let expect: BTreeSet<Vec<i64>> = [vec![4]].into_iter().collect();
         assert_eq!(out.states, expect);
+        assert_eq!(out.states_explored, 65);
+    }
+
+    /// A register-computed address defeats the static analysis: every
+    /// memory access branches and the state key covers all of memory.
+    /// The consumer reads `arr[idx]` for whichever `idx` it sees.
+    #[test]
+    fn computed_address_keys_all_of_memory() {
+        let mut p = IrProgram::new();
+        let idx = p.shared("idx");
+        let arr = p.shared_array("arr", 2);
+        let seen = p.observer("seen");
+        p.thread(move |b| {
+            b.store(arr.at(c(0)), c(7));
+            b.store(idx.cell(), c(1));
+            b.halt();
+        });
+        p.thread(move |b| {
+            b.let_("i", ld(idx.cell()));
+            b.store(seen.cell(), ld(arr.at(l("i"))));
+            b.halt();
+        });
+        let prog = compile(&p);
+        assert!(Conflicts::analyze(&prog).all_visible);
+        let out = enumerate_sc(&prog, &CheckerConfig::default()).unwrap();
+        assert!(out.complete);
+        let expect: BTreeSet<Vec<i64>> = [vec![0], vec![7]].into_iter().collect();
+        assert_eq!(out.states, expect);
+        assert_eq!(out.states_explored, 16);
     }
 
     /// The budget is honoured and reported.

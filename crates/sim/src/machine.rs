@@ -1,6 +1,14 @@
 //! The multicore machine: N cores over a shared cache hierarchy and a
-//! flat functional memory, advanced one cycle at a time in
-//! deterministic core order.
+//! flat functional memory, stepped in deterministic core order.
+//!
+//! [`Machine::step`] advances every core by one cycle and is the
+//! reference semantics. [`Machine::run`] steps only the cycles in which
+//! some core can act: when no core can ([`Core::next_wake`]), it jumps
+//! to the earliest cycle at which one can, charging each core the
+//! stall counters the skipped cycles would have counted. Small litmus
+//! and fuzz programs spend most of their cycles waiting on cold
+//! misses, so they run several times faster this way; the summary,
+//! memory, watch log and traces are the same as stepping every cycle.
 
 use sfence_core::{PipeEvent, PipeKind, WalkKind};
 use sfence_cpu::{Core, CoreConfig, FenceConfig, MemBus};
@@ -206,10 +214,6 @@ impl Machine {
         self.watch_addrs.insert(addr);
     }
 
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// Advance one cycle (all cores, in core order), then deliver
     /// coherence probes for this cycle's writes (in-window speculation
     /// violation replay — no-ops unless speculation is enabled).
@@ -248,10 +252,28 @@ impl Machine {
         self.cores.iter().all(Core::finished)
     }
 
-    /// Run to completion (or the cycle limit) and summarise.
+    /// Run to completion (or the cycle limit) and summarise. Cycles in
+    /// which no core can act are skipped, never stepped; the result is
+    /// the same as calling [`step`](Self::step) until the machine
+    /// finishes or reaches `max_cycles`.
     pub fn run(&mut self) -> RunSummary {
-        while !self.finished() && self.now < self.cfg.max_cycles {
-            self.step();
+        let max = self.cfg.max_cycles;
+        while !self.finished() && self.now < max {
+            let now = self.now;
+            let wake = self
+                .cores
+                .iter()
+                .try_fold(u64::MAX, |wake, c| Some(wake.min(c.next_wake(now)?)));
+            match wake {
+                Some(wake) => {
+                    let to = wake.min(max);
+                    for core in &mut self.cores {
+                        core.skip(now, to - now);
+                    }
+                    self.now = to;
+                }
+                None => self.step(),
+            }
         }
         let exit = if self.finished() {
             RunExit::Completed

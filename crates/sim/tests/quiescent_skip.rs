@@ -1,0 +1,218 @@
+//! `Machine::run` skips the cycles in which no core can act; stepping
+//! every cycle with `Machine::step` is the reference. Each machine
+//! below is built so that its skipped spans carry one of the charges a
+//! stalled cycle makes (fence stall at issue and at retire, ROB full,
+//! store buffer full, disambiguation retries, a CAS parked behind the
+//! store buffer) or ends inside a span at `max_cycles`. The summary
+//! (every `CoreStats` field, scope-unit stats and coverage bits,
+//! `cycles`, `exit`), the final memory, the watch log and both traces
+//! must equal the stepped run's.
+
+use sfence_isa::ir::*;
+use sfence_isa::Program;
+use sfence_sim::{FenceConfig, Machine, MachineConfig, RunExit, RunSummary};
+
+fn compile(p: &IrProgram) -> Program {
+    p.compile().expect("compile")
+}
+
+fn config(fence: FenceConfig) -> MachineConfig {
+    let mut cfg = MachineConfig::paper_default().with_fence(fence);
+    cfg.num_cores = 2;
+    cfg.max_cycles = 1_000_000;
+    cfg.core.trace = true;
+    cfg.core.pipe_trace = true;
+    cfg
+}
+
+/// Run `prog` on `cfg`; return the summary and the machine. `stepped` drives the
+/// machine one `step` at a time up to completion or `max_cycles`
+/// first, so its closing `run` only summarises.
+fn run(prog: &Program, cfg: &MachineConfig, stepped: bool) -> (RunSummary, Machine) {
+    let mut m = Machine::new(prog, cfg.clone());
+    for addr in 0..prog.data_size {
+        m.watch(addr);
+    }
+    if stepped {
+        for _ in 0..cfg.max_cycles {
+            if m.finished() {
+                break;
+            }
+            m.step();
+        }
+    }
+    (m.run(), m)
+}
+
+/// Assert the skipping run equals the stepped one; returns the summary.
+fn assert_exact(name: &str, prog: &Program, cfg: &MachineConfig) -> RunSummary {
+    let (want, reference) = run(prog, cfg, true);
+    let (got, skipped) = run(prog, cfg, false);
+    assert_eq!(got, want, "{name}: summary");
+    assert_eq!(skipped.mem, reference.mem, "{name}: memory");
+    assert_eq!(skipped.watch_log, reference.watch_log, "{name}: watch log");
+    assert_eq!(
+        skipped.traces(),
+        reference.traces(),
+        "{name}: retired traces"
+    );
+    assert_eq!(
+        skipped.pipe_trace(),
+        reference.pipe_trace(),
+        "{name}: pipe trace"
+    );
+    assert_eq!(
+        skipped.reg_snapshot(),
+        reference.reg_snapshot(),
+        "{name}: registers"
+    );
+    got
+}
+
+fn total(s: &RunSummary, f: impl Fn(&sfence_cpu::CoreStats) -> u64) -> u64 {
+    s.core_stats.iter().map(f).sum()
+}
+
+/// Message passing with each store on a cold line: the producer's
+/// fence waits out a memory miss, the consumer spins.
+fn mp(scoped: bool) -> Program {
+    let mut p = IrProgram::new();
+    let data = p.shared_line("data");
+    let flag = p.shared_line("flag");
+    let got = p.global_line("got");
+    p.thread(move |b| {
+        b.store(data.cell(), c(42));
+        if scoped {
+            b.fence_set(&[data, flag]);
+        } else {
+            b.fence();
+        }
+        b.store(flag.cell(), c(1));
+        b.halt();
+    });
+    p.thread(move |b| {
+        b.spin_until(ld(flag.cell()).eq(c(1)));
+        b.fence();
+        b.store(got.cell(), ld(data.cell()));
+        b.halt();
+    });
+    compile(&p)
+}
+
+#[test]
+fn fence_stalls_at_issue_under_t_and_s() {
+    for (fence, scoped) in [
+        (FenceConfig::TRADITIONAL, false),
+        (FenceConfig::SFENCE, false),
+        (FenceConfig::SFENCE, true),
+    ] {
+        let name = format!("mp {} scoped={scoped}", fence.label());
+        let s = assert_exact(&name, &mp(scoped), &config(fence));
+        assert_eq!(s.exit, RunExit::Completed, "{name}");
+        assert!(total(&s, |c| c.fence_stall_cycles) > 0, "{name}");
+        assert!(
+            s.scope_coverage[0] & sfence_core::coverage::STALL_AT_ISSUE != 0,
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn fence_stalls_at_retire_under_in_window_speculation() {
+    for fence in [FenceConfig::TRADITIONAL_SPEC, FenceConfig::SFENCE_SPEC] {
+        let name = format!("mp {}", fence.label());
+        let s = assert_exact(&name, &mp(true), &config(fence));
+        assert_eq!(s.exit, RunExit::Completed, "{name}");
+        assert!(total(&s, |c| c.fence_stall_cycles) > 0, "{name}");
+        assert!(
+            s.scope_coverage[0] & sfence_core::coverage::STALL_AT_RETIRE != 0,
+            "{name}"
+        );
+    }
+}
+
+/// A cold load followed by more work than a four-entry ROB holds; a
+/// store whose address depends on that load, so the loads after it
+/// retry disambiguation every cycle of the miss.
+#[test]
+fn rob_full_and_blocked_loads() {
+    let mut p = IrProgram::new();
+    let ptr = p.global_line("ptr");
+    let arr = p.array("arr", 8);
+    let other = p.global_line("other");
+    let out = p.global_line("out");
+    p.init(ptr, 3);
+    p.thread(move |b| {
+        b.let_("i", ld(ptr.cell()));
+        b.store(arr.at(l("i")), c(5));
+        b.let_("v", ld(other.cell()));
+        b.let_("w", ld(other.cell()).add(c(1)));
+        for _ in 0..6 {
+            b.assign("v", l("v").add(l("w")));
+        }
+        b.store(out.cell(), l("v"));
+        b.halt();
+    });
+    let prog = compile(&p);
+    for rob_size in [4, 128] {
+        let mut cfg = config(FenceConfig::SFENCE);
+        cfg.core.rob_size = rob_size;
+        let name = format!("rob {rob_size}");
+        let s = assert_exact(&name, &prog, &cfg);
+        assert_eq!(s.exit, RunExit::Completed, "{name}");
+        assert!(total(&s, |c| c.load_disambiguation_blocks) > 0, "{name}");
+        if rob_size == 4 {
+            assert!(total(&s, |c| c.rob_full_stall_cycles) > 0, "{name}");
+        }
+    }
+}
+
+/// Stores to four cold lines through a one-entry FIFO store buffer,
+/// then a CAS to the last one that must wait for its drain.
+#[test]
+fn sb_full_and_cas_behind_the_store_buffer() {
+    let mut p = IrProgram::new();
+    let lines: Vec<Global> = (0..4).map(|i| p.global_line(&format!("x{i}"))).collect();
+    let last = lines[3];
+    p.thread(move |b| {
+        for (i, g) in lines.iter().enumerate() {
+            b.store(g.cell(), c(i as i64 + 1));
+        }
+        b.cas("ok", last.cell(), c(4), c(9));
+        b.halt();
+    });
+    let prog = compile(&p);
+    for (sb_size, in_order) in [(1, true), (1, false), (8, false)] {
+        let mut cfg = config(FenceConfig::SFENCE);
+        cfg.core.sb_size = sb_size;
+        cfg.core.sb_drain_in_order = in_order;
+        let name = format!("sb {sb_size} in_order={in_order}");
+        let s = assert_exact(&name, &prog, &cfg);
+        assert_eq!(s.exit, RunExit::Completed, "{name}");
+        if sb_size == 1 {
+            assert!(total(&s, |c| c.sb_full_stall_cycles) > 0, "{name}");
+        }
+    }
+}
+
+/// A spin on a flag no thread sets never finishes: the run must stop
+/// at exactly `max_cycles`, whether that falls inside the first cold
+/// miss (a clamped skip) or in the warm spin after it.
+#[test]
+fn endless_spin_stops_at_the_cycle_limit() {
+    let mut p = IrProgram::new();
+    let flag = p.shared_line("flag");
+    p.thread(move |b| {
+        b.spin_until(ld(flag.cell()).eq(c(1)));
+        b.halt();
+    });
+    let prog = compile(&p);
+    for max_cycles in [1, 150, 1_000, 4_321] {
+        let mut cfg = config(FenceConfig::SFENCE);
+        cfg.max_cycles = max_cycles;
+        let name = format!("spin max_cycles={max_cycles}");
+        let s = assert_exact(&name, &prog, &cfg);
+        assert_eq!(s.exit, RunExit::CycleLimit, "{name}");
+        assert_eq!(s.cycles, max_cycles, "{name}");
+    }
+}
