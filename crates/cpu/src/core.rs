@@ -124,7 +124,7 @@ enum Ev {
 /// What one quiescent cycle charges: the stall counters and coverage
 /// bits a stage bumps when it can do nothing else. See
 /// [`Core::next_wake`].
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Quiet {
     fence_stall: bool,
     rob_full: bool,

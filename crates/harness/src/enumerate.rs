@@ -178,13 +178,10 @@ struct Layout {
     regs: Vec<Vec<u8>>,
     /// Start of each thread's registers in [`State::regs`].
     base: Vec<usize>,
-    /// Per thread and pc: is the instruction a scheduling choice
-    /// ([`Conflicts::visible`])?
-    visible: Vec<Vec<bool>>,
 }
 
 impl Layout {
-    fn new(prog: &Program, conflicts: &Conflicts) -> Layout {
+    fn new(prog: &Program) -> Layout {
         let mut base = Vec::with_capacity(prog.threads.len());
         let mut next = 0;
         let regs: Vec<Vec<u8>> = prog
@@ -203,20 +200,7 @@ impl Layout {
                 kept
             })
             .collect();
-        let visible = prog
-            .threads
-            .iter()
-            .map(|code| code.iter().map(|i| conflicts.visible(i)).collect())
-            .collect();
-        Layout {
-            regs,
-            base,
-            visible,
-        }
-    }
-
-    fn num_regs(&self) -> usize {
-        self.regs.iter().map(Vec::len).sum()
+        Layout { regs, base }
     }
 }
 
@@ -246,7 +230,7 @@ impl State {
                 };
                 prog.threads.len()
             ],
-            regs: vec![0; layout.num_regs()],
+            regs: vec![0; layout.regs.iter().map(Vec::len).sum()],
             mem: prog.initial_memory(),
         }
     }
@@ -327,9 +311,10 @@ impl State {
 
 /// Multiplicative hasher for state keys (the FxHash step with a final
 /// rotate, so the low bits the table indexes by see the high bits of
-/// the product). Keys come from the program under test, not from an
-/// adversary, and the set is never iterated, so SipHash buys nothing
-/// and hash order is unobservable.
+/// the product). It gives up SipHash's defence against crafted
+/// collisions for speed: the keys are states of a program the caller
+/// chose to check, and the set is never iterated, so hash order is
+/// unobservable.
 #[derive(Default)]
 struct KeyHasher(u64);
 
@@ -365,7 +350,7 @@ impl Hasher for KeyHasher {
 /// Enumerate every SC-reachable final state of `prog`.
 pub fn enumerate_sc(prog: &Program, cfg: &CheckerConfig) -> Result<ScOutcomes, String> {
     let conflicts = Conflicts::analyze(prog);
-    let layout = Layout::new(prog, &conflicts);
+    let layout = Layout::new(prog);
     let mut scratch = vec![ThreadState::default(); prog.threads.len()];
     let mut stats = InterpStats::default();
     let mut visited: HashSet<Box<[u8]>, BuildHasherDefault<KeyHasher>> = HashSet::default();
@@ -389,7 +374,7 @@ pub fn enumerate_sc(prog: &Program, cfg: &CheckerConfig) -> Result<ScOutcomes, S
                 if ts.pc >= code.len() {
                     return Err(format!("thread {t}: pc {} out of range", ts.pc));
                 }
-                if layout.visible[t][ts.pc] {
+                if conflicts.visible(&code[ts.pc]) {
                     break;
                 }
                 local_steps += 1;
