@@ -178,10 +178,14 @@ struct Layout {
     regs: Vec<Vec<u8>>,
     /// Start of each thread's registers in [`State::regs`].
     base: Vec<usize>,
+    /// Per thread and pc: is the instruction a scheduling choice
+    /// ([`Conflicts::visible`])? Computed once per program, so the
+    /// eager phase does no set lookups.
+    visible: Vec<Vec<bool>>,
 }
 
 impl Layout {
-    fn new(prog: &Program) -> Layout {
+    fn new(prog: &Program, conflicts: &Conflicts) -> Layout {
         let mut base = Vec::with_capacity(prog.threads.len());
         let mut next = 0;
         let regs: Vec<Vec<u8>> = prog
@@ -200,12 +204,21 @@ impl Layout {
                 kept
             })
             .collect();
-        Layout { regs, base }
+        let visible = prog
+            .threads
+            .iter()
+            .map(|code| code.iter().map(|i| conflicts.visible(i)).collect())
+            .collect();
+        Layout {
+            regs,
+            base,
+            visible,
+        }
     }
 }
 
 /// Program counter and halt flag of one thread.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Pc {
     pc: usize,
     halted: bool,
@@ -223,13 +236,7 @@ struct State {
 impl State {
     fn initial(prog: &Program, layout: &Layout) -> State {
         State {
-            pcs: vec![
-                Pc {
-                    pc: 0,
-                    halted: false
-                };
-                prog.threads.len()
-            ],
+            pcs: vec![Pc::default(); prog.threads.len()],
             regs: vec![0; layout.regs.iter().map(Vec::len).sum()],
             mem: prog.initial_memory(),
         }
@@ -350,7 +357,7 @@ impl Hasher for KeyHasher {
 /// Enumerate every SC-reachable final state of `prog`.
 pub fn enumerate_sc(prog: &Program, cfg: &CheckerConfig) -> Result<ScOutcomes, String> {
     let conflicts = Conflicts::analyze(prog);
-    let layout = Layout::new(prog);
+    let layout = Layout::new(prog, &conflicts);
     let mut scratch = vec![ThreadState::default(); prog.threads.len()];
     let mut stats = InterpStats::default();
     let mut visited: HashSet<Box<[u8]>, BuildHasherDefault<KeyHasher>> = HashSet::default();
@@ -374,7 +381,7 @@ pub fn enumerate_sc(prog: &Program, cfg: &CheckerConfig) -> Result<ScOutcomes, S
                 if ts.pc >= code.len() {
                     return Err(format!("thread {t}: pc {} out of range", ts.pc));
                 }
-                if conflicts.visible(&code[ts.pc]) {
+                if layout.visible[t][ts.pc] {
                     break;
                 }
                 local_steps += 1;
