@@ -121,19 +121,6 @@ enum Ev {
     Sb(u64),
 }
 
-/// What one quiescent cycle charges: the stall counters and coverage
-/// bits a stage bumps when it can do nothing else. See
-/// [`Core::next_wake`].
-#[derive(Default)]
-struct Quiet {
-    fence_stall: bool,
-    rob_full: bool,
-    sb_full: bool,
-    /// Blocked loads charged a failed disambiguation retry.
-    blocked_loads: u64,
-    coverage: u32,
-}
-
 /// One simulated core.
 pub struct Core {
     pub cfg: CoreConfig,
@@ -190,6 +177,9 @@ pub struct Core {
     mem_in_flight: usize,
 
     pub stats: CoreStats,
+    /// The [`CoreStats::stall_counters`] charged by the last cycle in
+    /// which this core neither issued nor retired; see [`Core::skip`].
+    quiet_charge: [u64; 4],
     /// Retired-event trace (when `cfg.trace`).
     pub trace: Vec<RetiredEvent>,
     /// Pipeline event trace (when `cfg.pipe_trace`).
@@ -231,6 +221,7 @@ impl Core {
             bpred,
             mem_in_flight: 0,
             stats: CoreStats::default(),
+            quiet_charge: [0; 4],
             trace: Vec::new(),
             pipe: Vec::new(),
             cfg,
@@ -302,11 +293,37 @@ impl Core {
     // ------------------------------------------------------------------
     // The per-cycle pipeline
 
-    /// Advance the core by one cycle.
-    pub fn cycle(&mut self, now: u64, bus: &mut impl MemBus) {
+    /// Advance the core by one cycle; returns whether it issued or
+    /// retired an instruction. When it did neither, the stall counters
+    /// the cycle charged are recorded for [`skip`](Self::skip).
+    ///
+    /// Why a cycle in which no core issues or retires, and in which no
+    /// write is probed, is followed only by identical cycles up to the
+    /// next [`next_wake`](Self::next_wake):
+    ///
+    /// - The stages run in order: completions, store-buffer drain,
+    ///   retire, execute, issue. Whatever a stage changes, other than
+    ///   issuing or retiring, is either read by a later stage in the
+    ///   same cycle (a completion wakes consumers that execute then
+    ///   dispatches; a drain completion frees the slot that retire and
+    ///   the fence checks see) or waits for an event or a fetch
+    ///   redirect (a dispatch or drain schedules its own completion; a
+    ///   squash sets `fetch_resume`). The memory system fixes a
+    ///   latency at access time, so the skipped cycles access nothing.
+    /// - The next cycle therefore reads the same state and charges the
+    ///   same stalls: a fence still unsatisfied, the same ROB head
+    ///   blocked on a full store buffer, the same loads still behind an
+    ///   unresolved store or an incomplete CAS.
+    /// - Cross-core writes happen only at events. Their coherence
+    ///   probes are delivered after every core has cycled, and a probe
+    ///   may squash and resume fetch on the very next cycle, so a cycle
+    ///   that delivered one counts as acting.
+    pub fn cycle(&mut self, now: u64, bus: &mut impl MemBus) -> bool {
         if self.finished() {
-            return;
+            return false;
         }
+        let (issued, retired) = (self.stats.instrs_issued, self.stats.instrs_retired);
+        let charged = self.stats.stall_counters().map(|c| *c);
         let mut fence_stalled = false;
         self.process_completions(now, bus);
         self.drain_store_buffer(now, bus);
@@ -319,121 +336,48 @@ impl Core {
         if self.finished() && self.stats.finished_at.is_none() {
             self.stats.finished_at = Some(now);
         }
-    }
-
-    /// The first cycle after `now` at which this core can act, or
-    /// `None` if some stage could act at `now`. Until that cycle, and
-    /// while no other core acts either, every [`cycle`](Self::cycle)
-    /// would only repeat the same stall charges: the memory system
-    /// fixes a latency at access time, and cross-core writes and
-    /// coherence probes only happen at some core's events, so the
-    /// state the stages read cannot change before the earlier of the
-    /// event-heap head and `fetch_resume`. A finished core never acts
-    /// again (`u64::MAX`).
-    pub fn next_wake(&self, now: u64) -> Option<u64> {
-        if self.finished() {
-            return Some(u64::MAX);
+        let acted = self.stats.instrs_issued != issued || self.stats.instrs_retired != retired;
+        if !acted {
+            let counters = self.stats.stall_counters().map(|c| *c);
+            self.quiet_charge = std::array::from_fn(|i| counters[i] - charged[i]);
         }
-        self.quiet(now)?;
-        let event = self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
-        let fetch = if !self.fetch_done && self.fetch_resume > now {
-            self.fetch_resume
-        } else {
-            u64::MAX
-        };
-        Some(event.min(fetch))
+        acted
     }
 
-    /// Charge `cycles` quiescent cycles starting at `now` exactly as
-    /// that many calls of [`cycle`](Self::cycle) would. Only valid
-    /// while [`next_wake`](Self::next_wake)`(now)` is `Some(w)` and
-    /// `now + cycles <= w`.
-    pub fn skip(&mut self, now: u64, cycles: u64) {
+    /// The first cycle at or after `now` at which this core can act
+    /// again after a quiet cycle at `now - 1`: the earlier of its
+    /// event-heap head and a pending fetch redirect. A finished core
+    /// never acts again (`u64::MAX`).
+    pub fn next_wake(&self, now: u64) -> u64 {
+        if self.finished() {
+            return u64::MAX;
+        }
+        let event = self.events.peek().map_or(u64::MAX, |&Reverse((t, _))| t);
+        if !self.fetch_done && self.fetch_resume >= now {
+            event.min(self.fetch_resume)
+        } else {
+            event
+        }
+    }
+
+    /// Charge `cycles` skipped cycles exactly as that many calls of
+    /// [`cycle`](Self::cycle) would: each repeats the charge of the
+    /// last quiet cycle. Valid only right after a cycle in which no
+    /// core acted, and only up to the earliest core's
+    /// [`next_wake`](Self::next_wake). The coverage bits a stall sets
+    /// are idempotent, and the quiet cycle has already set them.
+    pub fn skip(&mut self, cycles: u64) {
         if self.finished() {
             return;
         }
-        let q = self
-            .quiet(now)
-            .expect("skipped a cycle in which the core can act");
-        self.stats.fence_stall_cycles += cycles * u64::from(q.fence_stall);
-        self.stats.rob_full_stall_cycles += cycles * u64::from(q.rob_full);
-        self.stats.sb_full_stall_cycles += cycles * u64::from(q.sb_full);
-        self.stats.load_disambiguation_blocks += cycles * q.blocked_loads;
-        self.scope.coverage.insert(q.coverage);
-    }
-
-    /// What one cycle at `now` charges when no stage can act, or
-    /// `None` if some stage could. Each block mirrors its stage's own
-    /// checks in [`cycle`](Self::cycle) order and reads the same
-    /// state; a needless `None` only costs one stepped cycle.
-    fn quiet(&self, now: u64) -> Option<Quiet> {
-        let mut q = Quiet::default();
-        // Completions.
-        if self.events.peek().is_some_and(|&Reverse((t, _))| t <= now) {
-            return None;
+        for (counter, charge) in self
+            .stats
+            .stall_counters()
+            .into_iter()
+            .zip(self.quiet_charge)
+        {
+            *counter += cycles * charge;
         }
-        // Store-buffer drain.
-        if self.sb_unissued > 0 {
-            let can_drain = if self.cfg.sb_drain_in_order {
-                self.sb_inflight == 0
-            } else {
-                self.sb_inflight < self.cfg.max_outstanding_stores
-                    && self.sb.iter().any(|s| !s.issued && !s.blocked)
-            };
-            if can_drain {
-                return None;
-            }
-        }
-        // Retire.
-        let retiring = self.rob.front().filter(|h| h.state == EState::Done);
-        if let Some(head) = retiring.filter(|_| self.cfg.retire_width > 0) {
-            match head.instr {
-                Instr::Fence { .. }
-                    if self.cfg.fence.in_window_speculation
-                        && !self.retire_fence_ready(head.fence_wait) =>
-                {
-                    q.fence_stall = true;
-                    q.coverage |= sfence_core::coverage::STALL_AT_RETIRE;
-                }
-                Instr::Store { .. } if self.sb.len() == self.cfg.sb_size => q.sb_full = true,
-                _ => return None,
-            }
-        }
-        // Execute: nothing newly ready, a head CAS still blocked, and
-        // every blocked load still behind an unresolved store or CAS.
-        if !self.ready_q.is_empty() {
-            return None;
-        }
-        if let Some(cas) = self.head_cas() {
-            if !self.cas_blocked(self.cas_addr(cas)) {
-                return None;
-            }
-        }
-        if let Some(&oldest) = self.blocked_loads.first() {
-            let blocker = [self.incomplete_cas.front(), self.unresolved_stores.front()]
-                .into_iter()
-                .flatten()
-                .min();
-            if blocker.is_none_or(|&b| oldest < b) {
-                return None;
-            }
-            q.blocked_loads = self.blocked_loads.len() as u64;
-        }
-        // Issue.
-        if self.cfg.issue_width > 0 && !self.fetch_done && now >= self.fetch_resume {
-            if self.rob.len() >= self.cfg.rob_size {
-                q.rob_full = true;
-            } else {
-                match self.blocked_fence {
-                    Some((_, wait, _)) if !self.fence_satisfied(wait) => {
-                        q.fence_stall = true;
-                        q.coverage |= sfence_core::coverage::STALL_AT_ISSUE;
-                    }
-                    _ => return None,
-                }
-            }
-        }
-        Some(q)
     }
 
     // ------------------------------------------------------------------
@@ -659,7 +603,11 @@ impl Core {
             // their (captured) condition is satisfied by the SB.
             if let Instr::Fence { .. } = instr {
                 if self.cfg.fence.in_window_speculation {
-                    if !self.retire_fence_ready(head.fence_wait) {
+                    let ready = match head.fence_wait {
+                        Some(FenceWait::All) | None => self.sb.is_empty(),
+                        Some(FenceWait::Mask(m)) => self.sb_counts.clear_in(m),
+                    };
+                    if !ready {
                         *fence_stalled = true;
                         self.scope
                             .coverage
@@ -794,49 +742,18 @@ impl Core {
         }
     }
 
-    /// May a fence at the ROB head retire under in-window speculation?
-    /// Its captured condition must be satisfied by the store buffer.
-    fn retire_fence_ready(&self, wait: Option<FenceWait>) -> bool {
-        match wait {
-            Some(FenceWait::All) | None => self.sb.is_empty(),
-            Some(FenceWait::Mask(m)) => self.sb_counts.clear_in(m),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Execute
-
-    /// A Ready CAS parked at the ROB head (it re-checks every cycle).
-    fn head_cas(&self) -> Option<&RobEntry> {
-        self.rob
-            .front()
-            .filter(|h| matches!(h.instr, Instr::Cas { .. }) && h.state == EState::Ready)
-    }
-
-    /// The address of a Ready CAS entry (its operands are captured).
-    fn cas_addr(&self, e: &RobEntry) -> usize {
-        let Instr::Cas { base, offset, .. } = e.instr else {
-            unreachable!("cas_addr of {:?}", e.instr)
-        };
-        mem_addr(operand_val(base, &e.ops, 0), offset)
-    }
-
-    /// Must a CAS at the head to `addr` wait for the store buffer?
-    /// Prior stores are ordered only if `cas_drains_sb`, or when they
-    /// target the same address (single-thread semantics).
-    fn cas_blocked(&self, addr: usize) -> bool {
-        if self.cfg.cas_drains_sb {
-            !self.sb.is_empty() || self.sb_inflight > 0
-        } else {
-            self.sb_occ[bucket(addr)] > 0 && self.sb.iter().any(|s| s.addr == addr)
-        }
-    }
 
     fn execute(&mut self, now: u64, bus: &mut impl MemBus) {
         // Re-examine loads blocked on disambiguation and a CAS parked
         // at the head, then dispatch the newly ready instructions.
         // Also: a Ready CAS at the head re-checks every cycle.
-        let head_cas = self.head_cas().map(|h| h.seq);
+        let head_cas = self
+            .rob
+            .front()
+            .filter(|h| matches!(h.instr, Instr::Cas { .. }) && h.state == EState::Ready)
+            .map(|h| h.seq);
         if self.blocked_loads.is_empty() && self.ready_q.is_empty() && head_cas.is_none() {
             return;
         }
@@ -934,14 +851,22 @@ impl Core {
                 // memory effect happens after retire, from the SB.
                 self.start_exec(seq, val, 1, now);
             }
-            Instr::Cas { .. } => {
-                // Non-speculative: only at the ROB head, so prior
-                // loads are complete; prior stores per `cas_blocked`.
+            Instr::Cas { base, offset, .. } => {
+                // Non-speculative: only at the ROB head. Prior loads
+                // are thus complete; prior stores are ordered only if
+                // `cas_drains_sb` (or when they target the same
+                // address, preserving single-thread semantics).
                 if self.head_seq() != Some(seq) {
                     return; // stays Ready; retried next cycle
                 }
-                let addr = self.cas_addr(self.entry(seq).unwrap());
-                if self.cas_blocked(addr) {
+                let ops = self.entry(seq).unwrap().ops;
+                let addr = mem_addr(operand_val(base, &ops, 0), offset);
+                let blocked = if self.cfg.cas_drains_sb {
+                    !self.sb.is_empty() || self.sb_inflight > 0
+                } else {
+                    self.sb_occ[bucket(addr)] > 0 && self.sb.iter().any(|s| s.addr == addr)
+                };
+                if blocked {
                     return; // wait for the store buffer to make progress
                 }
                 let lat = bus.access_latency(self.id, addr, true).max(1);
@@ -1201,19 +1126,15 @@ impl Core {
                         FenceKind::Global
                     };
                     let wait = if self.honor_scopes() {
-                        if self.cfg.pipe_trace {
-                            // Delta-compare the scope-unit counter: a
-                            // degrade inside fence_request is otherwise
-                            // invisible at this call site.
-                            let degraded = self.scope.stats.degraded_fences;
-                            let wait = self.scope.fence_request(kind_eff);
-                            if self.scope.stats.degraded_fences > degraded {
-                                self.pipe_event(now, PipeKind::Degrade { pc: pc as u64 });
-                            }
-                            wait
-                        } else {
-                            self.scope.fence_request(kind_eff)
+                        // Delta-compare the scope-unit counter: a
+                        // degrade inside fence_request is otherwise
+                        // invisible at this call site.
+                        let degraded = self.scope.stats.degraded_fences;
+                        let wait = self.scope.fence_request(kind_eff);
+                        if self.cfg.pipe_trace && self.scope.stats.degraded_fences > degraded {
+                            self.pipe_event(now, PipeKind::Degrade { pc: pc as u64 });
                         }
+                        wait
                     } else {
                         FenceWait::All
                     };
@@ -1250,14 +1171,10 @@ impl Core {
                 Instr::FsStart { cid } => {
                     let seq = self.next_seq;
                     if self.honor_scopes() {
-                        if self.cfg.pipe_trace {
-                            let overflows = self.scope.stats.fss_overflows;
-                            self.scope.fs_start(cid, seq);
-                            if self.scope.stats.fss_overflows > overflows {
-                                self.pipe_event(now, PipeKind::Overflow { seq });
-                            }
-                        } else {
-                            self.scope.fs_start(cid, seq);
+                        let overflows = self.scope.stats.fss_overflows;
+                        self.scope.fs_start(cid, seq);
+                        if self.cfg.pipe_trace && self.scope.stats.fss_overflows > overflows {
+                            self.pipe_event(now, PipeKind::Overflow { seq });
                         }
                     }
                     self.fetch_pc += 1;

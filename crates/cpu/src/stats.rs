@@ -33,3 +33,17 @@ pub struct CoreStats {
     /// Cycle at which the core fully drained (halt + empty SB).
     pub finished_at: Option<u64>,
 }
+
+impl CoreStats {
+    /// The counters a cycle may charge while its core neither issues
+    /// nor retires; [`Core::skip`](crate::Core::skip) repeats one such
+    /// cycle's charge. A new stall class is one more entry here.
+    pub(crate) fn stall_counters(&mut self) -> [&mut u64; 4] {
+        [
+            &mut self.fence_stall_cycles,
+            &mut self.rob_full_stall_cycles,
+            &mut self.sb_full_stall_cycles,
+            &mut self.load_disambiguation_blocks,
+        ]
+    }
+}

@@ -235,20 +235,11 @@ impl ResultStore {
         })
     }
 
-    /// The most recent stored run of `experiment`, if any.
-    pub fn latest(&self, experiment: &str) -> Result<Option<StoredRun>, String> {
-        Ok(self
-            .read()?
-            .runs
-            .into_iter()
-            .rev()
-            .find(|run| run.meta.experiment == experiment))
-    }
-
     /// Every stored run of `experiment` at `scale` on `backend`,
     /// most recent first — the comparable history of one experiment
     /// identity (cycle counts across scales or engines are
-    /// incomparable, so those never mix).
+    /// incomparable, so those never mix). Its first entry is the
+    /// default diff target; `--diff-run K` reaches the K-th.
     pub fn history_at(
         &self,
         experiment: &str,
@@ -266,21 +257,6 @@ impl ResultStore {
                     && run.meta.backend == backend
             })
             .collect())
-    }
-
-    /// The most recent stored run of `experiment` at `scale` on
-    /// `backend` — the default diff target; `--diff-run K` reaches
-    /// deeper into [`ResultStore::history_at`].
-    pub fn latest_at(
-        &self,
-        experiment: &str,
-        scale: &str,
-        backend: &str,
-    ) -> Result<Option<StoredRun>, String> {
-        Ok(self
-            .history_at(experiment, scale, backend)?
-            .into_iter()
-            .next())
     }
 }
 

@@ -139,9 +139,12 @@ fn store_round_trips_and_diffs() {
     assert_eq!(contents.runs[0].meta, meta);
     assert_eq!(contents.runs[0].rows, result.rows);
 
-    let latest = store.latest("shard-test").unwrap().unwrap();
+    let latest = contents.runs.last().unwrap();
     assert!(diff_rows(&latest.rows, &result.rows).is_empty());
-    assert!(store.latest("nonesuch").unwrap().is_none());
+    assert!(store
+        .history_at("nonesuch", "small", "sim")
+        .unwrap()
+        .is_empty());
 
     // A changed cell shows up in the diff; so do added/removed rows.
     let mut moved = result.clone();
@@ -186,19 +189,17 @@ fn history_at_walks_comparable_runs_most_recent_first() {
     let history = store.history_at("shard-test", "small", "sim").unwrap();
     let gits: Vec<&str> = history.iter().map(|r| r.meta.git.as_str()).collect();
     assert_eq!(gits, ["g3", "g2", "g1"]);
-    assert_eq!(
-        store
-            .latest_at("shard-test", "small", "sim")
-            .unwrap()
-            .unwrap()
-            .meta
-            .git,
-        "g3"
-    );
     assert!(store
         .history_at("shard-test", "default", "sim")
         .unwrap()
         .is_empty());
+}
+
+/// The `git` of the most recent `shard-test` run at `scale` on
+/// `backend`: the default diff target.
+fn latest_git(store: &ResultStore, scale: &str, backend: &str) -> Option<String> {
+    let history = store.history_at("shard-test", scale, backend).unwrap();
+    history.first().map(|run| run.meta.git.clone())
 }
 
 #[test]
@@ -221,20 +222,9 @@ fn store_matches_diff_history_by_scale() {
         .unwrap();
     // Diffing must pick the latest run of the *same scale*, not just
     // the latest run of the experiment.
-    let at_small = store
-        .latest_at("shard-test", "small", "sim")
-        .unwrap()
-        .unwrap();
-    assert_eq!(at_small.meta.git, "g1");
-    let at_eval = store
-        .latest_at("shard-test", "eval", "sim")
-        .unwrap()
-        .unwrap();
-    assert_eq!(at_eval.meta.git, "g2");
-    assert!(store
-        .latest_at("shard-test", "default", "sim")
-        .unwrap()
-        .is_none());
+    assert_eq!(latest_git(&store, "small", "sim").as_deref(), Some("g1"));
+    assert_eq!(latest_git(&store, "eval", "sim").as_deref(), Some("g2"));
+    assert_eq!(latest_git(&store, "default", "sim"), None);
 }
 
 #[test]
@@ -257,20 +247,12 @@ fn store_matches_diff_history_by_backend() {
             &result,
         )
         .unwrap();
-    let at_sim = store
-        .latest_at("shard-test", "small", "sim")
-        .unwrap()
-        .unwrap();
-    assert_eq!(at_sim.meta.git, "g-sim");
-    let at_fn = store
-        .latest_at("shard-test", "small", "functional")
-        .unwrap()
-        .unwrap();
-    assert_eq!(at_fn.meta.git, "g-fn");
-    assert!(store
-        .latest_at("shard-test", "small", "enumerative")
-        .unwrap()
-        .is_none());
+    assert_eq!(latest_git(&store, "small", "sim").as_deref(), Some("g-sim"));
+    assert_eq!(
+        latest_git(&store, "small", "functional").as_deref(),
+        Some("g-fn")
+    );
+    assert_eq!(latest_git(&store, "small", "enumerative"), None);
 }
 
 #[test]
@@ -303,11 +285,9 @@ fn run_killed_mid_append_is_dropped_on_read() {
     assert_eq!(contents.torn_runs, 1, "the half-appended run is dropped");
     assert_eq!(contents.runs.len(), 1);
     assert_eq!(contents.runs[0].rows, result.rows);
-    // latest() never serves the torn run as history.
-    assert_eq!(
-        store.latest("shard-test").unwrap().unwrap().rows,
-        result.rows
-    );
+    // The diff history never serves the torn run either.
+    let history = store.history_at("shard-test", "small", "sim").unwrap();
+    assert_eq!(history.first().unwrap().rows, result.rows);
 }
 
 #[test]

@@ -37,7 +37,7 @@ impl TagArray {
     pub fn new(geom: CacheGeometry) -> Self {
         let num_sets = geom.num_sets();
         Self {
-            sets: vec![Vec::with_capacity(geom.ways); num_sets],
+            sets: vec![Vec::new(); num_sets],
             ways: geom.ways,
             set_mask: (num_sets - 1) as u64,
         }

@@ -2,13 +2,15 @@
 //! flat functional memory, stepped in deterministic core order.
 //!
 //! [`Machine::step`] advances every core by one cycle and is the
-//! reference semantics. [`Machine::run`] steps only the cycles in which
-//! some core can act: when no core can ([`Core::next_wake`]), it jumps
-//! to the earliest cycle at which one can, charging each core the
-//! stall counters the skipped cycles would have counted. Small litmus
-//! and fuzz programs spend most of their cycles waiting on cold
-//! misses, so they run several times faster this way; the summary,
-//! memory, watch log and traces are the same as stepping every cycle.
+//! reference semantics. [`Machine::run`] steps cycles until one in
+//! which no core issued or retired and no write was probed; then it
+//! jumps to the earliest cycle at which some core can act again
+//! ([`Core::next_wake`]), charging each core the stall counters that
+//! quiet cycle counted once per skipped cycle ([`Core::skip`]; why
+//! this is exact is argued on [`Core::cycle`]). Small litmus and fuzz
+//! programs spend most of their cycles waiting on cold misses, so they
+//! run several times faster this way; the summary, memory, watch log
+//! and traces are the same as stepping every cycle.
 
 use sfence_core::{PipeEvent, PipeKind, WalkKind};
 use sfence_cpu::{Core, CoreConfig, FenceConfig, MemBus};
@@ -217,9 +219,12 @@ impl Machine {
     /// Advance one cycle (all cores, in core order), then deliver
     /// coherence probes for this cycle's writes (in-window speculation
     /// violation replay — no-ops unless speculation is enabled).
-    pub fn step(&mut self) {
+    /// Returns whether the cycle acted: some core issued or retired,
+    /// or a write probe was delivered.
+    pub fn step(&mut self) -> bool {
         let now = self.now;
         let pipe_trace = self.cfg.core.pipe_trace;
+        let mut acted = false;
         for core in &mut self.cores {
             let mut bus = MachineBus {
                 memsys: &mut self.memsys,
@@ -231,9 +236,10 @@ impl Machine {
                 pipe_trace,
                 pipe: &mut self.pipe_bus,
             };
-            core.cycle(now, &mut bus);
+            acted |= core.cycle(now, &mut bus);
         }
         if !self.write_probes.is_empty() {
+            acted = true;
             let probes = std::mem::take(&mut self.write_probes);
             for &(writer, addr) in &probes {
                 for (i, core) in self.cores.iter_mut().enumerate() {
@@ -246,34 +252,35 @@ impl Machine {
             self.write_probes.clear();
         }
         self.now += 1;
+        acted
     }
 
     pub fn finished(&self) -> bool {
         self.cores.iter().all(Core::finished)
     }
 
-    /// Run to completion (or the cycle limit) and summarise. Cycles in
-    /// which no core can act are skipped, never stepped; the result is
-    /// the same as calling [`step`](Self::step) until the machine
-    /// finishes or reaches `max_cycles`.
+    /// Run to completion (or the cycle limit) and summarise. After a
+    /// stepped cycle in which nothing acted, the cycles up to the
+    /// earliest [`Core::next_wake`] (clamped to `max_cycles`) are
+    /// skipped, never stepped; the result is the same as calling
+    /// [`step`](Self::step) until the machine finishes or reaches
+    /// `max_cycles`.
     pub fn run(&mut self) -> RunSummary {
         let max = self.cfg.max_cycles;
         while !self.finished() && self.now < max {
+            if self.step() {
+                continue;
+            }
             let now = self.now;
-            let wake = self
+            let to = self
                 .cores
                 .iter()
-                .try_fold(u64::MAX, |wake, c| Some(wake.min(c.next_wake(now)?)));
-            match wake {
-                Some(wake) => {
-                    let to = wake.min(max);
-                    for core in &mut self.cores {
-                        core.skip(now, to - now);
-                    }
-                    self.now = to;
-                }
-                None => self.step(),
+                .map(|c| c.next_wake(now))
+                .fold(max, u64::min);
+            for core in &mut self.cores {
+                core.skip(to - now);
             }
+            self.now = to;
         }
         let exit = if self.finished() {
             RunExit::Completed

@@ -3,14 +3,16 @@
 //! below is built so that its skipped spans carry one of the charges a
 //! stalled cycle makes (fence stall at issue and at retire, ROB full,
 //! store buffer full, disambiguation retries, a CAS parked behind the
-//! store buffer) or ends inside a span at `max_cycles`. The summary
-//! (every `CoreStats` field, scope-unit stats and coverage bits,
-//! `cycles`, `exit`), the final memory, the watch log and both traces
-//! must equal the stepped run's.
+//! store buffer) or ends inside a span at `max_cycles`; the litmus
+//! families add coherence-probe replays, CAS loops and IRIW shapes on
+//! three machines. The summary (every `CoreStats` field, scope-unit
+//! stats and coverage bits, `cycles`, `exit`), the final memory, the
+//! watch log and both traces must equal the stepped run's.
 
 use sfence_isa::ir::*;
 use sfence_isa::Program;
 use sfence_sim::{FenceConfig, Machine, MachineConfig, RunExit, RunSummary};
+use sfence_workloads::litmus::{self, LitmusSpec};
 
 fn compile(p: &IrProgram) -> Program {
     p.compile().expect("compile")
@@ -214,5 +216,48 @@ fn endless_spin_stops_at_the_cycle_limit() {
         let s = assert_exact(&name, &prog, &cfg);
         assert_eq!(s.exit, RunExit::CycleLimit, "{name}");
         assert_eq!(s.cycles, max_cycles, "{name}");
+    }
+}
+
+/// Every litmus family at seeds 0 and 1 under T, S, T+ and S+, on the
+/// default machine, on a tiny scope unit (overflow and degrade paths)
+/// and with no misprediction penalty (a replay squash resumes fetch on
+/// the next cycle, so a cycle that delivered a probe must not start a
+/// skip).
+#[test]
+fn litmus_families_skip_exactly() {
+    let machines = |threads: usize, fence: FenceConfig| {
+        let default = MachineConfig {
+            num_cores: threads,
+            ..config(fence)
+        };
+        let mut tiny = default.clone();
+        tiny.core.scope.fsb_entries = 2;
+        tiny.core.scope.fss_entries = 1;
+        tiny.core.scope.mapping_entries = 1;
+        let mut no_penalty = default.clone();
+        no_penalty.core.mispredict_penalty = 0;
+        [
+            ("default", default),
+            ("tiny", tiny),
+            ("penalty 0", no_penalty),
+        ]
+    };
+    for family in litmus::FAMILIES {
+        for seed in 0..2 {
+            let prog = litmus::build(&LitmusSpec::new(family, seed)).program;
+            for fence in [
+                FenceConfig::TRADITIONAL,
+                FenceConfig::SFENCE,
+                FenceConfig::TRADITIONAL_SPEC,
+                FenceConfig::SFENCE_SPEC,
+            ] {
+                for (machine, cfg) in machines(prog.num_threads(), fence) {
+                    let name = format!("{}/{seed} {} {machine}", family.name(), fence.label());
+                    let s = assert_exact(&name, &prog, &cfg);
+                    assert_eq!(s.exit, RunExit::Completed, "{name}");
+                }
+            }
+        }
     }
 }

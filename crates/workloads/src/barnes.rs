@@ -29,19 +29,6 @@ pub struct BarnesParams {
     pub style: ScStyle,
 }
 
-impl Default for BarnesParams {
-    fn default() -> Self {
-        Self {
-            bodies_per_thread: 96,
-            cells_per_thread: 4,
-            samples: 4,
-            steps: 2,
-            threads: 4,
-            style: ScStyle::SetScope,
-        }
-    }
-}
-
 /// Exact host-side replay of the kernel (same wrapping arithmetic).
 pub fn reference(params: &BarnesParams) -> (Vec<i64>, Vec<i64>) {
     let nb = params.bodies_per_thread * params.threads;

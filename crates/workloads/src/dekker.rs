@@ -17,15 +17,6 @@ pub struct DekkerParams {
     pub workload: u32,
 }
 
-impl Default for DekkerParams {
-    fn default() -> Self {
-        Self {
-            iters: 60,
-            workload: 3,
-        }
-    }
-}
-
 /// Build the two-thread dekker benchmark. The invariant is exact
 /// mutual exclusion: the non-atomic read-modify-write of `COUNT`
 /// inside the critical section loses updates iff two threads are ever

@@ -169,18 +169,6 @@ pub struct HarrisParams {
     pub scope: ScopeMode,
 }
 
-impl Default for HarrisParams {
-    fn default() -> Self {
-        Self {
-            ops: 40,
-            threads: 4,
-            key_range: 32,
-            workload: 3,
-            scope: ScopeMode::Class,
-        }
-    }
-}
-
 /// Build the harris benchmark: each thread runs a deterministic
 /// per-thread mix of inserts and removes over a small key range,
 /// counting successes.

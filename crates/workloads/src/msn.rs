@@ -113,18 +113,6 @@ pub struct MsnParams {
     pub scope: ScopeMode,
 }
 
-impl Default for MsnParams {
-    fn default() -> Self {
-        Self {
-            items: 40,
-            producers: 2,
-            consumers: 2,
-            workload: 3,
-            scope: ScopeMode::Class,
-        }
-    }
-}
-
 /// Build the msn benchmark: producers enqueue tagged values
 /// `p * TAG + i`, consumers dequeue into per-consumer logs until
 /// everything is accounted for.

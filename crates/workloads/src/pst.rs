@@ -19,18 +19,6 @@ pub struct PstParams {
     pub scope: ScopeMode,
 }
 
-impl Default for PstParams {
-    fn default() -> Self {
-        Self {
-            nodes: 600,
-            extra_edges: 600,
-            threads: 4,
-            seed: 42,
-            scope: ScopeMode::Class,
-        }
-    }
-}
-
 /// Generate a connected undirected graph as CSR (host side).
 pub fn random_graph(nodes: usize, extra: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
     let mut rng = crate::support::Prng::seed_from_u64(seed);

@@ -21,19 +21,6 @@ pub struct PtcParams {
     pub scope: ScopeMode,
 }
 
-impl Default for PtcParams {
-    fn default() -> Self {
-        Self {
-            nodes: 600,
-            edges: 1800,
-            threads: 4,
-            seed: 43,
-            task_work: 12,
-            scope: ScopeMode::Class,
-        }
-    }
-}
-
 /// Generate a random directed graph as CSR plus the host-side
 /// reachable set from node 0.
 pub fn random_digraph(

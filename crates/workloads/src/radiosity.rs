@@ -25,20 +25,6 @@ pub struct RadiosityParams {
     pub style: ScStyle,
 }
 
-impl Default for RadiosityParams {
-    fn default() -> Self {
-        Self {
-            patches: 24,
-            interactions: 160,
-            rounds: 2,
-            threads: 4,
-            seed: 44,
-            scratch_work: 4,
-            style: ScStyle::SetScope,
-        }
-    }
-}
-
 /// Host-side interaction list and exact final energies.
 fn make_interactions(params: &RadiosityParams) -> (Vec<usize>, Vec<usize>, Vec<i64>, Vec<i64>) {
     let mut rng = crate::support::Prng::seed_from_u64(params.seed);

@@ -133,17 +133,6 @@ pub struct WsqParams {
     pub scope: ScopeMode,
 }
 
-impl Default for WsqParams {
-    fn default() -> Self {
-        Self {
-            tasks: 120,
-            thieves: 3,
-            workload: 3,
-            scope: ScopeMode::Class,
-        }
-    }
-}
-
 /// Build the wsq benchmark: one owner `put`s tasks 1..=N (with private
 /// workload between operations) and periodically `take`s; thieves
 /// `steal` until the owner drains the queue and raises `DONE`.

@@ -35,13 +35,21 @@ fn main() {
     // And the two full applications built on it.
     for w in [
         barnes::build(barnes::BarnesParams {
+            bodies_per_thread: 96,
+            cells_per_thread: 4,
+            samples: 4,
+            steps: 2,
             threads: 8,
-            ..Default::default()
+            style: ScStyle::SetScope,
         }),
         radiosity::build(radiosity::RadiosityParams {
-            threads: 8,
+            patches: 24,
             interactions: 200,
-            ..Default::default()
+            rounds: 2,
+            threads: 8,
+            seed: 44,
+            scratch_work: 4,
+            style: ScStyle::SetScope,
         }),
     ] {
         // Cheap correctness gate first: the functional (SC) engine
