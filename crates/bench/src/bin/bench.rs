@@ -5,7 +5,7 @@
 //! against the committed artifact.
 //!
 //! ```text
-//! sfence-bench perf [--runs N] [--threads N] [--out PATH] [--check ARTIFACT] [--profile]
+//! sfence-bench perf [--runs N] [--threads N] [--out PATH] [--check ARTIFACT]
 //! ```
 //!
 //! Exit codes: 0 ok, 1 perf regression (or suite error), 2 usage.
@@ -13,24 +13,21 @@
 use sfence_bench::cli::{git_describe, take};
 use sfence_bench::perf;
 use sfence_harness::default_threads;
-use sfence_obs::prof;
 
 struct PerfArgs {
     runs: usize,
     threads: Option<usize>,
     out: Option<std::path::PathBuf>,
     check: Option<std::path::PathBuf>,
-    profile: bool,
 }
 
 fn usage() -> ! {
     eprintln!(
-        "usage: sfence-bench perf [--runs N] [--threads N] [--out PATH] [--check ARTIFACT] [--profile]\n\
+        "usage: sfence-bench perf [--runs N] [--threads N] [--out PATH] [--check ARTIFACT]\n\
          \x20 --runs N        samples per task, median kept (default: 1; the CI gate uses 3)\n\
          \x20 --threads N     worker pool cap (default: one per CPU)\n\
          \x20 --out PATH      write the artifact to PATH instead of stdout\n\
-         \x20 --check PATH    gate mode: fail (exit 1) on >{}% cells/sec regression vs PATH\n\
-         \x20 --profile       print a hierarchical phase-timing table to stderr after the suite",
+         \x20 --check PATH    gate mode: fail (exit 1) on >{}% cells/sec regression vs PATH",
         (perf::REGRESSION_THRESHOLD * 100.0) as u32
     );
     std::process::exit(2);
@@ -42,7 +39,6 @@ fn parse_perf_args(mut it: impl Iterator<Item = String>) -> Result<PerfArgs, Str
         threads: None,
         out: None,
         check: None,
-        profile: false,
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -64,7 +60,6 @@ fn parse_perf_args(mut it: impl Iterator<Item = String>) -> Result<PerfArgs, Str
             }
             "--out" => args.out = Some(take(&mut it, "--out")?.into()),
             "--check" => args.check = Some(take(&mut it, "--check")?.into()),
-            "--profile" => args.profile = true,
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -75,14 +70,7 @@ fn perf_main(args: PerfArgs) -> Result<(), String> {
     // The suite measures wall time per task, so thread count is part
     // of the measurement; default to the machine like the sweeps do.
     let threads = args.threads.unwrap_or_else(|| default_threads(usize::MAX));
-    if args.profile {
-        prof::enable();
-    }
     let rows = perf::run_suite(threads, args.runs)?;
-    if args.profile {
-        prof::disable();
-        eprint!("{}", prof::report().render());
-    }
     let stamp = git_describe();
     if stamp.ends_with("-dirty") {
         eprintln!("bench: WARNING: working tree is dirty; stamping perf report as {stamp:?}");

@@ -464,13 +464,13 @@ pub fn table3() -> String {
         "  L1 Cache         private {} KB, {} way, {}-cycle latency\n",
         m.mem.l1_size / 1024,
         m.mem.l1_ways,
-        m.mem.l1_latency
+        sfence_sim::L1_LATENCY
     );
     out += &format!(
         "  L2 Cache         shared {} MB, {} way, {}-cycle latency\n",
         m.mem.l2_size / (1024 * 1024),
         m.mem.l2_ways,
-        m.mem.l2_latency
+        sfence_sim::L2_LATENCY
     );
     out += &format!("  Memory           {}-cycle latency\n", m.mem.mem_latency);
     out += &format!("  # of FSB entries {}\n", m.core.scope.fsb_entries);

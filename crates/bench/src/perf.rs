@@ -17,8 +17,8 @@
 
 use crate::{experiment_by_name, fig13_experiment, hwsweep_experiments};
 use sfence_harness::{BackendId, Json, RunOptions};
-use sfence_obs::prof;
 use sfence_workloads::Scale;
+use std::time::Instant;
 
 /// Version of the `BENCH_perf.json` schema.
 pub const PERF_SCHEMA_VERSION: u64 = 1;
@@ -100,7 +100,7 @@ pub fn run_task(name: &'static str, threads: usize) -> Result<PerfRow, String> {
             let e = experiment_by_name(name)
                 .expect("registered figure")
                 .scale(Scale::Small);
-            let (res, wall_ms) = prof::measure(name, || run_sweep_cells(&[e], threads));
+            let (res, wall_ms) = timed(|| run_sweep_cells(&[e], threads));
             let (cells, cycles) = res?;
             Ok(sim_row(name, "small", cells, cycles, wall_ms))
         }
@@ -111,20 +111,20 @@ pub fn run_task(name: &'static str, threads: usize) -> Result<PerfRow, String> {
                 .into_iter()
                 .map(|e| e.scale(Scale::Small))
                 .collect();
-            let (res, wall_ms) = prof::measure(name, || run_sweep_cells(&experiments, threads));
+            let (res, wall_ms) = timed(|| run_sweep_cells(&experiments, threads));
             let (cells, cycles) = res?;
             Ok(sim_row(name, "small", cells, cycles, wall_ms))
         }
         "fig13-eval" => {
             let e = fig13_experiment().scale(Scale::Eval);
-            let (res, wall_ms) = prof::measure(name, || run_sweep_cells(&[e], threads));
+            let (res, wall_ms) = timed(|| run_sweep_cells(&[e], threads));
             let (cells, cycles) = res?;
             Ok(sim_row(name, "eval", cells, cycles, wall_ms))
         }
         "litmus-functional" => {
             let families = sfence_litmus::all_families();
             let checker = sfence_harness::CheckerConfig::default();
-            let (res, wall_ms) = prof::measure(name, || {
+            let (res, wall_ms) = timed(|| {
                 sfence_litmus::run_campaign(&families, 8, threads, &checker, BackendId::Functional)
             });
             let campaign = res?;
@@ -156,7 +156,7 @@ pub fn run_task(name: &'static str, threads: usize) -> Result<PerfRow, String> {
                 backend,
                 ..sfence_fuzz::FuzzConfig::default()
             };
-            let (res, wall_ms) = prof::measure(name, || sfence_fuzz::run_fuzz(&cfg, threads));
+            let (res, wall_ms) = timed(|| sfence_fuzz::run_fuzz(&cfg, threads));
             let report = res?;
             if !report.divergences.is_empty() {
                 return Err(format!(
@@ -175,6 +175,13 @@ pub fn run_task(name: &'static str, threads: usize) -> Result<PerfRow, String> {
         }
         other => Err(format!("unknown perf task {other:?}")),
     }
+}
+
+/// Run `f`, returning its result and its wall time in milliseconds.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let start = Instant::now();
+    let result = f();
+    (result, start.elapsed().as_secs_f64() * 1000.0)
 }
 
 fn sim_row(
@@ -218,7 +225,6 @@ fn run_sweep_cells(
 /// Run every suite task `runs` times, keeping each task's
 /// median-wall-time run (ties broken toward the faster run).
 pub fn run_suite(threads: usize, runs: usize) -> Result<Vec<PerfRow>, String> {
-    let _suite = prof::scoped("perf");
     let mut rows = Vec::new();
     for name in perf_task_names() {
         let mut samples = Vec::with_capacity(runs);

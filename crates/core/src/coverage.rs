@@ -35,8 +35,7 @@ pub const MAP_FULL: u32 = 1 << 7;
 pub const FSB_EVICT: u32 = 1 << 8;
 /// Branch misprediction recovered the FSS from the shadow stack FSS′.
 pub const RECOVER_SHADOW: u32 = 1 << 9;
-/// Branch misprediction recovered the FSS from a checkpoint.
-pub const RECOVER_CHECKPOINT: u32 = 1 << 10;
+// Bit 10 is unassigned, so recorded bitmaps keep their meaning.
 /// Arbitrary-point squash (speculation violation replay) rebuilt the
 /// FSS from the retirement boundary.
 pub const RECOVER_SQUASH: u32 = 1 << 11;
@@ -56,7 +55,7 @@ pub const STALL_AT_RETIRE: u32 = 1 << 17;
 
 /// Every defined bit with its short name, in bit order — the coverage
 /// map documented in `crates/fuzz/README.md`.
-pub const COVERAGE_NAMES: [(u32, &str); 18] = [
+pub const COVERAGE_NAMES: [(u32, &str); 17] = [
     (FSS_PUSH, "fss_push"),
     (FSS_PUSH_UNTRACKED, "fss_push_untracked"),
     (FSS_POP, "fss_pop"),
@@ -67,7 +66,6 @@ pub const COVERAGE_NAMES: [(u32, &str); 18] = [
     (MAP_FULL, "map_full"),
     (FSB_EVICT, "fsb_evict"),
     (RECOVER_SHADOW, "recover_shadow"),
-    (RECOVER_CHECKPOINT, "recover_checkpoint"),
     (RECOVER_SQUASH, "recover_squash"),
     (SET_FLAGGED, "set_flagged"),
     (FENCE_DEGRADED, "fence_degraded"),

@@ -11,8 +11,7 @@
 //! - [`mapping`] — the cid → FSB-column mapping table, including the
 //!   shared fallback column.
 //! - [`unit`](mod@unit) — the per-core scope unit tying the above together,
-//!   including the shadow stack FSS′ for branch-misprediction recovery
-//!   and a precise checkpoint ablation.
+//!   including the shadow stack FSS′ for branch-misprediction recovery.
 //! - [`semantics`] — the Fig. 5 trace conformance checker: it applies
 //!   the paper's class-scope rules to a retired trace and validates the
 //!   CPU model against the definition of S-Fence.
@@ -38,4 +37,4 @@ pub use mask::{ColumnCounters, ScopeMask, MAX_FSB_ENTRIES};
 pub use pipe::{PipeEvent, PipeKind, WalkKind};
 pub use semantics::{check_trace, ConformanceStats, RetiredEvent, Violation};
 pub use sfence_isa::ClassId;
-pub use unit::{FenceWait, ScopeConfig, ScopeRecovery, ScopeUnit, ScopeUnitStats};
+pub use unit::{FenceWait, ScopeConfig, ScopeUnit, ScopeUnitStats};

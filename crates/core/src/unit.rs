@@ -9,9 +9,8 @@
 //!   [`ScopeUnit::mem_issued`] (returns the FSB mask to stash in the
 //!   ROB entry), [`ScopeUnit::branch_issued`];
 //! - at **branch resolution**: [`ScopeUnit::branch_resolved`] — on a
-//!   misprediction the FSS is recovered, either from the shadow stack
-//!   FSS′ as in the paper, or from a precise per-branch checkpoint
-//!   (the [`ScopeRecovery`] ablation);
+//!   misprediction the FSS is recovered from the shadow stack FSS′, as
+//!   in the paper;
 //! - at **completion/squash** of memory operations:
 //!   [`ScopeUnit::mem_completed`] / [`ScopeUnit::mem_squashed`];
 //! - at **fence issue**: [`ScopeUnit::fence_request`] captures what
@@ -25,20 +24,6 @@ use crate::stack::{ScopeOp, ScopeStack};
 use sfence_isa::{ClassId, FenceKind};
 use std::collections::VecDeque;
 
-/// How the FSS is recovered after a branch misprediction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScopeRecovery {
-    /// The paper's mechanism: a shadow stack FSS′ updated only by
-    /// scope operations with no unconfirmed prior branch; on a
-    /// misprediction `FSS <- FSS'` and the still-correct pending
-    /// operations are replayed.
-    #[default]
-    ShadowStack,
-    /// Precise per-branch checkpoints of the FSS (ablation baseline;
-    /// more hardware, exact recovery).
-    Checkpoint,
-}
-
 /// Scope-unit geometry (paper Table III: 4 FSB entries, 4 FSS entries).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScopeConfig {
@@ -49,7 +34,6 @@ pub struct ScopeConfig {
     pub fss_entries: usize,
     /// Mapping-table rows.
     pub mapping_entries: usize,
-    pub recovery: ScopeRecovery,
     /// Fault injection for the fuzzer's bug-detection smoke test:
     /// model broken RTL that treats "no tracked scope" as "nothing to
     /// wait for" — a scoped fence that should degrade to a full wait
@@ -68,7 +52,6 @@ impl Default for ScopeConfig {
             // Not fixed by the paper; four rows match the four FSB
             // columns and keep the §VI-E cost under 80 bytes/core.
             mapping_entries: 4,
-            recovery: ScopeRecovery::ShadowStack,
             skip_degrade_on_overflow: false,
         }
     }
@@ -104,14 +87,15 @@ pub struct ScopeUnitStats {
 pub struct ScopeUnit {
     cfg: ScopeConfig,
     fss: ScopeStack,
+    /// FSS′: updated only by scope operations with no unconfirmed
+    /// prior branch; a misprediction restores `FSS <- FSS'` and
+    /// replays the still-correct pending operations.
     shadow: ScopeStack,
     /// Scope ops issued behind an unconfirmed branch, not yet applied
     /// to FSS′ (sequence-tagged).
     pending: VecDeque<(u64, ScopeOp)>,
     /// In-flight branches in program order, with confirmation status.
     branches: VecDeque<(u64, bool)>,
-    /// Per-branch FSS checkpoints (only in `Checkpoint` mode).
-    checkpoints: Vec<(u64, ScopeStack)>,
     /// The FSS as of the retirement boundary, plus all scope ops
     /// issued but not yet retired. Together these reconstruct the FSS
     /// at *any* unretired point — needed by in-window speculation
@@ -142,7 +126,6 @@ impl ScopeUnit {
             shadow: ScopeStack::new(cfg.fss_entries),
             pending: VecDeque::new(),
             branches: VecDeque::new(),
-            checkpoints: Vec::new(),
             retired: ScopeStack::new(cfg.fss_entries),
             inflight: VecDeque::new(),
             mt: MappingTable::new(cfg.mapping_entries, class_columns),
@@ -160,10 +143,6 @@ impl ScopeUnit {
     fn apply_op(&mut self, seq: u64, op: ScopeOp) {
         self.fss.apply(op);
         self.inflight.push_back((seq, op));
-        // The shadow stack is maintained in both recovery modes: the
-        // Checkpoint ablation uses checkpoints for *branch* recovery,
-        // but arbitrary-point recovery (in-window speculation
-        // violation replay) always goes through the retire boundary.
         if self.branches.is_empty() {
             self.shadow.apply(op);
         } else {
@@ -243,9 +222,6 @@ impl ScopeUnit {
     /// A branch entered the window (issue order).
     pub fn branch_issued(&mut self, seq: u64) {
         self.branches.push_back((seq, false));
-        if self.cfg.recovery == ScopeRecovery::Checkpoint {
-            self.checkpoints.push((seq, self.fss.clone()));
-        }
     }
 
     /// A branch resolved. On a misprediction the CPU squashes all
@@ -259,43 +235,21 @@ impl ScopeUnit {
                 }
             }
             self.drain_confirmed();
-            if self.cfg.recovery == ScopeRecovery::Checkpoint {
-                self.checkpoints.retain(|(s, _)| *s != seq);
-            }
             return;
         }
 
         self.stats.mispredict_recoveries += 1;
-        self.coverage.insert(match self.cfg.recovery {
-            ScopeRecovery::ShadowStack => coverage::RECOVER_SHADOW,
-            ScopeRecovery::Checkpoint => coverage::RECOVER_CHECKPOINT,
-        });
+        self.coverage.insert(coverage::RECOVER_SHADOW);
         // Everything at or after the mispredicted branch is squashed.
         self.branches.retain(|&(s, _)| s < seq);
         self.pending.retain(|&(s, _)| s < seq);
         self.inflight.retain(|&(s, _)| s < seq);
-        match self.cfg.recovery {
-            ScopeRecovery::ShadowStack => {
-                // FSS <- FSS', then replay the surviving (correct-path)
-                // pending ops that FSS' has not absorbed yet.
-                self.fss.restore_from(&self.shadow);
-                for i in 0..self.pending.len() {
-                    let (_, op) = self.pending[i];
-                    self.fss.apply(op);
-                }
-            }
-            ScopeRecovery::Checkpoint => {
-                let idx = self
-                    .checkpoints
-                    .iter()
-                    .position(|(s, _)| *s == seq)
-                    .expect("mispredicted branch has a checkpoint");
-                let ScopeUnit {
-                    fss, checkpoints, ..
-                } = self;
-                fss.restore_from(&checkpoints[idx].1);
-                self.checkpoints.truncate(idx);
-            }
+        // FSS <- FSS', then replay the surviving (correct-path) pending
+        // ops that FSS' has not absorbed yet.
+        self.fss.restore_from(&self.shadow);
+        for i in 0..self.pending.len() {
+            let (_, op) = self.pending[i];
+            self.fss.apply(op);
         }
         self.reclaim();
     }
@@ -310,7 +264,6 @@ impl ScopeUnit {
         self.stats.mispredict_recoveries += 1;
         self.coverage.insert(coverage::RECOVER_SQUASH);
         self.branches.retain(|&(s, _)| s < seq);
-        self.checkpoints.retain(|&(s, _)| s < seq);
         self.inflight.retain(|&(s, _)| s < seq);
         // FSS = retired boundary + surviving in-flight ops.
         self.fss.restore_from(&self.retired);
@@ -390,7 +343,6 @@ impl ScopeUnit {
                 .inflight
                 .iter()
                 .any(|&(_, op)| op == ScopeOp::Push(Some(col)))
-            || self.checkpoints.iter().any(|(_, st)| st.contains(col))
     }
 
     /// Capture what a fence must wait for, at its issue (paper §IV-A-4:
@@ -696,23 +648,6 @@ mod tests {
         // Older confirms: both drain, pending op reaches FSS'.
         u.branch_resolved(1, false);
         // Mispredict-free path: FSS and FSS' agree.
-        u.fs_end(5);
-        assert_eq!(u.fss_depth(), 0);
-    }
-
-    #[test]
-    fn checkpoint_recovery_is_precise() {
-        let mut u = ScopeUnit::new(ScopeConfig {
-            recovery: ScopeRecovery::Checkpoint,
-            ..ScopeConfig::default()
-        });
-        u.fs_start(ClassId(0), 1);
-        u.branch_issued(2);
-        u.fs_start(ClassId(1), 3); // wrong path
-        u.fs_start(ClassId(2), 4); // wrong path
-        assert_eq!(u.fss_depth(), 3);
-        u.branch_resolved(2, true);
-        assert_eq!(u.fss_depth(), 1);
         u.fs_end(5);
         assert_eq!(u.fss_depth(), 0);
     }

@@ -47,33 +47,30 @@ impl FenceConfig {
     }
 }
 
+/// Branch predictor table entries (power of two).
+pub const BPRED_ENTRIES: usize = 512;
+/// Maximum store-buffer drains in flight. The buffer drains out of
+/// order (RMO, the paper's memory model); only same-address stores
+/// stay ordered.
+pub const MAX_OUTSTANDING_STORES: usize = 4;
+
 /// Per-core microarchitectural parameters (paper Table III defaults).
+///
+/// The core implements one memory model, RMO: a CAS orders prior
+/// *loads* (it executes at the ROB head) but not prior stores to
+/// other addresses — explicit fences must do that, which is exactly
+/// what the paper's benchmarks exercise.
 #[derive(Debug, Clone)]
 pub struct CoreConfig {
     /// Reorder buffer entries (Fig. 16 sweeps 64/128/256).
     pub rob_size: usize,
     /// Store buffer entries.
     pub sb_size: usize,
-    /// Instructions issued into the ROB per cycle.
-    pub issue_width: usize,
-    /// Instructions retired per cycle.
-    pub retire_width: usize,
+    /// Instructions issued into the ROB, and retired from it, per
+    /// cycle.
+    pub width: usize,
     /// Redirect bubble after a branch misprediction.
     pub mispredict_penalty: u64,
-    /// Branch predictor table entries (power of two).
-    pub bpred_entries: usize,
-    /// Maximum store-buffer drains in flight (out-of-order drain).
-    pub max_outstanding_stores: usize,
-    /// Drain the store buffer in FIFO order (TSO-ish) instead of the
-    /// default out-of-order drain (RMO, the paper's memory model).
-    pub sb_drain_in_order: bool,
-    /// Make CAS drain the store buffer before executing (x86
-    /// lock-prefix semantics). Off by default: under RMO a CAS orders
-    /// prior *loads* (it executes at the ROB head) but not prior
-    /// stores — explicit fences must do that, which is exactly what
-    /// the paper's benchmarks exercise. Same-address stores are always
-    /// ordered regardless.
-    pub cas_drains_sb: bool,
     pub fence: FenceConfig,
     pub scope: ScopeConfig,
     /// Record retired-event traces for conformance checking.
@@ -90,13 +87,8 @@ impl Default for CoreConfig {
         Self {
             rob_size: 128,
             sb_size: 8,
-            issue_width: 2,
-            retire_width: 2,
+            width: 2,
             mispredict_penalty: 8,
-            bpred_entries: 512,
-            max_outstanding_stores: 4,
-            sb_drain_in_order: false,
-            cas_drains_sb: false,
             fence: FenceConfig::SFENCE,
             scope: ScopeConfig::default(),
             trace: false,

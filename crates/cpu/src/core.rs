@@ -9,13 +9,13 @@
 //!   operands' producers have completed (Tomasulo-style wakeup;
 //!   operands are captured as values or producer tags at issue);
 //! - **in-order retirement** from the ROB head; stores move to a
-//!   bounded store buffer at retire and drain out of order (RMO) or
-//!   FIFO, writing shared memory at drain completion;
+//!   bounded store buffer at retire and drain out of order (RMO),
+//!   writing shared memory at drain completion;
 //! - **load values bound at completion time** from shared memory (or
 //!   forwarded from the youngest older matching store), so cross-core
 //!   interleavings are physically meaningful;
-//! - **CAS** executing non-speculatively at the ROB head after
-//!   draining the local store buffer;
+//! - **CAS** executing non-speculatively at the ROB head once no
+//!   buffered store targets its address;
 //! - **fences** that either block the issue stage until their
 //!   condition holds (`T`/`S`) or issue speculatively and hold only
 //!   retirement (`T+`/`S+`, in-window speculation), with the condition
@@ -27,7 +27,7 @@
 
 use crate::bpred::BranchPredictor;
 use crate::bus::MemBus;
-use crate::config::CoreConfig;
+use crate::config::{CoreConfig, BPRED_ENTRIES, MAX_OUTSTANDING_STORES};
 use crate::stats::CoreStats;
 use sfence_core::{
     ColumnCounters, FenceWait, PipeEvent, PipeKind, RetiredEvent, ScopeMask, ScopeUnit,
@@ -189,7 +189,7 @@ pub struct Core {
 impl Core {
     pub fn new(id: usize, code: Vec<Instr>, cfg: CoreConfig) -> Self {
         let scope = ScopeUnit::new(cfg.scope);
-        let bpred = BranchPredictor::new(cfg.bpred_entries);
+        let bpred = BranchPredictor::new(BPRED_ENTRIES);
         let halted = code.is_empty();
         Self {
             id,
@@ -547,26 +547,10 @@ impl Core {
         if self.sb_unissued == 0 {
             return;
         }
-        let max = self.cfg.max_outstanding_stores;
-        if self.cfg.sb_drain_in_order {
-            // FIFO drain: only the head, one at a time.
-            if self.sb_inflight == 0 {
-                let head = self.sb.front_mut().unwrap();
-                if !head.issued {
-                    head.issued = true;
-                    self.sb_unissued -= 1;
-                    let (id, addr) = (head.id, head.addr);
-                    let lat = bus.access_latency(self.id, addr, true).max(1);
-                    self.events.push(Reverse((now + lat, Ev::Sb(id))));
-                    self.sb_inflight += 1;
-                }
-            }
-            return;
-        }
         // RMO: drain any entry, but same-address stores stay ordered
         // (the `blocked` flag, maintained at push/drain).
         for i in 0..self.sb.len() {
-            if self.sb_inflight >= max {
+            if self.sb_inflight >= MAX_OUTSTANDING_STORES {
                 break;
             }
             if self.sb[i].issued || self.sb[i].blocked {
@@ -588,13 +572,14 @@ impl Core {
     // Retire
 
     fn retire(&mut self, now: u64, fence_stalled: &mut bool) {
-        for _ in 0..self.cfg.retire_width {
+        for _ in 0..self.cfg.width {
             let Some(head) = self.rob.front() else {
                 return;
             };
             if head.state != EState::Done {
-                // CAS parks Ready at the head until the SB drains; all
-                // other kinds are simply not finished yet.
+                // CAS parks Ready at the head until no buffered store
+                // targets its address; all other kinds are simply not
+                // finished yet.
                 return;
             }
             let instr = head.instr;
@@ -853,20 +838,15 @@ impl Core {
             }
             Instr::Cas { base, offset, .. } => {
                 // Non-speculative: only at the ROB head. Prior loads
-                // are thus complete; prior stores are ordered only if
-                // `cas_drains_sb` (or when they target the same
-                // address, preserving single-thread semantics).
+                // are thus complete; under RMO prior stores are not
+                // ordered (explicit fences do that), except those to
+                // the same address, preserving single-thread semantics.
                 if self.head_seq() != Some(seq) {
                     return; // stays Ready; retried next cycle
                 }
                 let ops = self.entry(seq).unwrap().ops;
                 let addr = mem_addr(operand_val(base, &ops, 0), offset);
-                let blocked = if self.cfg.cas_drains_sb {
-                    !self.sb.is_empty() || self.sb_inflight > 0
-                } else {
-                    self.sb_occ[bucket(addr)] > 0 && self.sb.iter().any(|s| s.addr == addr)
-                };
-                if blocked {
+                if self.sb_occ[bucket(addr)] > 0 && self.sb.iter().any(|s| s.addr == addr) {
                     return; // wait for the store buffer to make progress
                 }
                 let lat = bus.access_latency(self.id, addr, true).max(1);
@@ -1092,7 +1072,7 @@ impl Core {
     // Issue
 
     fn issue(&mut self, now: u64, fence_stalled: &mut bool) {
-        for _ in 0..self.cfg.issue_width {
+        for _ in 0..self.cfg.width {
             if self.fetch_done || now < self.fetch_resume {
                 return;
             }

@@ -86,21 +86,13 @@ mod tests {
             FenceConfig::SFENCE_SPEC,
         ] {
             for rob in [8, 32, 128] {
-                for in_order in [false, true] {
-                    let cfg = CoreConfig {
-                        rob_size: rob,
-                        fence,
-                        sb_drain_in_order: in_order,
-                        ..CoreConfig::default()
-                    };
-                    let (mem, _) = run_core(&prog, cfg, 30, 2_000_000);
-                    assert_eq!(
-                        mem,
-                        ref_mem,
-                        "config {:?} rob={rob} in_order={in_order}",
-                        fence.label()
-                    );
-                }
+                let cfg = CoreConfig {
+                    rob_size: rob,
+                    fence,
+                    ..CoreConfig::default()
+                };
+                let (mem, _) = run_core(&prog, cfg, 30, 2_000_000);
+                assert_eq!(mem, ref_mem, "config {:?} rob={rob}", fence.label());
             }
         }
     }

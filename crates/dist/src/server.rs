@@ -213,6 +213,30 @@ struct Campaign {
 }
 
 impl Campaign {
+    /// A campaign registered now — submitted, seeded at start-up or
+    /// restored from a checkpoint. Priorities are clamped to ≥ 1.
+    fn new(
+        id: u64,
+        spec: ExperimentSpec,
+        priority: u64,
+        fingerprint: String,
+        queue: JobQueue<SweepRow>,
+        started_ms: u64,
+    ) -> Campaign {
+        Campaign {
+            id,
+            spec_json: spec.to_json(),
+            spec,
+            priority: priority.max(1),
+            fingerprint,
+            job_count: queue.len(),
+            queue,
+            started_ms,
+            completed: false,
+            fetched_at_ms: None,
+        }
+    }
+
     fn state(&self) -> CampaignState {
         if self.queue.is_complete() {
             CampaignState::Complete
@@ -736,22 +760,10 @@ pub fn run_server(
                         ("total", &queue.len().to_string()),
                     ],
                 );
-                shared.scheduler.restore(c.id, c.priority.max(1), c.served);
-                shared.campaigns.insert(
-                    c.id,
-                    Campaign {
-                        id: c.id,
-                        spec_json: c.spec.to_json(),
-                        spec: c.spec,
-                        priority: c.priority.max(1),
-                        fingerprint: c.fingerprint,
-                        job_count: c.job_count as usize,
-                        queue,
-                        started_ms: now_ms(),
-                        completed: false,
-                        fetched_at_ms: None,
-                    },
-                );
+                let campaign =
+                    Campaign::new(c.id, c.spec, c.priority, c.fingerprint, queue, now_ms());
+                shared.scheduler.restore(c.id, campaign.priority, c.served);
+                shared.campaigns.insert(c.id, campaign);
             }
         }
     }
@@ -760,23 +772,11 @@ pub fn run_server(
     for (spec, experiment, priority) in initial {
         let id = shared.next_campaign;
         shared.next_campaign += 1;
-        let priority = priority.max(1);
-        shared.scheduler.add(id, priority);
-        shared.campaigns.insert(
-            id,
-            Campaign {
-                id,
-                spec_json: spec.to_json(),
-                spec,
-                priority,
-                fingerprint: experiment.fingerprint(),
-                job_count: experiment.job_count(),
-                queue: JobQueue::new(experiment.job_count()),
-                started_ms: now_ms(),
-                completed: false,
-                fetched_at_ms: None,
-            },
-        );
+        let queue = JobQueue::new(experiment.job_count());
+        let fingerprint = experiment.fingerprint();
+        let campaign = Campaign::new(id, spec, priority, fingerprint, queue, now_ms());
+        shared.scheduler.add(id, campaign.priority);
+        shared.campaigns.insert(id, campaign);
         shared.dirty = true;
     }
     // Campaigns the daemon starts with are part of the resume
@@ -1091,28 +1091,17 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
             };
             let fingerprint = experiment.fingerprint();
             let job_count = experiment.job_count();
-            let priority = priority.max(1);
             let reply = {
                 let mut s = shared.lock().unwrap();
                 let id = s.next_campaign;
                 let was_dirty = s.dirty;
                 s.next_campaign += 1;
+                let queue = JobQueue::new(job_count);
+                let campaign =
+                    Campaign::new(id, spec, priority, fingerprint.clone(), queue, now_ms());
+                let priority = campaign.priority;
                 s.scheduler.add(id, priority);
-                s.campaigns.insert(
-                    id,
-                    Campaign {
-                        id,
-                        spec_json: spec.to_json(),
-                        spec,
-                        priority,
-                        fingerprint: fingerprint.clone(),
-                        job_count,
-                        queue: JobQueue::new(job_count),
-                        started_ms: now_ms(),
-                        completed: false,
-                        fetched_at_ms: None,
-                    },
-                );
+                s.campaigns.insert(id, campaign);
                 s.dirty = true;
                 // Force the snapshot *before* acking: once the client
                 // holds the campaign id, a daemon restart must not

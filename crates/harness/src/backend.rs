@@ -216,12 +216,12 @@ impl Backend for FunctionalBackend {
         let mut stats = vec![InterpStats::default(); n];
         let mut mem = program.initial_memory();
         // `max_cycles` scales into the instruction budget by the
-        // machine's peak retirement rate (`num_cores × retire_width`
+        // machine's peak retirement rate (`num_cores × width`
         // instructions per cycle): any budget that lets the simulator
         // retire a program lets the interpreter finish it, so a
         // sim-valid `max_cycles` can never spuriously cycle-limit the
         // functional run of the same program.
-        let peak_retire = (cfg.num_cores.max(n) * cfg.core.retire_width).max(1) as u64;
+        let peak_retire = (cfg.num_cores.max(n) * cfg.core.width).max(1) as u64;
         let fuel = cfg.max_cycles.saturating_mul(peak_retire);
         let mut steps = 0u64;
         let mut exit = RunExit::Completed;
@@ -372,7 +372,7 @@ mod tests {
         let prog = mp_program();
         let mut cfg = MachineConfig::paper_default();
         // The instruction budget is max_cycles × peak retirement rate
-        // (num_cores × retire_width = 4 here): one cycle buys 4
+        // (num_cores × width = 4 here): one cycle buys 4
         // steps, far fewer than the program needs.
         cfg.num_cores = 2;
         cfg.max_cycles = 1;

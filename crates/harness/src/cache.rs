@@ -26,7 +26,9 @@ use crate::backend::BackendId;
 use crate::hash::sha256_hex;
 use crate::json::{self, Json};
 use crate::session::RunReport;
-use sfence_core::{ScopeConfig, ScopeRecovery};
+use sfence_core::ScopeConfig;
+use sfence_cpu::config::{BPRED_ENTRIES, MAX_OUTSTANDING_STORES};
+use sfence_mem::{L1_LATENCY, L2_LATENCY, LINE_BYTES, REMOTE_DIRTY_PENALTY};
 use sfence_sim::{CoreConfig, FenceConfig, MachineConfig, MemConfig};
 use sfence_workloads::{ScopeMode, WorkloadParams};
 use std::collections::HashMap;
@@ -142,13 +144,8 @@ fn machine_config_json(cfg: &MachineConfig) -> Json {
     let CoreConfig {
         rob_size,
         sb_size,
-        issue_width,
-        retire_width,
+        width,
         mispredict_penalty,
-        bpred_entries,
-        max_outstanding_stores,
-        sb_drain_in_order,
-        cas_drains_sb,
         fence,
         scope,
         trace,
@@ -162,34 +159,31 @@ fn machine_config_json(cfg: &MachineConfig) -> Json {
         fsb_entries,
         fss_entries,
         mapping_entries,
-        recovery,
         skip_degrade_on_overflow,
     } = scope;
     let MemConfig {
-        line_bytes,
         l1_size,
         l1_ways,
-        l1_latency,
         l2_size,
         l2_ways,
-        l2_latency,
         mem_latency,
-        remote_dirty_penalty,
     } = mem;
-    let recovery = match recovery {
-        ScopeRecovery::ShadowStack => "shadow_stack",
-        ScopeRecovery::Checkpoint => "checkpoint",
-    };
+    // Keys name cache entries already on disk and feed the dist
+    // fingerprints, so the description keeps a field for each value
+    // the machine now fixes: the constants, the retire width (equal
+    // to the issue width), an out-of-order store-buffer drain
+    // (`sb_drain_in_order: false`), a CAS that does not drain the
+    // store buffer, and shadow-stack FSS recovery.
     let core = Json::obj()
         .field("rob_size", *rob_size)
         .field("sb_size", *sb_size)
-        .field("issue_width", *issue_width)
-        .field("retire_width", *retire_width)
+        .field("issue_width", *width)
+        .field("retire_width", *width)
         .field("mispredict_penalty", *mispredict_penalty)
-        .field("bpred_entries", *bpred_entries)
-        .field("max_outstanding_stores", *max_outstanding_stores)
-        .field("sb_drain_in_order", *sb_drain_in_order)
-        .field("cas_drains_sb", *cas_drains_sb)
+        .field("bpred_entries", BPRED_ENTRIES)
+        .field("max_outstanding_stores", MAX_OUTSTANDING_STORES)
+        .field("sb_drain_in_order", false)
+        .field("cas_drains_sb", false)
         .field(
             "fence",
             Json::obj()
@@ -202,21 +196,21 @@ fn machine_config_json(cfg: &MachineConfig) -> Json {
                 .field("fsb_entries", *fsb_entries)
                 .field("fss_entries", *fss_entries)
                 .field("mapping_entries", *mapping_entries)
-                .field("recovery", recovery)
+                .field("recovery", "shadow_stack")
                 .field("skip_degrade_on_overflow", *skip_degrade_on_overflow),
         )
         .field("trace", *trace)
         .field("pipe_trace", *pipe_trace);
     let mem = Json::obj()
-        .field("line_bytes", *line_bytes)
+        .field("line_bytes", LINE_BYTES)
         .field("l1_size", *l1_size)
         .field("l1_ways", *l1_ways)
-        .field("l1_latency", *l1_latency)
+        .field("l1_latency", L1_LATENCY)
         .field("l2_size", *l2_size)
         .field("l2_ways", *l2_ways)
-        .field("l2_latency", *l2_latency)
+        .field("l2_latency", L2_LATENCY)
         .field("mem_latency", *mem_latency)
-        .field("remote_dirty_penalty", *remote_dirty_penalty);
+        .field("remote_dirty_penalty", REMOTE_DIRTY_PENALTY);
     Json::obj()
         .field("num_cores", *num_cores)
         .field("core", core)

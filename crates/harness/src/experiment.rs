@@ -133,10 +133,7 @@ impl AxisPoint {
             AxisPoint::SbSize(n) => cfg.core.sb_size = n,
             AxisPoint::FsbEntries(n) => cfg.core.scope.fsb_entries = n,
             AxisPoint::FssEntries(n) => cfg.core.scope.fss_entries = n,
-            AxisPoint::IssueWidth(n) => {
-                cfg.core.issue_width = n;
-                cfg.core.retire_width = n;
-            }
+            AxisPoint::IssueWidth(n) => cfg.core.width = n,
             AxisPoint::L2Size(n) => cfg.mem.l2_size = n,
             _ => {}
         }

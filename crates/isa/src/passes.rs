@@ -3,26 +3,16 @@
 //! The main one is [`enforce_sc`]: the SC-enforcement use case of §VI-B
 //! of the paper (barnes, radiosity). Programs written for sequential
 //! consistency are made SC-safe on a relaxed machine by inserting
-//! fences between *conflicting shared* accesses, following a
-//! simplified Shasha–Snir delay-set discipline: an access participates
-//! in a delay pair iff it touches a global declared `shared` (private
-//! and read-only data never conflict, which is exactly the property
-//! S-Fence with set scope exploits — those accesses are left unflagged
-//! and unordered).
+//! set-scope fences between *conflicting shared* accesses, following
+//! a simplified Shasha–Snir delay-set discipline: an access
+//! participates in a delay pair iff it touches a global declared
+//! `shared` (private and read-only data never conflict, which is
+//! exactly the property S-Fence with set scope exploits — those
+//! accesses are left unflagged and unordered). The paper's `T`
+//! baseline needs no second style of the pass: with scopes not
+//! honoured, every set-scope fence is a full fence.
 
 use crate::ir::{Block, Expr, FenceSpec, Global, IrProgram, MemRef, Stmt};
-
-/// How SC enforcement materialises its fences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScStyle {
-    /// Insert traditional full fences (the paper's baseline `T`).
-    Traditional,
-    /// Insert `S-FENCE[set, {all shared globals}]` and flag exactly the
-    /// shared accesses (the paper's `S` configuration for barnes and
-    /// radiosity). Private accesses keep `flag_override = Some(false)`
-    /// so they are never ordered.
-    SetScope,
-}
 
 /// Statistics from the pass, mostly for tests and reporting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -32,14 +22,17 @@ pub struct ScReport {
     pub private_accesses: usize,
 }
 
-/// Insert SC-enforcing fences into every thread body and routine.
+/// Insert SC-enforcing fences into every thread body and routine:
+/// `S-FENCE[set, {all shared globals}]`, with exactly the shared
+/// accesses flagged. Private accesses get `flag_override =
+/// Some(false)` so they are never ordered.
 ///
 /// A fence is inserted between two consecutive statements that both
 /// access shared globals (the second access of each delay pair must
 /// wait for the first). Loop bodies whose first and last statements
 /// access shared data get a fence at the back edge. Control-flow
 /// statements count as shared-accessing if any nested statement is.
-pub fn enforce_sc(p: &mut IrProgram, style: ScStyle) -> ScReport {
+pub fn enforce_sc(p: &mut IrProgram) -> ScReport {
     let shared: Vec<bool> = p.globals.iter().map(|g| g.shared).collect();
     let all_shared: Vec<Global> = p.shared_globals();
     let mut report = ScReport::default();
@@ -52,35 +45,22 @@ pub fn enforce_sc(p: &mut IrProgram, style: ScStyle) -> ScReport {
         bodies.push(t);
     }
     for b in bodies {
-        rewrite_block(b, &shared, &all_shared, style, &mut report);
+        rewrite_block(b, &shared, &all_shared, &mut report);
     }
     report
 }
 
-fn fence_stmt(style: ScStyle, all_shared: &[Global]) -> Stmt {
-    match style {
-        ScStyle::Traditional => Stmt::Fence(FenceSpec::Global),
-        ScStyle::SetScope => Stmt::Fence(FenceSpec::Set(all_shared.to_vec())),
-    }
-}
-
-fn rewrite_block(
-    b: &mut Block,
-    shared: &[bool],
-    all_shared: &[Global],
-    style: ScStyle,
-    report: &mut ScReport,
-) {
+fn rewrite_block(b: &mut Block, shared: &[bool], all_shared: &[Global], report: &mut ScReport) {
     // First rewrite children and flag accesses.
     for s in b.iter_mut() {
-        flag_stmt(s, shared, style, report);
+        flag_stmt(s, shared, report);
         match s {
             Stmt::If { then_b, else_b, .. } => {
-                rewrite_block(then_b, shared, all_shared, style, report);
-                rewrite_block(else_b, shared, all_shared, style, report);
+                rewrite_block(then_b, shared, all_shared, report);
+                rewrite_block(else_b, shared, all_shared, report);
             }
             Stmt::While { body, .. } | Stmt::Loop(body) => {
-                rewrite_block(body, shared, all_shared, style, report);
+                rewrite_block(body, shared, all_shared, report);
             }
             _ => {}
         }
@@ -92,7 +72,7 @@ fn rewrite_block(
     let mut prev_shared = false;
     for (s, is_shared) in b.drain(..).zip(marks) {
         if is_shared && prev_shared {
-            out.push(fence_stmt(style, all_shared));
+            out.push(Stmt::Fence(FenceSpec::Set(all_shared.to_vec())));
             report.fences_inserted += 1;
         }
         prev_shared = is_shared || (prev_shared && !matches!(s, Stmt::Fence(_)));
@@ -161,31 +141,31 @@ fn expr_touches_shared(e: &Expr, shared: &[bool]) -> bool {
 
 /// Flag the memory references of one statement (not recursing into
 /// nested blocks — the caller handles those).
-fn flag_stmt(s: &mut Stmt, shared: &[bool], style: ScStyle, report: &mut ScReport) {
+fn flag_stmt(s: &mut Stmt, shared: &[bool], report: &mut ScReport) {
     match s {
         Stmt::Let(_, e) | Stmt::Assign(_, e) | Stmt::Return(Some(e)) => {
-            flag_expr(e, shared, style, report)
+            flag_expr(e, shared, report)
         }
         Stmt::Store(m, e) => {
-            flag_mem(m, shared, style, report);
-            flag_expr(e, shared, style, report);
+            flag_mem(m, shared, report);
+            flag_expr(e, shared, report);
         }
         Stmt::Cas {
             mem, expected, new, ..
         } => {
-            flag_mem(mem, shared, style, report);
-            flag_expr(expected, shared, style, report);
-            flag_expr(new, shared, style, report);
+            flag_mem(mem, shared, report);
+            flag_expr(expected, shared, report);
+            flag_expr(new, shared, report);
         }
-        Stmt::If { cond, .. } => flag_expr(cond, shared, style, report),
-        Stmt::While { cond, .. } => flag_expr(cond, shared, style, report),
+        Stmt::If { cond, .. } => flag_expr(cond, shared, report),
+        Stmt::While { cond, .. } => flag_expr(cond, shared, report),
         _ => {}
     }
 }
 
-fn flag_mem(m: &mut MemRef, shared: &[bool], style: ScStyle, report: &mut ScReport) {
+fn flag_mem(m: &mut MemRef, shared: &[bool], report: &mut ScReport) {
     if let Some(e) = m.index.as_deref_mut() {
-        flag_expr(e, shared, style, report);
+        flag_expr(e, shared, report);
     }
     let is_shared = shared[m.global.id as usize];
     if is_shared {
@@ -193,20 +173,20 @@ fn flag_mem(m: &mut MemRef, shared: &[bool], style: ScStyle, report: &mut ScRepo
     } else {
         report.private_accesses += 1;
     }
-    if style == ScStyle::SetScope && m.flag_override.is_none() {
+    if m.flag_override.is_none() {
         m.flag_override = Some(is_shared);
     }
 }
 
-fn flag_expr(e: &mut Expr, shared: &[bool], style: ScStyle, report: &mut ScReport) {
+fn flag_expr(e: &mut Expr, shared: &[bool], report: &mut ScReport) {
     match e {
         Expr::Const(_) | Expr::Local(_) => {}
-        Expr::Load(m) => flag_mem(m, shared, style, report),
+        Expr::Load(m) => flag_mem(m, shared, report),
         Expr::Bin(_, a, b) | Expr::Cmp(_, a, b) => {
-            flag_expr(a, shared, style, report);
-            flag_expr(b, shared, style, report);
+            flag_expr(a, shared, report);
+            flag_expr(b, shared, report);
         }
-        Expr::Not(a) => flag_expr(a, shared, style, report),
+        Expr::Not(a) => flag_expr(a, shared, report),
     }
 }
 
@@ -233,30 +213,11 @@ mod tests {
     }
 
     #[test]
-    fn traditional_inserts_full_fences_between_shared_pairs() {
-        let (mut p, ..) = build();
-        let report = enforce_sc(&mut p, ScStyle::Traditional);
-        // shared stmts: store s1, store s2, let x=ld s1 -> 2 fences
-        assert_eq!(report.fences_inserted, 2);
-        let prog = p.compile().unwrap();
-        let fences = prog.threads[0]
-            .iter()
-            .filter(|i| {
-                matches!(
-                    i,
-                    Instr::Fence {
-                        kind: FenceKind::Global
-                    }
-                )
-            })
-            .count();
-        assert_eq!(fences, 2);
-    }
-
-    #[test]
     fn set_scope_flags_only_shared_accesses() {
         let (mut p, ..) = build();
-        let report = enforce_sc(&mut p, ScStyle::SetScope);
+        let report = enforce_sc(&mut p);
+        // shared stmts: store s1, store s2, let x=ld s1 -> 2 fences
+        assert_eq!(report.fences_inserted, 2);
         assert_eq!(report.shared_accesses, 3);
         assert_eq!(report.private_accesses, 1);
         let prog = p.compile().unwrap();
@@ -293,7 +254,7 @@ mod tests {
             });
             b.halt();
         });
-        let report = enforce_sc(&mut p, ScStyle::Traditional);
+        let report = enforce_sc(&mut p);
         assert_eq!(report.fences_inserted, 0);
     }
 }

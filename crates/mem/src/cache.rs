@@ -5,20 +5,20 @@
 //! latencies; data itself lives in the machine's flat memory and is
 //! read/written at completion time, the same separation SESC uses.
 
-/// Cache geometry.
+use crate::hierarchy::LINE_BYTES;
+
+/// Cache geometry; every cache has [`LINE_BYTES`]-byte lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub size_bytes: usize,
     /// Associativity.
     pub ways: usize,
-    /// Line size in bytes.
-    pub line_bytes: usize,
 }
 
 impl CacheGeometry {
     pub fn num_sets(&self) -> usize {
-        let sets = self.size_bytes / (self.ways * self.line_bytes);
+        let sets = self.size_bytes / (self.ways * LINE_BYTES);
         assert!(sets > 0, "cache too small for its ways/line size");
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         sets
@@ -114,7 +114,6 @@ mod tests {
         TagArray::new(CacheGeometry {
             size_bytes: 256,
             ways: 2,
-            line_bytes: 64,
         })
     }
 
@@ -123,7 +122,6 @@ mod tests {
         let g = CacheGeometry {
             size_bytes: 32 * 1024,
             ways: 4,
-            line_bytes: 64,
         };
         assert_eq!(g.num_sets(), 128);
     }

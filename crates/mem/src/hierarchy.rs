@@ -12,6 +12,7 @@
 //! L1s.
 
 use crate::cache::{CacheGeometry, TagArray};
+use sfence_isa::WORDS_PER_LINE;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -39,35 +40,37 @@ impl Hasher for LineHasher {
 
 type LineMap = HashMap<u64, DirEntry, BuildHasherDefault<LineHasher>>;
 
-/// Memory-system configuration (paper Table III defaults).
+/// Cache line size in bytes: the ISA's [`WORDS_PER_LINE`] 64-bit words.
+pub const LINE_BYTES: usize = WORDS_PER_LINE * 8;
+/// L1 hit latency in cycles (Table III).
+pub const L1_LATENCY: u64 = 2;
+/// L2 latency in cycles, on top of the L1's (Table III).
+pub const L2_LATENCY: u64 = 10;
+/// Extra cycles to fetch a line that is dirty in a remote L1
+/// (writeback + transfer through the L2).
+pub const REMOTE_DIRTY_PENALTY: u64 = 10;
+
+/// Memory-system configuration (paper Table III defaults): the
+/// parameters the evaluation sweeps. The line size and the L1, L2 and
+/// remote-dirty latencies are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemConfig {
-    pub line_bytes: usize,
     pub l1_size: usize,
     pub l1_ways: usize,
-    pub l1_latency: u64,
     pub l2_size: usize,
     pub l2_ways: usize,
-    pub l2_latency: u64,
     /// Round-trip latency to memory (the Fig. 15 sweep parameter).
     pub mem_latency: u64,
-    /// Extra cycles to fetch a line that is dirty in a remote L1
-    /// (writeback + transfer through the L2).
-    pub remote_dirty_penalty: u64,
 }
 
 impl Default for MemConfig {
     fn default() -> Self {
         Self {
-            line_bytes: 64,
             l1_size: 32 * 1024,
             l1_ways: 4,
-            l1_latency: 2,
             l2_size: 1024 * 1024,
             l2_ways: 8,
-            l2_latency: 10,
             mem_latency: 300,
-            remote_dirty_penalty: 10,
         }
     }
 }
@@ -117,8 +120,6 @@ pub struct MemorySystem {
     l2: TagArray,
     dir: LineMap,
     stats: Vec<CoreMemStats>,
-    /// Words per cache line (addresses are word-granular).
-    words_per_line: u64,
     /// Per-core most-recently-accessed line (`u64::MAX` = none): a
     /// read of this line is an L1 hit with no LRU or directory side
     /// effects, so `access` can skip both probes. Must be cleared
@@ -131,12 +132,10 @@ impl MemorySystem {
         let l1_geom = CacheGeometry {
             size_bytes: cfg.l1_size,
             ways: cfg.l1_ways,
-            line_bytes: cfg.line_bytes,
         };
         let l2_geom = CacheGeometry {
             size_bytes: cfg.l2_size,
             ways: cfg.l2_ways,
-            line_bytes: cfg.line_bytes,
         };
         Self {
             cfg,
@@ -144,7 +143,6 @@ impl MemorySystem {
             l2: TagArray::new(l2_geom),
             dir: LineMap::default(),
             stats: vec![CoreMemStats::default(); num_cores],
-            words_per_line: (cfg.line_bytes / 8) as u64,
             mru: vec![u64::MAX; num_cores],
         }
     }
@@ -155,7 +153,7 @@ impl MemorySystem {
 
     #[inline]
     pub fn line_of(&self, addr: usize) -> u64 {
-        addr as u64 / self.words_per_line
+        addr as u64 / WORDS_PER_LINE as u64
     }
 
     /// Perform one access for `core`; returns its latency and outcome.
@@ -168,7 +166,7 @@ impl MemorySystem {
         // MRU in its set and a read hit leaves the directory alone).
         if !write && self.mru[core] == line {
             self.stats[core].l1_hits += 1;
-            return (self.cfg.l1_latency, AccessOutcome::L1Hit);
+            return (L1_LATENCY, AccessOutcome::L1Hit);
         }
 
         if self.l1[core].lookup(line) {
@@ -177,14 +175,14 @@ impl MemorySystem {
             if !write {
                 self.stats[core].l1_hits += 1;
                 self.mru[core] = line;
-                return (self.cfg.l1_latency, AccessOutcome::L1Hit);
+                return (L1_LATENCY, AccessOutcome::L1Hit);
             }
             let exclusive = entry.sharers == (1 << core);
             if exclusive {
                 entry.dirty_owner = Some(core);
                 self.stats[core].l1_hits += 1;
                 self.mru[core] = line;
-                return (self.cfg.l1_latency, AccessOutcome::L1Hit);
+                return (L1_LATENCY, AccessOutcome::L1Hit);
             }
             // Upgrade: invalidate remote copies through the L2.
             self.invalidate_remote_sharers(line, core);
@@ -193,10 +191,7 @@ impl MemorySystem {
             entry.dirty_owner = Some(core);
             self.stats[core].upgrades += 1;
             self.mru[core] = line;
-            return (
-                self.cfg.l1_latency + self.cfg.l2_latency,
-                AccessOutcome::Upgrade,
-            );
+            return (L1_LATENCY + L2_LATENCY, AccessOutcome::Upgrade);
         }
 
         // L1 miss. Where does the line come from?
@@ -208,17 +203,14 @@ impl MemorySystem {
         let (mut latency, outcome) = if let Some(_owner) = remote_dirty {
             // Writeback from the remote L1 through the L2, then fetch.
             (
-                self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.remote_dirty_penalty,
+                L1_LATENCY + L2_LATENCY + REMOTE_DIRTY_PENALTY,
                 AccessOutcome::RemoteDirty,
             )
         } else if self.l2.lookup(line) {
-            (
-                self.cfg.l1_latency + self.cfg.l2_latency,
-                AccessOutcome::L2Hit,
-            )
+            (L1_LATENCY + L2_LATENCY, AccessOutcome::L2Hit)
         } else {
             (
-                self.cfg.l1_latency + self.cfg.l2_latency + self.cfg.mem_latency,
+                L1_LATENCY + L2_LATENCY + self.cfg.mem_latency,
                 AccessOutcome::MemMiss,
             )
         };
@@ -232,7 +224,7 @@ impl MemorySystem {
         if write {
             // Read-for-ownership: every other copy is invalidated.
             self.invalidate_remote_sharers(line, core);
-            latency = latency.max(self.cfg.l1_latency + self.cfg.l2_latency);
+            latency = latency.max(L1_LATENCY + L2_LATENCY);
         } else if let Some(owner) = remote_dirty {
             // Downgrade the dirty owner to shared (it keeps the line).
             if let Some(e) = self.dir.get_mut(&line) {

@@ -9,7 +9,10 @@ pub mod cache;
 pub mod hierarchy;
 
 pub use cache::{CacheGeometry, TagArray};
-pub use hierarchy::{AccessOutcome, CoreMemStats, MemConfig, MemorySystem};
+pub use hierarchy::{
+    AccessOutcome, CoreMemStats, MemConfig, MemorySystem, L1_LATENCY, L2_LATENCY, LINE_BYTES,
+    REMOTE_DIRTY_PENALTY,
+};
 
 #[cfg(test)]
 mod prop_tests {
@@ -67,10 +70,10 @@ mod prop_tests {
     fn latencies_come_from_the_model() {
         let cfg = MemConfig::default();
         let allowed = [
-            cfg.l1_latency,
-            cfg.l1_latency + cfg.l2_latency,
-            cfg.l1_latency + cfg.l2_latency + cfg.remote_dirty_penalty,
-            cfg.l1_latency + cfg.l2_latency + cfg.mem_latency,
+            L1_LATENCY,
+            L1_LATENCY + L2_LATENCY,
+            L1_LATENCY + L2_LATENCY + REMOTE_DIRTY_PENALTY,
+            L1_LATENCY + L2_LATENCY + cfg.mem_latency,
         ];
         for seed in 0..16u64 {
             let mut rng = Rng::new(seed + 101);
@@ -97,7 +100,7 @@ mod prop_tests {
             m.access(0, addr, false);
             let (lat, out) = m.access(0, addr, false);
             assert_eq!(out, AccessOutcome::L1Hit);
-            assert_eq!(lat, MemConfig::default().l1_latency);
+            assert_eq!(lat, L1_LATENCY);
         }
     }
 }

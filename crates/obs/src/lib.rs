@@ -14,9 +14,6 @@
 //!   ([`sfence_core::pipe`]) as Chrome `trace_event` JSON, loadable in
 //!   `chrome://tracing` / Perfetto. Byte-deterministic for a fixed
 //!   workload + config, independent of host thread count.
-//! - [`prof`] — coarse scoped wall-clock timers with a hierarchical
-//!   summary table, for profiling the *harness* (not the simulated
-//!   machine): phase timings of benchmark and perf-gate runs.
 //! - [`progress`] — a throttled stderr progress meter (done/total,
 //!   cells/sec, ETA) for long sweeps.
 //! - [`log`] — a leveled, structured JSONL event logger for
@@ -32,15 +29,13 @@
 //!
 //! Observation is opt-in and zero-cost when off: pipeline tracing is
 //! gated in the simulator by one bool (`CoreConfig::pipe_trace`),
-//! profiling by one relaxed atomic load, and the progress meter only
-//! exists when `--progress` is passed. Nothing in this crate sits on
+//! and the progress meter only exists when `--progress` is passed. Nothing in this crate sits on
 //! the simulator's per-cycle path; the perf gate runs with everything
 //! here disabled and must not notice the difference.
 
 pub mod expo;
 pub mod log;
 pub mod metrics;
-pub mod prof;
 pub mod progress;
 pub mod ring;
 pub mod trace;

@@ -10,7 +10,7 @@ pub mod machine;
 
 pub use machine::{fence_stall_fraction, Machine, MachineConfig, RunExit, RunSummary, WatchEvent};
 pub use sfence_cpu::{CoreConfig, FenceConfig};
-pub use sfence_mem::MemConfig;
+pub use sfence_mem::{MemConfig, L1_LATENCY, L2_LATENCY};
 
 #[cfg(test)]
 mod tests {

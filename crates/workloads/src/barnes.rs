@@ -14,7 +14,7 @@
 
 use crate::support::{compile, register_barrier, BuiltWorkload};
 use sfence_isa::ir::*;
-use sfence_isa::passes::{enforce_sc, ScStyle};
+use sfence_isa::passes::enforce_sc;
 
 /// Parameters.
 #[derive(Debug, Clone, Copy)]
@@ -25,8 +25,6 @@ pub struct BarnesParams {
     pub samples: usize,
     pub steps: usize,
     pub threads: usize,
-    /// How the SC-enforcement pass materialises fences.
-    pub style: ScStyle,
 }
 
 /// Exact host-side replay of the kernel (same wrapping arithmetic).
@@ -167,7 +165,7 @@ pub fn build(params: BarnesParams) -> BuiltWorkload {
 
     // SC enforcement: the compiler pass that makes this SC-correct on
     // the relaxed machine (paper: delay-set based fence insertion).
-    enforce_sc(&mut p, params.style);
+    enforce_sc(&mut p);
 
     let program = compile(&p);
     let (ref_pos, ref_cell) = reference(&params);
@@ -218,7 +216,6 @@ mod tests {
             samples: 3,
             steps: 2,
             threads: 4,
-            style: ScStyle::SetScope,
         }
     }
 
@@ -233,15 +230,6 @@ mod tests {
         ] {
             run(&w, cfg(fence, 4));
         }
-    }
-
-    #[test]
-    fn traditional_style_pass_also_correct() {
-        let w = build(BarnesParams {
-            style: ScStyle::Traditional,
-            ..small()
-        });
-        run(&w, cfg(FenceConfig::TRADITIONAL, 4));
     }
 
     #[test]

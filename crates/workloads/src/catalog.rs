@@ -5,7 +5,6 @@
 
 use crate::support::{BuiltWorkload, ScopeMode};
 use crate::{barnes, dekker, harris, msn, pst, ptc, radiosity, wsq};
-use sfence_isa::passes::ScStyle;
 
 /// Scope type used by a benchmark (Table IV "Type" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +210,6 @@ fn build_barnes(p: &WorkloadParams) -> BuiltWorkload {
         samples,
         steps,
         threads,
-        style: ScStyle::SetScope,
     })
 }
 
@@ -227,7 +225,6 @@ fn build_radiosity(p: &WorkloadParams) -> BuiltWorkload {
         threads,
         seed,
         scratch_work,
-        style: ScStyle::SetScope,
     })
 }
 

@@ -10,7 +10,7 @@
 
 use crate::support::{compile, register_barrier, BuiltWorkload};
 use sfence_isa::ir::*;
-use sfence_isa::passes::{enforce_sc, ScStyle};
+use sfence_isa::passes::enforce_sc;
 
 /// Parameters.
 #[derive(Debug, Clone, Copy)]
@@ -22,7 +22,6 @@ pub struct RadiosityParams {
     pub seed: u64,
     /// Private scratch stores per interaction (the long-latency work).
     pub scratch_work: u32,
-    pub style: ScStyle,
 }
 
 /// Host-side interaction list and exact final energies.
@@ -133,7 +132,7 @@ pub fn build(params: RadiosityParams) -> BuiltWorkload {
         });
     }
 
-    enforce_sc(&mut p, params.style);
+    enforce_sc(&mut p);
 
     let program = compile(&p);
     BuiltWorkload {
@@ -183,7 +182,6 @@ mod tests {
             threads: 4,
             seed: 11,
             scratch_work: 3,
-            style: ScStyle::SetScope,
         }
     }
 

@@ -24,7 +24,7 @@ fn main() {
         b.let_("x", ld(shared_a.cell()));
         b.halt();
     });
-    let report = enforce_sc(&mut p, ScStyle::SetScope);
+    let report = enforce_sc(&mut p);
     println!(
         "delay-set pass: {} fences inserted, {} shared / {} private accesses",
         report.fences_inserted, report.shared_accesses, report.private_accesses
@@ -40,7 +40,6 @@ fn main() {
             samples: 4,
             steps: 2,
             threads: 8,
-            style: ScStyle::SetScope,
         }),
         radiosity::build(radiosity::RadiosityParams {
             patches: 24,
@@ -49,7 +48,6 @@ fn main() {
             threads: 8,
             seed: 44,
             scratch_work: 4,
-            style: ScStyle::SetScope,
         }),
     ] {
         // Cheap correctness gate first: the functional (SC) engine

@@ -90,13 +90,13 @@ pub use sfence_workloads as workloads;
 
 /// Convenience re-exports for examples and downstream users.
 pub mod prelude {
-    pub use sfence_core::{ClassId, ScopeConfig, ScopeRecovery};
+    pub use sfence_core::{ClassId, ScopeConfig};
     pub use sfence_harness::{
         Axis, Backend, BackendId, EnumerativeBackend, Experiment, FunctionalBackend, Json,
         RunReport, Session, SimBackend, SweepResult, SweepRow,
     };
     pub use sfence_isa::ir::*;
-    pub use sfence_isa::passes::{enforce_sc, ScStyle};
+    pub use sfence_isa::passes::enforce_sc;
     pub use sfence_isa::{FenceKind, Program};
     pub use sfence_sim::{FenceConfig, MachineConfig, RunExit};
     pub use sfence_workloads::{catalog, Scale, ScopeMode, WorkloadParams};

@@ -1,7 +1,6 @@
 //! Cross-crate integration: every benchmark validates its invariants
-//! under every fence configuration and under the ablation knobs
-//! (FIFO store buffer, CAS-drains-SB, checkpoint scope recovery,
-//! tiny scope hardware that forces overflow degradation). All builds
+//! under every fence configuration, under tiny scope hardware that
+//! forces overflow degradation, and across ROB sizes. All builds
 //! come from the workload registry at `Scale::Small`, and all runs go
 //! through the harness `Session` (which checks invariants itself).
 
@@ -42,35 +41,6 @@ fn every_workload_correct_under_every_fence_config() {
         for fence in all_fences() {
             run(&w, cfg().with_fence(fence)); // panics on violation
         }
-    }
-}
-
-#[test]
-fn correct_with_fifo_store_buffer() {
-    // TSO-ish drain: strictly stronger ordering must stay correct.
-    for w in small_suite() {
-        let mut c = cfg().with_fence(FenceConfig::SFENCE);
-        c.core.sb_drain_in_order = true;
-        run(&w, c);
-    }
-}
-
-#[test]
-fn correct_with_cas_draining_sb() {
-    // x86-lock-prefix-style CAS: strictly stronger, must stay correct.
-    for w in small_suite() {
-        let mut c = cfg().with_fence(FenceConfig::SFENCE);
-        c.core.cas_drains_sb = true;
-        run(&w, c);
-    }
-}
-
-#[test]
-fn correct_with_checkpoint_scope_recovery() {
-    for w in small_suite() {
-        let mut c = cfg().with_fence(FenceConfig::SFENCE);
-        c.core.scope.recovery = ScopeRecovery::Checkpoint;
-        run(&w, c);
     }
 }
 
