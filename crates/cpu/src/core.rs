@@ -24,6 +24,12 @@
 //! The register file holds *committed* state only (updated at retire);
 //! squash recovery therefore needs no register checkpoints — the
 //! producer map is rebuilt by rescanning the surviving ROB entries.
+//!
+//! The ROB is a fixed ring of slots (`Rob`) that issue fills in
+//! place. Events, ready lists and waiter lists name entries by sequence
+//! number; a seq reaches its slot in O(1) through the ring's runs of
+//! consecutive seqs, and each completion or dispatch looks its seq up
+//! once and hands the slot down.
 
 use crate::bpred::BranchPredictor;
 use crate::bus::MemBus;
@@ -59,11 +65,11 @@ enum EState {
     Done,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
     seq: u64,
+    /// The instruction is `code[pc]`; it is not copied into the entry.
     pc: usize,
-    instr: Instr,
     ops: [Src; 3],
     state: EState,
     result: i64,
@@ -76,7 +82,200 @@ struct RobEntry {
     issued_at: u64,
     dispatched_at: u64,
     completed_at: u64,
-    waiters: Vec<u64>,
+}
+
+/// The reorder buffer: a ring of `rob_size.next_power_of_two()` slots,
+/// allocated once and filled on first use, so a short run writes only
+/// the slots it reaches. Issue writes each entry into the tail slot in
+/// place, and every slot keeps its waiter list's capacity, so a
+/// steady-state issue allocates nothing.
+///
+/// Sequence numbers are unique and increasing but *not* contiguous: a
+/// squash never rolls `next_seq` back, so stale completion events can
+/// never alias a new entry. The live entries therefore form *runs* of
+/// consecutive seqs in consecutive slots, one run per stretch issued
+/// between squashes. `runs` keeps each live run's first `(seq, slot)`,
+/// oldest first, and a seq maps to its slot by plain offset from the
+/// newest run that starts at or before it: O(1), with no search.
+struct Rob {
+    slots: Vec<RobEntry>,
+    /// Consumers (seqs) to wake when the slot's entry completes.
+    waiters: Vec<Vec<u64>>,
+    /// The ring's slot count minus one. Until the first wrap `slots`
+    /// is shorter than the ring, and the tail slot is at most its
+    /// length.
+    mask: usize,
+    /// Slot of the oldest entry.
+    head: usize,
+    len: usize,
+    /// First `(seq, slot)` of every run with a live entry, oldest
+    /// first. A run is dropped once its last entry has retired or been
+    /// squashed; the oldest run's first entries may have retired. A
+    /// squash starts a run, so there are seldom more than a few, and
+    /// dropping the oldest by `Vec::remove(0)` is cheap.
+    runs: Vec<(u64, usize)>,
+}
+
+impl Rob {
+    fn new(rob_size: usize) -> Self {
+        let cap = rob_size.max(1).next_power_of_two();
+        Self {
+            slots: Vec::with_capacity(cap),
+            waiters: Vec::with_capacity(cap),
+            mask: cap - 1,
+            head: 0,
+            len: 0,
+            runs: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Slot at logical position `i` (0 = oldest).
+    #[inline]
+    fn slot_at(&self, i: usize) -> usize {
+        (self.head + i) & self.mask
+    }
+
+    fn front(&self) -> Option<&RobEntry> {
+        (self.len > 0).then(|| &self.slots[self.head])
+    }
+
+    fn back(&self) -> Option<&RobEntry> {
+        (self.len > 0).then(|| &self.slots[self.slot_at(self.len - 1)])
+    }
+
+    /// The live entries, oldest first.
+    fn iter(&self) -> impl Iterator<Item = &RobEntry> {
+        (0..self.len).map(move |i| &self.slots[self.slot_at(i)])
+    }
+
+    /// The live entries older than the one in `slot`, youngest first.
+    fn older_than(&self, slot: usize) -> impl Iterator<Item = &RobEntry> {
+        let pos = slot.wrapping_sub(self.head) & self.mask;
+        (0..pos).rev().map(move |i| &self.slots[self.slot_at(i)])
+    }
+
+    /// The slot of the live entry with sequence number `seq`, or
+    /// `None` if it has retired or been squashed. Each completion,
+    /// dispatch and wakeup looks its seq up once and passes the slot
+    /// down.
+    #[inline]
+    fn slot(&self, seq: u64) -> Option<usize> {
+        let found = self
+            .runs
+            .iter()
+            .rev()
+            .find(|&&(first, _)| first <= seq)
+            .and_then(|&(first, first_slot)| {
+                let slot = first_slot.wrapping_add((seq - first) as usize) & self.mask;
+                // A live slot holding `seq` is exact; any other answer
+                // means `seq` fell in a squashed gap or has retired.
+                let live = slot.wrapping_sub(self.head) & self.mask < self.len;
+                (live && self.slots[slot].seq == seq).then_some(slot)
+            });
+        #[cfg(debug_assertions)]
+        assert_eq!(found, self.search(seq), "ROB lookup of seq {seq}");
+        found
+    }
+
+    /// The reference lookup `slot` must agree with: a binary search of
+    /// the live entries, which are ascending by seq.
+    #[cfg(debug_assertions)]
+    fn search(&self, seq: u64) -> Option<usize> {
+        let end = self.head + self.len;
+        let cap = self.mask + 1;
+        let (first, second) = if end <= cap {
+            (&self.slots[self.head..end], &self.slots[..0])
+        } else {
+            (&self.slots[self.head..], &self.slots[..end - cap])
+        };
+        let i = first.partition_point(|e| e.seq < seq);
+        if i < first.len() {
+            return (first[i].seq == seq).then_some(self.head + i);
+        }
+        let j = second.partition_point(|e| e.seq < seq);
+        (j < second.len() && second[j].seq == seq).then_some(j)
+    }
+
+    /// Claim the tail slot for `entry`. Its waiter list is already
+    /// empty: `Core::mark_done` clears a completing entry's, and
+    /// [`pop_back`](Self::pop_back) a squashed one's.
+    fn push(&mut self, entry: RobEntry) -> usize {
+        debug_assert!(self.len <= self.mask, "ROB ring overflow");
+        let slot = self.slot_at(self.len);
+        let continues_run = self
+            .back()
+            .is_some_and(|tail| tail.seq.wrapping_add(1) == entry.seq);
+        if !continues_run {
+            self.runs.push((entry.seq, slot));
+        }
+        self.len += 1;
+        if slot == self.slots.len() {
+            // The ring's first lap reaches this slot.
+            self.slots.push(entry);
+            self.waiters.push(Vec::new());
+        } else {
+            self.slots[slot] = entry;
+            debug_assert!(self.waiters[slot].is_empty());
+        }
+        slot
+    }
+
+    /// Remove the oldest entry and return it.
+    fn pop_front(&mut self) -> RobEntry {
+        debug_assert!(self.len > 0);
+        // Only a Done entry retires, and it has woken its consumers.
+        debug_assert!(self.waiters[self.head].is_empty());
+        let e = self.slots[self.head];
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
+        if self.len == 0 {
+            self.runs.clear();
+        } else if self
+            .runs
+            .get(1)
+            .is_some_and(|&(first, _)| first == self.slots[self.head].seq)
+        {
+            // The new head starts the next run: the oldest is spent.
+            self.runs.remove(0);
+        }
+        e
+    }
+
+    /// Remove the youngest entry and return it.
+    fn pop_back(&mut self) -> RobEntry {
+        debug_assert!(self.len > 0);
+        self.len -= 1;
+        let slot = self.slot_at(self.len);
+        self.waiters[slot].clear();
+        let e = self.slots[slot];
+        if self.len == 0 {
+            self.runs.clear();
+        } else if self.runs.last().is_some_and(|&(first, _)| first == e.seq) {
+            self.runs.pop();
+        }
+        e
+    }
+}
+
+impl std::ops::Index<usize> for Rob {
+    type Output = RobEntry;
+    fn index(&self, slot: usize) -> &RobEntry {
+        &self.slots[slot]
+    }
+}
+
+impl std::ops::IndexMut<usize> for Rob {
+    fn index_mut(&mut self, slot: usize) -> &mut RobEntry {
+        &mut self.slots[slot]
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -128,9 +327,11 @@ pub struct Core {
     code: Vec<Instr>,
 
     regs: [i64; NUM_REGS],
-    reg_producer: [Option<u64>; NUM_REGS],
+    /// The youngest in-flight writer of each register: its seq and
+    /// ring slot.
+    reg_producer: [Option<(u64, usize)>; NUM_REGS],
 
-    rob: VecDeque<RobEntry>,
+    rob: Rob,
     next_seq: u64,
     sb: VecDeque<SbEntry>,
     next_store_id: u64,
@@ -142,7 +343,7 @@ pub struct Core {
     fetch_done: bool,
     halted: bool,
     /// A fence blocking the issue stage (non-speculative mode).
-    blocked_fence: Option<(FenceKind, FenceWait, usize)>,
+    blocked_fence: Option<(FenceWait, usize)>,
 
     events: BinaryHeap<Reverse<(u64, Ev)>>,
     ready_q: Vec<u64>,
@@ -196,7 +397,7 @@ impl Core {
             code,
             regs: [0; NUM_REGS],
             reg_producer: [None; NUM_REGS],
-            rob: VecDeque::with_capacity(cfg.rob_size),
+            rob: Rob::new(cfg.rob_size),
             next_seq: 0,
             sb: VecDeque::with_capacity(cfg.sb_size),
             next_store_id: 0,
@@ -263,31 +464,6 @@ impl Core {
 
     fn honor_scopes(&self) -> bool {
         self.cfg.fence.honor_scopes
-    }
-
-    // ------------------------------------------------------------------
-    // ROB access helpers
-
-    fn head_seq(&self) -> Option<u64> {
-        self.rob.front().map(|e| e.seq)
-    }
-
-    /// Locate an entry by sequence number. Sequence numbers are unique
-    /// and monotonically increasing but *not* contiguous after a
-    /// squash (we never roll `next_seq` back, so stale completion
-    /// events can never alias a new entry), hence the binary search.
-    fn rob_index(&self, seq: u64) -> Option<usize> {
-        let idx = self.rob.partition_point(|e| e.seq < seq);
-        (idx < self.rob.len() && self.rob[idx].seq == seq).then_some(idx)
-    }
-
-    fn entry(&self, seq: u64) -> Option<&RobEntry> {
-        self.rob_index(seq).map(|i| &self.rob[i])
-    }
-
-    fn entry_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let i = self.rob_index(seq)?;
-        self.rob.get_mut(i)
     }
 
     // ------------------------------------------------------------------
@@ -397,52 +573,40 @@ impl Core {
     }
 
     fn complete_rob(&mut self, seq: u64, now: u64, bus: &mut impl MemBus) {
-        let Some(e) = self.entry(seq) else {
+        let Some(slot) = self.rob.slot(seq) else {
             return; // squashed while its event was in flight
         };
+        let e = &self.rob[slot];
         if e.state != EState::Executing {
             return; // stale event after a squash reused nothing (seq is unique)
         }
-        let instr = e.instr;
-        match instr {
+        match self.code[e.pc] {
             Instr::Load { .. } => {
-                let addr = e.addr;
                 // A forwarded load bound its value at dispatch (addr
                 // == usize::MAX marks forwarding); otherwise bind from
                 // shared memory now, at completion time.
-                let val = if addr == usize::MAX {
-                    self.entry(seq).unwrap().result
+                let val = if e.addr == usize::MAX {
+                    e.result
                 } else {
-                    bus.read(addr)
+                    bus.read(e.addr)
                 };
-                self.finish_mem(seq, val, now);
+                self.finish_mem(slot, val, now);
             }
             Instr::Cas { .. } => {
-                let (addr, expected, new) = {
-                    let e = self.entry(seq).unwrap();
-                    (e.addr, src_val(e.ops[1]), src_val(e.ops[2]))
-                };
+                let (addr, expected, new) = (e.addr, src_val(e.ops[1]), src_val(e.ops[2]));
                 let old = bus.read(addr);
                 let ok = old == expected;
                 if ok {
                     bus.write(self.id, addr, new);
                 }
                 remove_seq(&mut self.incomplete_cas, seq);
-                self.finish_mem(seq, ok as i64, now);
+                self.finish_mem(slot, ok as i64, now);
             }
             Instr::Branch { op, a, b, target } => {
-                let (va, vb, predicted) = {
-                    let e = self.entry(seq).unwrap();
-                    (
-                        operand_val(a, &e.ops, 0),
-                        operand_val(b, &e.ops, 1),
-                        e.predicted_taken,
-                    )
-                };
-                let taken = op.apply(va, vb);
+                let taken = op.apply(operand_val(a, &e.ops, 0), operand_val(b, &e.ops, 1));
+                let (predicted, pc) = (e.predicted_taken, e.pc);
                 self.stats.branches_resolved += 1;
-                let pc = self.entry(seq).unwrap().pc;
-                self.mark_done(seq, 0, now);
+                self.mark_done(slot, 0, now);
                 if taken != predicted {
                     self.stats.mispredictions += 1;
                     self.bpred.update(pc, taken, true);
@@ -457,45 +621,46 @@ impl Core {
             }
             _ => {
                 // ALU-class instruction: result was computed at dispatch.
-                let r = self.entry(seq).unwrap().result;
-                self.mark_done(seq, r, now);
+                let r = e.result;
+                self.mark_done(slot, r, now);
             }
         }
     }
 
     /// Mark a load/CAS complete: value, counters, wakeup.
-    fn finish_mem(&mut self, seq: u64, val: i64, now: u64) {
-        let mask = {
-            let e = self.entry_mut(seq).unwrap();
-            debug_assert!(e.counted);
-            e.counted = false;
-            e.mask
-        };
+    fn finish_mem(&mut self, slot: usize, val: i64, now: u64) {
+        let e = &mut self.rob[slot];
+        debug_assert!(e.counted);
+        e.counted = false;
+        let mask = e.mask;
         self.mem_in_flight -= 1;
         if self.honor_scopes() {
             self.scope.mem_completed(mask);
         }
-        self.mark_done(seq, val, now);
+        self.mark_done(slot, val, now);
     }
 
     /// Transition to Done, record result, wake consumers.
-    fn mark_done(&mut self, seq: u64, result: i64, now: u64) {
-        let waiters = {
-            let e = self.entry_mut(seq).unwrap();
-            e.state = EState::Done;
-            e.result = result;
-            e.completed_at = now;
-            std::mem::take(&mut e.waiters)
-        };
-        for w in waiters {
+    fn mark_done(&mut self, slot: usize, result: i64, now: u64) {
+        let e = &mut self.rob[slot];
+        e.state = EState::Done;
+        e.result = result;
+        e.completed_at = now;
+        let seq = e.seq;
+        // Waking touches only the consumers, so this list is walked in
+        // place and cleared, keeping its capacity.
+        for i in 0..self.rob.waiters[slot].len() {
+            let w = self.rob.waiters[slot][i];
             self.wake(w, seq, result);
         }
+        self.rob.waiters[slot].clear();
     }
 
     fn wake(&mut self, waiter: u64, producer: u64, value: i64) {
-        let Some(e) = self.entry_mut(waiter) else {
+        let Some(slot) = self.rob.slot(waiter) else {
             return; // squashed
         };
+        let e = &mut self.rob[slot];
         for op in e.ops.iter_mut() {
             if *op == Src::Wait(producer) {
                 *op = Src::Ready(value);
@@ -582,7 +747,7 @@ impl Core {
                 // finished yet.
                 return;
             }
-            let instr = head.instr;
+            let instr = self.code[head.pc];
             let head_pc = head.pc;
             // Fences under in-window speculation hold retirement until
             // their (captured) condition is satisfied by the SB.
@@ -612,7 +777,7 @@ impl Core {
                     return;
                 }
             }
-            let e = self.rob.pop_front().unwrap();
+            let e = self.rob.pop_front();
             self.stats.instrs_retired += 1;
             if self.cfg.pipe_trace {
                 self.pipe_event(
@@ -624,13 +789,13 @@ impl Core {
                 );
             }
             // Commit the register value.
-            if let Some(rd) = e.instr.dest() {
+            if let Some(rd) = instr.dest() {
                 self.regs[rd.0 as usize] = e.result;
-                if self.reg_producer[rd.0 as usize] == Some(e.seq) {
+                if self.reg_producer[rd.0 as usize].is_some_and(|(p, _)| p == e.seq) {
                     self.reg_producer[rd.0 as usize] = None;
                 }
             }
-            match e.instr {
+            match instr {
                 Instr::Store { set_flagged, .. } => {
                     self.stats.stores += 1;
                     let trace_idx = if self.cfg.trace {
@@ -737,7 +902,7 @@ impl Core {
         let head_cas = self
             .rob
             .front()
-            .filter(|h| matches!(h.instr, Instr::Cas { .. }) && h.state == EState::Ready)
+            .filter(|h| matches!(self.code[h.pc], Instr::Cas { .. }) && h.state == EState::Ready)
             .map(|h| h.seq);
         if self.blocked_loads.is_empty() && self.ready_q.is_empty() && head_cas.is_none() {
             return;
@@ -789,43 +954,41 @@ impl Core {
     }
 
     fn dispatch(&mut self, seq: u64, now: u64, bus: &mut impl MemBus) {
-        let Some(e) = self.entry(seq) else {
+        let Some(slot) = self.rob.slot(seq) else {
             return;
         };
+        let e = &self.rob[slot];
         if e.state != EState::Ready {
             return;
         }
-        let instr = e.instr;
-        match instr {
-            Instr::Imm { value, .. } => self.start_exec(seq, value, 1, now),
+        let ops = e.ops;
+        match self.code[e.pc] {
+            Instr::Imm { value, .. } => self.start_exec(slot, value, 1, now),
             Instr::Mov { a, .. } => {
-                let v = operand_val(a, &self.entry(seq).unwrap().ops, 0);
-                self.start_exec(seq, v, 1, now);
+                let v = operand_val(a, &ops, 0);
+                self.start_exec(slot, v, 1, now);
             }
             Instr::Alu { op, a, b, .. } => {
-                let ops = self.entry(seq).unwrap().ops;
                 let v = op.apply(operand_val(a, &ops, 0), operand_val(b, &ops, 1));
-                self.start_exec(seq, v, 1, now);
+                self.start_exec(slot, v, 1, now);
             }
             Instr::Cmp { op, a, b, .. } => {
-                let ops = self.entry(seq).unwrap().ops;
                 let v = op.apply(operand_val(a, &ops, 0), operand_val(b, &ops, 1)) as i64;
-                self.start_exec(seq, v, 1, now);
+                self.start_exec(slot, v, 1, now);
             }
             Instr::Branch { .. } => {
                 // Resolution happens at the completion event.
-                self.start_exec(seq, 0, 1, now);
+                self.start_exec(slot, 0, 1, now);
             }
             Instr::Load { base, offset, .. } => {
-                self.dispatch_load(seq, base, offset, now, bus);
+                self.dispatch_load(slot, base, offset, now, bus);
             }
             Instr::Store {
                 src, base, offset, ..
             } => {
-                let ops = self.entry(seq).unwrap().ops;
                 let addr = mem_addr(operand_val(base, &ops, 1), offset);
                 let val = operand_val(src, &ops, 0);
-                let e = self.entry_mut(seq).unwrap();
+                let e = &mut self.rob[slot];
                 e.addr = addr;
                 e.dispatched_at = now;
                 // The address is now resolved: older loads stop
@@ -834,23 +997,22 @@ impl Core {
                 self.rob_store_occ[bucket(addr)] += 1;
                 // Address generation: Done next cycle; the store's
                 // memory effect happens after retire, from the SB.
-                self.start_exec(seq, val, 1, now);
+                self.start_exec(slot, val, 1, now);
             }
             Instr::Cas { base, offset, .. } => {
                 // Non-speculative: only at the ROB head. Prior loads
                 // are thus complete; under RMO prior stores are not
                 // ordered (explicit fences do that), except those to
                 // the same address, preserving single-thread semantics.
-                if self.head_seq() != Some(seq) {
+                if slot != self.rob.head {
                     return; // stays Ready; retried next cycle
                 }
-                let ops = self.entry(seq).unwrap().ops;
                 let addr = mem_addr(operand_val(base, &ops, 0), offset);
                 if self.sb_occ[bucket(addr)] > 0 && self.sb.iter().any(|s| s.addr == addr) {
                     return; // wait for the store buffer to make progress
                 }
                 let lat = bus.access_latency(self.id, addr, true).max(1);
-                let e = self.entry_mut(seq).unwrap();
+                let e = &mut self.rob[slot];
                 e.addr = addr;
                 e.dispatched_at = now;
                 e.state = EState::Executing;
@@ -866,14 +1028,14 @@ impl Core {
         }
     }
 
-    fn start_exec(&mut self, seq: u64, result: i64, latency: u64, now: u64) {
-        let e = self.entry_mut(seq).unwrap();
+    fn start_exec(&mut self, slot: usize, result: i64, latency: u64, now: u64) {
+        let e = &mut self.rob[slot];
         e.state = EState::Executing;
         e.result = result;
         if e.dispatched_at == 0 {
             e.dispatched_at = now;
         }
-        let pc = e.pc;
+        let (seq, pc) = (e.seq, e.pc);
         self.events.push(Reverse((now + latency, Ev::Rob(seq))));
         if self.cfg.pipe_trace {
             self.pipe_event(now, PipeKind::Issue { seq, pc: pc as u64 });
@@ -882,7 +1044,7 @@ impl Core {
 
     fn dispatch_load(
         &mut self,
-        seq: u64,
+        slot: usize,
         base: Operand,
         offset: i64,
         now: u64,
@@ -894,6 +1056,7 @@ impl Core {
         // may dispatch. Applied identically under all fence configs.
         // The deques are ascending, so "an older one exists" is just a
         // front check.
+        let seq = self.rob[slot].seq;
         let unresolved_older_store = self.unresolved_stores.front().is_some_and(|&s| s < seq)
             || self.incomplete_cas.front().is_some_and(|&s| s < seq);
         if unresolved_older_store {
@@ -904,8 +1067,7 @@ impl Core {
             self.blocked_loads.insert(at, seq);
             return;
         }
-        let ops = self.entry(seq).unwrap().ops;
-        let addr = mem_addr(operand_val(base, &ops, 0), offset);
+        let addr = mem_addr(operand_val(base, &self.rob[slot].ops, 0), offset);
 
         // Store-to-load forwarding: youngest older matching store in
         // the ROB, then the youngest in the store buffer. The scans
@@ -913,11 +1075,8 @@ impl Core {
         // resolved store to it may exist.
         let mut fwd: Option<i64> = None;
         if self.rob_store_occ[bucket(addr)] > 0 {
-            for e in self.rob.iter().rev() {
-                if e.seq >= seq {
-                    continue;
-                }
-                if let Instr::Store { .. } = e.instr {
+            for e in self.rob.older_than(slot) {
+                if let Instr::Store { .. } = self.code[e.pc] {
                     if matches!(e.state, EState::Done | EState::Executing) && e.addr == addr {
                         // An Executing store has computed addr/result
                         // already (start_exec stored them).
@@ -931,25 +1090,25 @@ impl Core {
             fwd = self.sb.iter().rev().find(|s| s.addr == addr).map(|s| s.val);
         }
 
-        let e = self.entry_mut(seq).unwrap();
+        let e = &mut self.rob[slot];
         e.dispatched_at = now;
         e.state = EState::Executing;
         let pc = e.pc;
         if self.cfg.pipe_trace {
             self.pipe_event(now, PipeKind::Issue { seq, pc: pc as u64 });
         }
-        if let Some(v) = fwd {
+        let latency = if let Some(v) = fwd {
             self.stats.forwarded_loads += 1;
-            let e = self.entry_mut(seq).unwrap();
+            let e = &mut self.rob[slot];
             e.addr = usize::MAX; // marks "value already bound"
             e.result = v;
-            self.events.push(Reverse((now + 1, Ev::Rob(seq))));
+            1
         } else {
             let lat = bus.access_latency(self.id, addr, false).max(1);
-            let e = self.entry_mut(seq).unwrap();
-            e.addr = addr;
-            self.events.push(Reverse((now + lat, Ev::Rob(seq))));
-        }
+            self.rob[slot].addr = addr;
+            lat
+        };
+        self.events.push(Reverse((now + latency, Ev::Rob(seq))));
     }
 
     // ------------------------------------------------------------------
@@ -977,14 +1136,14 @@ impl Core {
             if back.seq <= keep_upto {
                 break;
             }
-            let e = self.rob.pop_back().unwrap();
+            let e = self.rob.pop_back();
             if e.counted {
                 self.mem_in_flight -= 1;
                 if self.honor_scopes() {
                     self.scope.mem_squashed(e.mask);
                 }
             }
-            match e.instr {
+            match self.code[e.pc] {
                 Instr::Store { .. } => {
                     if matches!(e.state, EState::Executing | EState::Done) {
                         self.rob_store_occ[bucket(e.addr)] -= 1;
@@ -1009,9 +1168,10 @@ impl Core {
         // Rebuild the producer map from the survivors (front-to-back,
         // so the youngest producer of each register wins).
         self.reg_producer = [None; NUM_REGS];
-        for e in &self.rob {
-            if let Some(rd) = e.instr.dest() {
-                self.reg_producer[rd.0 as usize] = Some(e.seq);
+        for i in 0..self.rob.len() {
+            let slot = self.rob.slot_at(i);
+            if let Some(rd) = self.code[self.rob[slot].pc].dest() {
+                self.reg_producer[rd.0 as usize] = Some((self.rob[slot].seq, slot));
             }
         }
         self.ready_q.retain(|&s| s <= keep_upto);
@@ -1041,14 +1201,14 @@ impl Core {
         }
         let mut fence_seen = false;
         let mut victim: Option<(u64, usize)> = None;
-        for e in &self.rob {
-            if matches!(e.instr, Instr::Fence { .. }) {
+        for e in self.rob.iter() {
+            if matches!(self.code[e.pc], Instr::Fence { .. }) {
                 fence_seen = true;
                 continue;
             }
             if fence_seen
                 && e.state == EState::Done
-                && matches!(e.instr, Instr::Load { .. })
+                && matches!(self.code[e.pc], Instr::Load { .. })
                 && e.addr == addr
             {
                 victim = Some((e.seq, e.pc));
@@ -1081,7 +1241,7 @@ impl Core {
                 return;
             }
             // A fence blocking the issue stage (T/S mode).
-            if let Some((kind, wait, pc)) = self.blocked_fence {
+            if let Some((wait, pc)) = self.blocked_fence {
                 if !self.fence_satisfied(wait) {
                     *fence_stalled = true;
                     self.scope
@@ -1093,7 +1253,7 @@ impl Core {
                 if self.cfg.pipe_trace {
                     self.pipe_event(now, PipeKind::FenceComplete { pc: pc as u64 });
                 }
-                self.push_entry(pc, Instr::Fence { kind }, now, |_| {});
+                self.push_entry(pc, now, |_| {});
                 continue;
             }
             let pc = self.fetch_pc;
@@ -1129,7 +1289,7 @@ impl Core {
                     }
                     if self.cfg.fence.in_window_speculation {
                         self.fetch_pc += 1;
-                        self.push_entry(pc, instr, now, |e| {
+                        self.push_entry(pc, now, |e| {
                             e.fence_wait = Some(wait);
                         });
                     } else if self.fence_satisfied(wait) {
@@ -1137,10 +1297,10 @@ impl Core {
                         if self.cfg.pipe_trace {
                             self.pipe_event(now, PipeKind::FenceComplete { pc: pc as u64 });
                         }
-                        self.push_entry(pc, instr, now, |_| {});
+                        self.push_entry(pc, now, |_| {});
                     } else {
                         self.fetch_pc += 1;
-                        self.blocked_fence = Some((kind, wait, pc));
+                        self.blocked_fence = Some((wait, pc));
                         *fence_stalled = true;
                         self.scope
                             .coverage
@@ -1158,7 +1318,7 @@ impl Core {
                         }
                     }
                     self.fetch_pc += 1;
-                    self.push_entry(pc, instr, now, |_| {});
+                    self.push_entry(pc, now, |_| {});
                 }
                 Instr::FsEnd { .. } => {
                     let seq = self.next_seq;
@@ -1166,15 +1326,15 @@ impl Core {
                         self.scope.fs_end(seq);
                     }
                     self.fetch_pc += 1;
-                    self.push_entry(pc, instr, now, |_| {});
+                    self.push_entry(pc, now, |_| {});
                 }
                 Instr::Jump { target } => {
                     self.fetch_pc = target;
-                    self.push_entry(pc, instr, now, |_| {});
+                    self.push_entry(pc, now, |_| {});
                 }
                 Instr::Halt => {
                     self.fetch_done = true;
-                    self.push_entry(pc, instr, now, |_| {});
+                    self.push_entry(pc, now, |_| {});
                 }
                 Instr::Branch { target, .. } => {
                     let predicted = self.bpred.predict(pc);
@@ -1183,7 +1343,7 @@ impl Core {
                         self.scope.branch_issued(seq);
                     }
                     self.fetch_pc = if predicted { target } else { pc + 1 };
-                    self.push_entry(pc, instr, now, |e| {
+                    self.push_entry(pc, now, |e| {
                         e.predicted_taken = predicted;
                     });
                 }
@@ -1197,14 +1357,14 @@ impl Core {
                     };
                     self.mem_in_flight += 1;
                     self.fetch_pc += 1;
-                    self.push_entry(pc, instr, now, |e| {
+                    self.push_entry(pc, now, |e| {
                         e.mask = mask;
                         e.counted = true;
                     });
                 }
                 _ => {
                     self.fetch_pc += 1;
-                    self.push_entry(pc, instr, now, |_| {});
+                    self.push_entry(pc, now, |_| {});
                 }
             }
         }
@@ -1219,7 +1379,8 @@ impl Core {
 
     /// Allocate a ROB entry for the instruction at `pc`, resolving its
     /// source operands.
-    fn push_entry(&mut self, pc: usize, instr: Instr, now: u64, fixup: impl FnOnce(&mut RobEntry)) {
+    fn push_entry(&mut self, pc: usize, now: u64, fixup: impl FnOnce(&mut RobEntry)) {
+        let instr = self.code[pc];
         let seq = self.next_seq;
         self.next_seq += 1;
         self.stats.instrs_issued += 1;
@@ -1273,10 +1434,9 @@ impl Core {
         } else {
             EState::Ready
         };
-        let mut e = RobEntry {
+        let slot = self.rob.push(RobEntry {
             seq,
             pc,
-            instr,
             ops,
             state,
             result: 0,
@@ -1288,16 +1448,14 @@ impl Core {
             issued_at: now,
             dispatched_at: 0,
             completed_at: now,
-            waiters: Vec::new(),
-        };
-        fixup(&mut e);
+        });
+        fixup(&mut self.rob[slot]);
         if let Some(rd) = instr.dest() {
-            self.reg_producer[rd.0 as usize] = Some(seq);
+            self.reg_producer[rd.0 as usize] = Some((seq, slot));
         }
         if state == EState::Ready {
             self.ready_q.push(seq);
         }
-        self.rob.push_back(e);
         if self.cfg.pipe_trace {
             self.pipe_event(now, PipeKind::Fetch { seq, pc: pc as u64 });
         }
@@ -1308,12 +1466,13 @@ impl Core {
             Operand::Imm(v) => Src::Ready(v),
             Operand::Reg(r) => match self.reg_producer[r.0 as usize] {
                 None => Src::Ready(self.regs[r.0 as usize]),
-                Some(p) => {
-                    let e = self.entry_mut(p).expect("producer must be in ROB");
+                Some((p, slot)) => {
+                    debug_assert_eq!(self.rob.slot(p), Some(slot), "producer must be in ROB");
+                    let e = &self.rob[slot];
                     if e.state == EState::Done {
                         Src::Ready(e.result)
                     } else {
-                        e.waiters.push(consumer);
+                        self.rob.waiters[slot].push(consumer);
                         Src::Wait(p)
                     }
                 }
@@ -1345,4 +1504,239 @@ fn mem_addr(base: i64, offset: i64) -> usize {
     let a = base.wrapping_add(offset);
     debug_assert!(a >= 0, "negative address {a}");
     a as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bus::FlatBus;
+    use crate::config::FenceConfig;
+    use sfence_isa::interp::{InterpStats, ThreadState};
+    use sfence_isa::ir::*;
+
+    /// A filler entry; each test sets the fields it reads.
+    const EMPTY_ENTRY: RobEntry = RobEntry {
+        seq: u64::MAX,
+        pc: 0,
+        ops: [Src::None; 3],
+        state: EState::Done,
+        result: 0,
+        addr: 0,
+        mask: ScopeMask::EMPTY,
+        counted: false,
+        fence_wait: None,
+        predicted_taken: false,
+        issued_at: 0,
+        dispatched_at: 0,
+        completed_at: 0,
+    };
+
+    const CONFIGS: [FenceConfig; 4] = [
+        FenceConfig::TRADITIONAL,
+        FenceConfig::SFENCE,
+        FenceConfig::TRADITIONAL_SPEC,
+        FenceConfig::SFENCE_SPEC,
+    ];
+
+    /// Random pushes, retires and squashes: every lookup (checked in
+    /// debug builds against the binary search) stays exact, including
+    /// a run longer than the ring whose first slot aliases a live one.
+    #[test]
+    fn ring_lookup_matches_search_through_squashes() {
+        let mut rob = Rob::new(6); // 8 slots, 6 usable as in a core
+        let mut next_seq = 0u64;
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..20_000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            match rng % 8 {
+                0..=3 if rob.len() < 6 => {
+                    rob.push(RobEntry {
+                        seq: next_seq,
+                        ..EMPTY_ENTRY
+                    });
+                    next_seq += 1;
+                }
+                4..=5 if !rob.is_empty() => {
+                    rob.pop_front();
+                }
+                6 if !rob.is_empty() => {
+                    // Squash a random-length tail; the seqs it held are
+                    // never reissued.
+                    let keep = (rng >> 8) as usize % rob.len();
+                    while rob.len() > keep {
+                        rob.pop_back();
+                    }
+                    next_seq += 1 + (rng >> 16) % 3;
+                }
+                _ => {}
+            }
+            for seq in next_seq.saturating_sub(24)..next_seq {
+                let found = rob.slot(seq);
+                if let Some(slot) = found {
+                    assert_eq!(rob[slot].seq, seq);
+                }
+            }
+            assert!(rob.runs.len() <= rob.len());
+            let live: Vec<u64> = rob.iter().map(|e| e.seq).collect();
+            assert!(live.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    /// Final registers and memory of `prog`'s thread 0 under the SC
+    /// reference interpreter.
+    fn reference(prog: &sfence_isa::Program) -> ([i64; NUM_REGS], Vec<i64>) {
+        let mut mem = prog.initial_memory();
+        let mut st = ThreadState::default();
+        let mut stats = InterpStats::default();
+        while st
+            .step(0, &prog.threads[0], &mut mem, &mut stats)
+            .expect("reference run")
+        {}
+        (st.regs, mem)
+    }
+
+    /// The ROB head is a 300-cycle load while two mispredicted branches
+    /// resolve one after the other, the second among the entries issued
+    /// after the first squash: three runs are live behind one head.
+    #[test]
+    fn squash_inside_a_squashed_window_matches_reference() {
+        let mut p = IrProgram::new();
+        let slow = p.global("slow");
+        let a = p.global("a");
+        let out = p.global("out");
+        let sum = p.global("sum");
+        p.init(slow, 40);
+        p.thread(move |b| {
+            b.store(a.cell(), c(1));
+            b.fence();
+            b.let_("v", ld(slow.cell()));
+            b.let_("x", c(5));
+            b.let_("y", c(0));
+            // Fresh predictor counters are weakly taken, so each
+            // skip-the-then-block branch mispredicts.
+            b.if_(l("x").eq(c(5)), |t| t.assign("y", c(1)));
+            b.if_(l("x").add(l("y")).eq(c(6)), |t| {
+                t.assign("y", l("y").add(c(2)))
+            });
+            b.store(out.cell(), l("v").add(l("y")));
+            b.store(sum.cell(), ld(a.cell()).add(l("x")));
+            b.halt();
+        });
+        let prog = p.compile().expect("compile");
+        let (ref_regs, ref_mem) = reference(&prog);
+        let slow_addr = prog.addr_of("slow");
+        for fence in CONFIGS {
+            for rob_size in [64, 128, 256] {
+                let label = format!("{} rob={rob_size}", fence.label());
+                let mut bus = FlatBus::new(prog.data_size, 3);
+                bus.mem.copy_from_slice(&prog.initial_memory());
+                bus.slow_addrs.push((slow_addr, 300));
+                let cfg = CoreConfig {
+                    rob_size,
+                    fence,
+                    ..CoreConfig::default()
+                };
+                let mut core = Core::new(0, prog.threads[0].clone(), cfg);
+                let mut max_runs = 0;
+                let mut now = 0;
+                while !core.finished() {
+                    core.cycle(now, &mut bus);
+                    let head_is_slow_load = core.rob.front().is_some_and(|h| {
+                        matches!(core.code[h.pc], Instr::Load { .. })
+                            && h.state == EState::Executing
+                    });
+                    if head_is_slow_load {
+                        max_runs = max_runs.max(core.rob.runs.len());
+                    }
+                    now += 1;
+                    assert!(now < 100_000, "{label}: did not finish");
+                }
+                assert_eq!(core.stats.mispredictions, 2, "{label}");
+                assert_eq!(max_runs, 3, "{label}: both squashes behind the load");
+                assert_eq!(core.arch_regs(), &ref_regs[..], "{label}: registers");
+                assert_eq!(bus.mem, ref_mem, "{label}: memory");
+            }
+        }
+    }
+
+    /// A flat bus that records each write for delivery as a coherence
+    /// probe to the other cores, as the machine does after a cycle.
+    struct ProbeBus {
+        flat: FlatBus,
+        writes: Vec<(usize, usize)>,
+    }
+
+    impl MemBus for ProbeBus {
+        fn access_latency(&mut self, core: usize, addr: usize, write: bool) -> u64 {
+            self.flat.access_latency(core, addr, write)
+        }
+        fn read(&mut self, addr: usize) -> i64 {
+            self.flat.read(addr)
+        }
+        fn write(&mut self, core: usize, addr: usize, val: i64) {
+            self.flat.write(core, addr, val);
+            self.writes.push((core, addr));
+        }
+    }
+
+    /// Under S+ a load issued past an unretired fence binds `flag`
+    /// before the other core's write lands; the write's probe replays
+    /// it (`squash_tail(seq - 1)`), and the entries issued after the
+    /// replay form a new run behind the same ROB head.
+    #[test]
+    fn remote_write_replays_a_load_behind_a_fence() {
+        let mut p = IrProgram::new();
+        let flag = p.shared("flag");
+        let slow = p.global("slow");
+        let out = p.global("out");
+        p.thread(move |b| {
+            b.store(flag.cell(), c(1));
+            b.halt();
+        });
+        p.thread(move |b| {
+            b.let_("v", ld(slow.cell()));
+            b.fence();
+            b.let_("r", ld(flag.cell()));
+            b.let_("s", l("r").add(c(10)));
+            b.store(out.cell(), l("s").add(l("v")));
+            b.halt();
+        });
+        let prog = p.compile().expect("compile");
+        let mut bus = ProbeBus {
+            flat: FlatBus::new(prog.data_size, 3),
+            writes: Vec::new(),
+        };
+        bus.flat.mem.copy_from_slice(&prog.initial_memory());
+        bus.flat.slow_addrs.push((prog.addr_of("slow"), 300));
+        bus.flat.slow_addrs.push((prog.addr_of("flag"), 40));
+        let cfg = CoreConfig {
+            fence: FenceConfig::SFENCE_SPEC,
+            ..CoreConfig::default()
+        };
+        let mut cores: Vec<Core> = (0..2)
+            .map(|i| Core::new(i, prog.threads[i].clone(), cfg.clone()))
+            .collect();
+        let mut max_runs = 0;
+        let mut now = 0;
+        while !cores.iter().all(Core::finished) {
+            for core in &mut cores {
+                core.cycle(now, &mut bus);
+            }
+            for (writer, addr) in std::mem::take(&mut bus.writes) {
+                for (i, core) in cores.iter_mut().enumerate() {
+                    if i != writer {
+                        core.coherence_probe(addr, now);
+                    }
+                }
+            }
+            max_runs = max_runs.max(cores[1].rob.runs.len());
+            now += 1;
+            assert!(now < 100_000, "did not finish");
+        }
+        assert_eq!(cores[1].stats.speculation_replays, 1);
+        assert_eq!(max_runs, 2, "the replayed tail is a second run");
+        assert_eq!(bus.flat.mem[prog.addr_of("out")], 11);
+    }
 }

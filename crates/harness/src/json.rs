@@ -166,11 +166,12 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(v) => {
-                let _ = write!(out, "{v}");
+                if *v < 0 {
+                    out.push('-');
+                }
+                write_u64(out, v.unsigned_abs());
             }
-            Json::UInt(v) => {
-                let _ = write!(out, "{v}");
-            }
+            Json::UInt(v) => write_u64(out, *v),
             Json::Num(v) => write_f64(out, *v),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
@@ -232,6 +233,25 @@ impl Json {
 fn indent(out: &mut String, depth: usize) {
     for _ in 0..depth {
         out.push_str("  ");
+    }
+}
+
+/// `v` in decimal, the bytes `Display` writes, by a digit loop: a
+/// serialized report is mostly memory words, and `write!` costs about
+/// three times as much per integer.
+fn write_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[start..] {
+        out.push(d as char);
     }
 }
 
@@ -638,6 +658,16 @@ mod tests {
         for text in [doc.to_string_compact(), doc.to_string_pretty()] {
             let back = parse(&text).unwrap();
             assert_eq!(back.to_string_compact(), doc.to_string_compact());
+        }
+    }
+
+    #[test]
+    fn integers_write_as_display_does() {
+        for v in [i64::MIN, -1, 0, 9, 10, i64::MAX] {
+            assert_eq!(Json::Int(v).to_string_compact(), v.to_string());
+        }
+        for v in [0, 9, 10, i64::MAX as u64, u64::MAX] {
+            assert_eq!(Json::UInt(v).to_string_compact(), v.to_string());
         }
     }
 
