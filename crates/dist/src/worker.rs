@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -332,22 +333,20 @@ fn session(
     // means no heartbeat is in flight around the final
     // request/`done` exchange, where it could race the coordinator
     // closing the connection.
-    let stop = Arc::new(AtomicBool::new(false));
+    let (stop, stopped) = mpsc::channel::<()>();
     let executing = Arc::new(AtomicBool::new(false));
     let hb_writer = Arc::clone(&writer);
-    let hb_stop = Arc::clone(&stop);
     let hb_executing = Arc::clone(&executing);
     // Beat well inside the coordinator's lease TTL (shipped in
     // `welcome` for exactly this): a configured interval at or above
     // the TTL would lose the renewal race and spuriously expire a
     // live worker's leases.
     let hb_interval = Duration::from_millis(opts.heartbeat_ms.min(lease_ttl_ms / 3).max(10));
+    // The wait between beats ends as soon as the session does
+    // (dropping `stop` disconnects it), so a finished session is not
+    // held for the rest of an interval.
     let heartbeat = std::thread::spawn(move || {
-        while !hb_stop.load(Ordering::SeqCst) {
-            std::thread::sleep(hb_interval);
-            if hb_stop.load(Ordering::SeqCst) {
-                break;
-            }
+        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(hb_interval) {
             if !hb_executing.load(Ordering::SeqCst) {
                 continue;
             }
@@ -359,7 +358,7 @@ fn session(
         }
     });
     let stop_heartbeat = |result: Result<SessionEnd, SessionError>| {
-        stop.store(true, Ordering::SeqCst);
+        drop(stop);
         let _ = heartbeat.join();
         result
     };

@@ -3,8 +3,9 @@
 //! `test_server_opts()` would hide a peer waiting on a timer. Status
 //! probes are accepted as they arrive, a worker already waiting is
 //! leased a submitted campaign at once, shutdown wakes a daemon bound
-//! to the unspecified address, and a worker's idle exit counts wall
-//! time while the daemon holds its requests.
+//! to the unspecified address, a worker's idle exit counts wall time
+//! while the daemon holds its requests, and a worker told `done` exits
+//! without sleeping out its heartbeat interval.
 
 mod common;
 
@@ -147,4 +148,25 @@ fn idle_exit_counts_wall_time_since_the_last_lease() {
         "left after {took:?}, before its idle budget"
     );
     daemon.stop();
+}
+
+#[test]
+fn a_worker_told_done_exits_without_sleeping_out_its_heartbeat() {
+    let daemon = Daemon::start(default_opts());
+    let worker = daemon.worker(WorkerOpts {
+        heartbeat_ms: WorkerOpts::default().heartbeat_ms,
+        ..test_worker_opts("beating")
+    });
+    daemon.await_workers(1);
+    let t0 = Instant::now();
+    daemon.stop();
+    worker.join().unwrap().expect("worker told done");
+    let took = t0.elapsed();
+    // The daemon sees its flag within one 100 ms tick. A heartbeat
+    // thread that slept out its 1 s interval held the worker until a
+    // second after its handshake, whatever the daemon did.
+    assert!(
+        took < Duration::from_millis(600),
+        "worker exit took {took:?}"
+    );
 }
