@@ -5,7 +5,7 @@
 //! (the headline hot-loop number), the two functional batches
 //! (litmus campaign, fuzz campaign) that exercise the non-sim
 //! engines, and the same fuzz campaign on the sim engine (the SC
-//! enumerator and the quiescent-cycle skip of many tiny runs). Each
+//! enumerator and the per-core idle skip of many tiny runs). Each
 //! task reports wall time plus throughput in cells/sec and — on the
 //! cycle-accurate sweeps — simulated cycles/sec, the rows
 //! `BENCH_perf.json` tracks across commits.
@@ -26,6 +26,12 @@ pub const PERF_SCHEMA_VERSION: u64 = 1;
 /// Fractional cells/sec drop (vs the committed artifact) that fails
 /// the CI perf gate.
 pub const REGRESSION_THRESHOLD: f64 = 0.25;
+
+/// Seeds per family in the `litmus-functional` batch. Each cell takes
+/// about 9 µs, so 8 seeds (388 cells) ran in 3–5 ms and scheduling
+/// noise alone moved the row by a third; 160 seeds (7,684 cells) keep
+/// one sample above 50 ms on two vCPUs.
+const LITMUS_FUNCTIONAL_SEEDS: u64 = 160;
 
 /// The pre-overhaul fig13 Eval measurement this PR's hot-loop work is
 /// judged against (commit 62a98e0, `sfence-bench perf` on the same
@@ -125,7 +131,13 @@ pub fn run_task(name: &'static str, threads: usize) -> Result<PerfRow, String> {
             let families = sfence_litmus::all_families();
             let checker = sfence_harness::CheckerConfig::default();
             let (res, wall_ms) = timed(|| {
-                sfence_litmus::run_campaign(&families, 8, threads, &checker, BackendId::Functional)
+                sfence_litmus::run_campaign(
+                    &families,
+                    LITMUS_FUNCTIONAL_SEEDS,
+                    threads,
+                    &checker,
+                    BackendId::Functional,
+                )
             });
             let campaign = res?;
             let summary = campaign.summary();

@@ -473,9 +473,10 @@ impl Core {
     /// retired an instruction. When it did neither, the stall counters
     /// the cycle charged are recorded for [`skip`](Self::skip).
     ///
-    /// Why a cycle in which no core issues or retires, and in which no
-    /// write is probed, is followed only by identical cycles up to the
-    /// next [`next_wake`](Self::next_wake):
+    /// Why a cycle in which this core neither issues nor retires is
+    /// followed, for this core, only by identical cycles up to its
+    /// [`next_wake`](Self::next_wake), whatever the other cores do,
+    /// unless a coherence probe squashes it first:
     ///
     /// - The stages run in order: completions, store-buffer drain,
     ///   retire, execute, issue. Whatever a stage changes, other than
@@ -484,16 +485,19 @@ impl Core {
     ///   dispatches; a drain completion frees the slot that retire and
     ///   the fence checks see) or waits for an event or a fetch
     ///   redirect (a dispatch or drain schedules its own completion; a
-    ///   squash sets `fetch_resume`). The memory system fixes a
-    ///   latency at access time, so the skipped cycles access nothing.
+    ///   squash sets `fetch_resume`).
     /// - The next cycle therefore reads the same state and charges the
     ///   same stalls: a fence still unsatisfied, the same ROB head
     ///   blocked on a full store buffer, the same loads still behind an
     ///   unresolved store or an incomplete CAS.
-    /// - Cross-core writes happen only at events. Their coherence
-    ///   probes are delivered after every core has cycled, and a probe
-    ///   may squash and resume fetch on the very next cycle, so a cycle
-    ///   that delivered one counts as acting.
+    /// - Other cores reach this one only through the bus and through
+    ///   probes. A load or CAS binds memory only at its own completion
+    ///   event, and the memory system fixes a latency when this core
+    ///   dispatches or drains, so the quiet cycles read and access
+    ///   nothing. A remote write reaches the ROB only as a
+    ///   [`coherence_probe`](Self::coherence_probe), which is delivered
+    ///   to a quiet core too; one that squashes resumes fetch and may
+    ///   act on the very next cycle.
     pub fn cycle(&mut self, now: u64, bus: &mut impl MemBus) -> bool {
         if self.finished() {
             return false;
@@ -522,8 +526,9 @@ impl Core {
 
     /// The first cycle at or after `now` at which this core can act
     /// again after a quiet cycle at `now - 1`: the earlier of its
-    /// event-heap head and a pending fetch redirect. A finished core
-    /// never acts again (`u64::MAX`).
+    /// event-heap head and a pending fetch redirect. Only this core's
+    /// own cycles and a squashing probe move it. A finished core never
+    /// acts again (`u64::MAX`).
     pub fn next_wake(&self, now: u64) -> u64 {
         if self.finished() {
             return u64::MAX;
@@ -537,11 +542,12 @@ impl Core {
     }
 
     /// Charge `cycles` skipped cycles exactly as that many calls of
-    /// [`cycle`](Self::cycle) would: each repeats the charge of the
-    /// last quiet cycle. Valid only right after a cycle in which no
-    /// core acted, and only up to the earliest core's
-    /// [`next_wake`](Self::next_wake). The coverage bits a stall sets
-    /// are idempotent, and the quiet cycle has already set them.
+    /// [`cycle`](Self::cycle) would: each repeats the charge of this
+    /// core's last quiet cycle. Valid for cycles after a quiet cycle
+    /// and before both this core's [`next_wake`](Self::next_wake) and
+    /// the next probe that squashes it, whatever other cores did
+    /// meanwhile. The coverage bits a stall sets are idempotent, and
+    /// the quiet cycle has already set them.
     pub fn skip(&mut self, cycles: u64) {
         if self.finished() {
             return;
@@ -1189,15 +1195,15 @@ impl Core {
     /// stale value; squash from the oldest such load and re-execute.
     /// Without in-window speculation fences block issue, so no load
     /// ever crosses a fence and plain load-load reordering is legal
-    /// RMO behaviour.
-    pub fn coherence_probe(&mut self, addr: usize, now: u64) {
+    /// RMO behaviour. Returns whether it squashed.
+    pub fn coherence_probe(&mut self, addr: usize, now: u64) -> bool {
         if !self.cfg.fence.in_window_speculation {
-            return;
+            return false;
         }
         // A victim load must sit behind a fence; with none in the ROB
         // the scan cannot find one.
         if self.fences_in_rob == 0 {
-            return;
+            return false;
         }
         let mut fence_seen = false;
         let mut victim: Option<(u64, usize)> = None;
@@ -1216,7 +1222,7 @@ impl Core {
             }
         }
         let Some((seq, pc)) = victim else {
-            return;
+            return false;
         };
         self.stats.speculation_replays += 1;
         self.squash_tail(seq.saturating_sub(1), pc, now);
@@ -1226,6 +1232,7 @@ impl Core {
                 self.pipe_event(now, PipeKind::Recovery { from_seq: seq });
             }
         }
+        true
     }
 
     // ------------------------------------------------------------------

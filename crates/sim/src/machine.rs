@@ -2,15 +2,17 @@
 //! flat functional memory, stepped in deterministic core order.
 //!
 //! [`Machine::step`] advances every core by one cycle and is the
-//! reference semantics. [`Machine::run`] steps cycles until one in
-//! which no core issued or retired and no write was probed; then it
-//! jumps to the earliest cycle at which some core can act again
-//! ([`Core::next_wake`]), charging each core the stall counters that
-//! quiet cycle counted once per skipped cycle ([`Core::skip`]; why
-//! this is exact is argued on [`Core::cycle`]). Small litmus and fuzz
-//! programs spend most of their cycles waiting on cold misses, so they
-//! run several times faster this way; the summary, memory, watch log
-//! and traces are the same as stepping every cycle.
+//! reference semantics. [`Machine::run`] cycles only the cores that
+//! can act: a core that neither issued nor retired sleeps until its
+//! [`Core::next_wake`] or until a coherence probe squashes it, and is
+//! charged the stall counters of its quiet cycle once per slept cycle
+//! when it wakes ([`Core::skip`]; why this is exact is argued on
+//! [`Core::cycle`]). When every live core sleeps, the clock jumps to
+//! the earliest wake. The paper's applications and the small litmus
+//! and fuzz programs spend most of their core-cycles waiting on fences
+//! and cold misses, so they run several times faster this way; the
+//! summary, memory, watch log and traces are the same as stepping
+//! every cycle.
 
 use sfence_core::{PipeEvent, PipeKind, WalkKind};
 use sfence_cpu::{Core, CoreConfig, FenceConfig, MemBus};
@@ -178,8 +180,23 @@ pub struct Machine {
     /// Directory-walk pipe events (the bus's share of the pipeline
     /// trace; empty unless `cfg.core.pipe_trace`).
     pipe_bus: Vec<PipeEvent>,
+    /// Per core: when [`run`](Self::run) next cycles it and how far
+    /// its stalls are charged.
+    clocks: Vec<CoreClock>,
     now: u64,
     cfg: MachineConfig,
+}
+
+/// A core's place in [`Machine::run`]'s schedule.
+#[derive(Debug, Clone, Copy)]
+struct CoreClock {
+    /// The next cycle at which the core is cycled: the one after it
+    /// acted or was squashed by a probe, its [`Core::next_wake`] after
+    /// a quiet cycle, `u64::MAX` once it has finished.
+    wake: u64,
+    /// The first cycle whose stall charge the core has not had. It
+    /// lags `now` only while the core sleeps.
+    charged: u64,
 }
 
 impl Machine {
@@ -192,10 +209,17 @@ impl Machine {
             program.num_threads(),
             cfg.num_cores
         );
-        let cores = (0..cfg.num_cores)
+        let cores: Vec<Core> = (0..cfg.num_cores)
             .map(|i| {
                 let code = program.threads.get(i).cloned().unwrap_or_default();
                 Core::new(i, code, cfg.core.clone())
+            })
+            .collect();
+        let clocks = cores
+            .iter()
+            .map(|c| CoreClock {
+                wake: if c.finished() { u64::MAX } else { 0 },
+                charged: 0,
             })
             .collect();
         Self {
@@ -206,6 +230,7 @@ impl Machine {
             watch_log: Vec::new(),
             write_probes: Vec::new(),
             pipe_bus: Vec::new(),
+            clocks,
             now: 0,
             cfg,
         }
@@ -219,74 +244,107 @@ impl Machine {
     /// Advance one cycle (all cores, in core order), then deliver
     /// coherence probes for this cycle's writes (in-window speculation
     /// violation replay — no-ops unless speculation is enabled).
-    /// Returns whether the cycle acted: some core issued or retired,
-    /// or a write probe was delivered.
-    pub fn step(&mut self) -> bool {
+    pub fn step(&mut self) {
+        self.tick(true);
+    }
+
+    /// The one cycle body of [`step`](Self::step) and
+    /// [`run`](Self::run): cycle, in core order, every core that is
+    /// due (all of them when `every`, else those whose wake cycle has
+    /// come), then deliver each write probe to every other core, a
+    /// sleeping one too. A core charges its slept cycles when it
+    /// wakes; a probe that squashes a core charges it through this
+    /// cycle and wakes it on the next.
+    fn tick(&mut self, every: bool) {
         let now = self.now;
-        let pipe_trace = self.cfg.core.pipe_trace;
-        let mut acted = false;
-        for core in &mut self.cores {
+        let Self {
+            cores,
+            memsys,
+            mem,
+            watch_addrs,
+            watch_log,
+            write_probes,
+            pipe_bus,
+            clocks,
+            cfg,
+            ..
+        } = self;
+        for (core, clock) in cores.iter_mut().zip(clocks.iter_mut()) {
+            if !every && clock.wake > now {
+                continue;
+            }
+            if clock.charged < now {
+                // A sleeper at its own wake cycle: nothing but its own
+                // cycles or a squashing probe may move its wake.
+                debug_assert_eq!(
+                    core.next_wake(now),
+                    clock.wake,
+                    "a sleeping core's wake moved"
+                );
+                core.skip(now - clock.charged);
+            }
             let mut bus = MachineBus {
-                memsys: &mut self.memsys,
-                mem: &mut self.mem,
-                watch_addrs: &self.watch_addrs,
-                watch_log: &mut self.watch_log,
-                write_probes: &mut self.write_probes,
+                memsys,
+                mem,
+                watch_addrs,
+                watch_log,
+                write_probes,
                 now,
-                pipe_trace,
-                pipe: &mut self.pipe_bus,
+                pipe_trace: cfg.core.pipe_trace,
+                pipe: pipe_bus,
             };
-            acted |= core.cycle(now, &mut bus);
+            let acted = core.cycle(now, &mut bus);
+            clock.charged = now + 1;
+            clock.wake = if acted {
+                now + 1
+            } else {
+                core.next_wake(now + 1)
+            };
         }
-        if !self.write_probes.is_empty() {
-            acted = true;
-            let probes = std::mem::take(&mut self.write_probes);
-            for &(writer, addr) in &probes {
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    if i != writer {
-                        core.coherence_probe(addr, now);
-                    }
+        for &(writer, addr) in write_probes.iter() {
+            for (i, (core, clock)) in cores.iter_mut().zip(clocks.iter_mut()).enumerate() {
+                if i != writer && core.coherence_probe(addr, now) {
+                    core.skip(now + 1 - clock.charged);
+                    clock.charged = now + 1;
+                    clock.wake = now + 1;
                 }
             }
-            self.write_probes = probes;
-            self.write_probes.clear();
         }
+        write_probes.clear();
         self.now += 1;
-        acted
     }
 
     pub fn finished(&self) -> bool {
         self.cores.iter().all(Core::finished)
     }
 
-    /// Run to completion (or the cycle limit) and summarise. After a
-    /// stepped cycle in which nothing acted, the cycles up to the
-    /// earliest [`Core::next_wake`] (clamped to `max_cycles`) are
-    /// skipped, never stepped; the result is the same as calling
-    /// [`step`](Self::step) until the machine finishes or reaches
-    /// `max_cycles`.
+    /// Run to completion (or the cycle limit) and summarise. Each
+    /// cycle cycles only the cores whose wake cycle has come; when
+    /// none has, the clock jumps to the earliest wake. A core still
+    /// asleep at `max_cycles` is charged up to it. The result is the
+    /// same as calling [`step`](Self::step) until the machine finishes
+    /// or reaches `max_cycles`.
     pub fn run(&mut self) -> RunSummary {
         let max = self.cfg.max_cycles;
-        while !self.finished() && self.now < max {
-            if self.step() {
-                continue;
+        loop {
+            let next = self.clocks.iter().map(|c| c.wake).fold(u64::MAX, u64::min);
+            if next >= max {
+                break;
             }
-            let now = self.now;
-            let to = self
-                .cores
-                .iter()
-                .map(|c| c.next_wake(now))
-                .fold(max, u64::min);
-            for core in &mut self.cores {
-                core.skip(to - now);
-            }
-            self.now = to;
+            debug_assert!(next >= self.now, "a core's wake fell behind the clock");
+            self.now = next;
+            self.tick(false);
         }
         let exit = if self.finished() {
             RunExit::Completed
         } else {
+            self.now = self.now.max(max);
             RunExit::CycleLimit
         };
+        for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
+            core.skip(self.now - clock.charged);
+            clock.charged = self.now;
+        }
         RunSummary {
             exit,
             cycles: self

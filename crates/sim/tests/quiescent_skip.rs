@@ -1,9 +1,11 @@
-//! `Machine::run` skips the cycles in which no core can act; stepping
-//! every cycle with `Machine::step` is the reference. Each machine
-//! below is built so that its skipped spans carry one of the charges a
-//! stalled cycle makes (fence stall at issue and at retire, ROB full,
-//! store buffer full, disambiguation retries, a CAS parked behind the
-//! store buffer) or ends inside a span at `max_cycles`; the litmus
+//! `Machine::run` skips the cycles in which a core cannot act, each
+//! core on its own; stepping every core every cycle with
+//! `Machine::step` is the reference. Each machine below is built so
+//! that its skipped spans carry one of the charges a stalled cycle
+//! makes (fence stall at issue and at retire, ROB full, store buffer
+//! full, disambiguation retries, a CAS parked behind the store
+//! buffer), has one core sleep while another acts or is replayed by
+//! its probe, or ends inside a span at `max_cycles`; the litmus
 //! families add coherence-probe replays, CAS loops and IRIW shapes on
 //! three machines. The summary (every `CoreStats` field, scope-unit
 //! stats and coverage bits, `cycles`, `exit`), the final memory, the
@@ -257,6 +259,129 @@ fn litmus_families_skip_exactly() {
                     assert_eq!(s.exit, RunExit::Completed, "{name}");
                 }
             }
+        }
+    }
+}
+
+const ALL_FENCES: [FenceConfig; 4] = [
+    FenceConfig::TRADITIONAL,
+    FenceConfig::SFENCE,
+    FenceConfig::TRADITIONAL_SPEC,
+    FenceConfig::SFENCE_SPEC,
+];
+
+/// Thread 0 runs an ALU loop of `iters` iterations (forever when
+/// `None`); thread 1 stores to four cold lines, each behind a fence.
+fn busy_beside_fenced_misses(iters: Option<i64>) -> Program {
+    let mut p = IrProgram::new();
+    let out = p.global_line("out");
+    let lines: Vec<Global> = (0..4).map(|i| p.shared_line(&format!("x{i}"))).collect();
+    p.thread(move |b| {
+        b.let_("i", c(0));
+        b.let_("acc", c(0));
+        let body = |b: &mut BlockBuilder| {
+            b.assign("i", l("i").add(c(1)));
+            b.assign("acc", l("acc").add(l("i").mul(c(3))));
+        };
+        match iters {
+            Some(n) => b.while_(l("i").lt(c(n)), body),
+            None => b.loop_(body),
+        }
+        b.store(out.cell(), l("acc"));
+        b.halt();
+    });
+    p.thread(move |b| {
+        for (i, g) in lines.iter().enumerate() {
+            b.store(g.cell(), c(i as i64 + 1));
+            b.fence();
+        }
+        b.halt();
+    });
+    compile(&p)
+}
+
+/// One core acts on nearly every cycle while the other sleeps through
+/// four fenced cold misses. Hardly a cycle is quiet for the whole
+/// machine, so the sleeper's cycles are left out only because a core
+/// sleeps on its own.
+#[test]
+fn a_core_sleeps_while_another_acts() {
+    let prog = busy_beside_fenced_misses(Some(2_000));
+    for fence in ALL_FENCES {
+        let name = format!("busy beside fenced misses {}", fence.label());
+        let s = assert_exact(&name, &prog, &config(fence));
+        assert_eq!(s.exit, RunExit::Completed, "{name}");
+        let (busy, fenced) = (&s.core_stats[0], &s.core_stats[1]);
+        assert!(fenced.fence_stall_cycles >= 4 * 300, "{name}");
+        assert!(
+            busy.finished_at > fenced.finished_at,
+            "{name}: the loop outlasts the misses"
+        );
+    }
+}
+
+/// Thread 1's fence waits on two dependent cold loads. Past it, its
+/// cold load of `flag` binds 0, and a load behind a store of the slow
+/// value retries disambiguation every cycle; then it has nothing left
+/// to issue. Thread 0 writes `flag` only after its own cold load,
+/// while thread 1 sleeps charging those retries; under T+ and S+ that
+/// write replays the completed `flag` load.
+#[test]
+fn a_probe_replays_a_sleeping_core() {
+    let mut p = IrProgram::new();
+    let flag = p.shared_line("flag");
+    let z = p.global_line("z");
+    let ptr = p.global_line("ptr");
+    let arr = p.array("arr", 16);
+    let other = p.global_line("other");
+    let out = p.global_line("out");
+    let sum = p.global_line("sum");
+    p.init(ptr, 8);
+    p.thread(move |b| {
+        b.store(flag.cell(), ld(z.cell()).add(c(1)));
+        b.halt();
+    });
+    p.thread(move |b| {
+        b.let_("v", ld(arr.at(ld(ptr.cell()))));
+        b.fence();
+        b.let_("r", ld(flag.cell()));
+        b.store(out.cell(), l("v"));
+        b.store(sum.cell(), l("r").add(ld(other.cell())));
+        b.halt();
+    });
+    let prog = compile(&p);
+    for fence in ALL_FENCES {
+        let name = format!("probe replay {}", fence.label());
+        let s = assert_exact(&name, &prog, &config(fence));
+        assert_eq!(s.exit, RunExit::Completed, "{name}");
+        let replayed = &s.core_stats[1];
+        if fence.in_window_speculation {
+            assert!(
+                replayed.speculation_replays > 0,
+                "{name}: the write replays the load"
+            );
+            assert!(replayed.load_disambiguation_blocks > 0, "{name}");
+        } else {
+            assert_eq!(replayed.speculation_replays, 0, "{name}");
+        }
+    }
+}
+
+/// The cycle limit falls while thread 1 sleeps on a fenced miss and
+/// thread 0 loops forever, and later after thread 1 has finished.
+#[test]
+fn the_cycle_limit_falls_while_a_core_sleeps() {
+    let prog = busy_beside_fenced_misses(None);
+    for fence in ALL_FENCES {
+        for max_cycles in [1, 150, 700, 4_321] {
+            let mut cfg = config(fence);
+            cfg.max_cycles = max_cycles;
+            let name = format!("endless loop {} max_cycles={max_cycles}", fence.label());
+            let s = assert_exact(&name, &prog, &cfg);
+            assert_eq!(s.exit, RunExit::CycleLimit, "{name}");
+            let fenced = s.core_stats[1].finished_at;
+            assert_eq!(fenced.is_some(), max_cycles > 1_000, "{name}");
+            assert_eq!(s.cycles, fenced.unwrap_or(max_cycles), "{name}");
         }
     }
 }
