@@ -27,11 +27,11 @@ pub const PERF_SCHEMA_VERSION: u64 = 1;
 /// the CI perf gate.
 pub const REGRESSION_THRESHOLD: f64 = 0.25;
 
-/// Seeds per family in the `litmus-functional` batch. Each cell takes
-/// about 9 µs, so 8 seeds (388 cells) ran in 3–5 ms and scheduling
-/// noise alone moved the row by a third; 160 seeds (7,684 cells) keep
-/// one sample above 50 ms on two vCPUs.
-const LITMUS_FUNCTIONAL_SEEDS: u64 = 160;
+/// Seeds per family in the `litmus-functional` batch. A cell adds
+/// about 7 µs of wall time on two threads, so 8 seeds (388 cells) ran
+/// in 3–5 ms and scheduling noise alone moved the row by a third; 200
+/// seeds (9,604 cells) keep one sample above 50 ms on two vCPUs.
+const LITMUS_FUNCTIONAL_SEEDS: u64 = 200;
 
 /// The pre-overhaul fig13 Eval measurement this PR's hot-loop work is
 /// judged against (commit 62a98e0, `sfence-bench perf` on the same
