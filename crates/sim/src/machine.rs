@@ -339,12 +339,12 @@ impl Machine {
             RunExit::Completed
         } else {
             self.now = self.now.max(max);
+            for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
+                core.skip(self.now - clock.charged);
+                clock.charged = self.now;
+            }
             RunExit::CycleLimit
         };
-        for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
-            core.skip(self.now - clock.charged);
-            clock.charged = self.now;
-        }
         RunSummary {
             exit,
             cycles: self

@@ -16,6 +16,14 @@ use sfence_isa::Program;
 use sfence_sim::{FenceConfig, Machine, MachineConfig, RunExit, RunSummary};
 use sfence_workloads::litmus::{self, LitmusSpec};
 
+/// T, S, T+ and S+.
+const ALL_FENCES: [FenceConfig; 4] = [
+    FenceConfig::TRADITIONAL,
+    FenceConfig::SFENCE,
+    FenceConfig::TRADITIONAL_SPEC,
+    FenceConfig::SFENCE_SPEC,
+];
+
 fn compile(p: &IrProgram) -> Program {
     p.compile().expect("compile")
 }
@@ -247,12 +255,7 @@ fn litmus_families_skip_exactly() {
     for family in litmus::FAMILIES {
         for seed in 0..2 {
             let prog = litmus::build(&LitmusSpec::new(family, seed)).program;
-            for fence in [
-                FenceConfig::TRADITIONAL,
-                FenceConfig::SFENCE,
-                FenceConfig::TRADITIONAL_SPEC,
-                FenceConfig::SFENCE_SPEC,
-            ] {
+            for fence in ALL_FENCES {
                 for (machine, cfg) in machines(prog.num_threads(), fence) {
                     let name = format!("{}/{seed} {} {machine}", family.name(), fence.label());
                     let s = assert_exact(&name, &prog, &cfg);
@@ -262,13 +265,6 @@ fn litmus_families_skip_exactly() {
         }
     }
 }
-
-const ALL_FENCES: [FenceConfig; 4] = [
-    FenceConfig::TRADITIONAL,
-    FenceConfig::SFENCE,
-    FenceConfig::TRADITIONAL_SPEC,
-    FenceConfig::SFENCE_SPEC,
-];
 
 /// Thread 0 runs an ALU loop of `iters` iterations (forever when
 /// `None`); thread 1 stores to four cold lines, each behind a fence.
