@@ -43,10 +43,11 @@ impl WalkKind {
     }
 }
 
-/// What happened. Sequence numbers identify ROB entries (unique per
-/// core, never reused after a squash); fences are identified by their
-/// fetch `pc` because a blocked fence only receives its sequence
-/// number once its wait clears.
+/// What happened. Sequence numbers identify ROB entries: per core
+/// they increase and never repeat, and after a squash they jump to
+/// the next value whose low bits name the ROB's tail slot. Fences are
+/// identified by their fetch `pc` because a blocked fence only
+/// receives its sequence number once its wait clears.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipeKind {
     /// Instruction entered the ROB (front-end dispatch, predicted

@@ -27,9 +27,8 @@
 //!
 //! The ROB is a fixed ring of slots (`Rob`) that issue fills in
 //! place. Events, ready lists and waiter lists name entries by sequence
-//! number; a seq reaches its slot in O(1) through the ring's runs of
-//! consecutive seqs, and each completion or dispatch looks its seq up
-//! once and hands the slot down.
+//! number; a seq's low bits name its slot, and each completion or
+//! dispatch looks its seq up once and hands the slot down.
 
 use crate::bpred::BranchPredictor;
 use crate::bus::MemBus;
@@ -90,13 +89,12 @@ struct RobEntry {
 /// place, and every slot keeps its waiter list's capacity, so a
 /// steady-state issue allocates nothing.
 ///
-/// Sequence numbers are unique and increasing but *not* contiguous: a
-/// squash never rolls `next_seq` back, so stale completion events can
-/// never alias a new entry. The live entries therefore form *runs* of
-/// consecutive seqs in consecutive slots, one run per stretch issued
-/// between squashes. `runs` keeps each live run's first `(seq, slot)`,
-/// oldest first, and a seq maps to its slot by plain offset from the
-/// newest run that starts at or before it: O(1), with no search.
+/// A live entry's sequence number names its slot: `seq & mask == slot`.
+/// Seqs are unique and increasing but *not* contiguous: a squash never
+/// rolls `next_seq` back, so stale completion events can never alias
+/// a new entry, and instead moves it up to the next seq whose low bits
+/// name the new tail slot ([`tail_seq`](Self::tail_seq)). A lookup is
+/// a mask, a liveness test and one seq comparison.
 struct Rob {
     slots: Vec<RobEntry>,
     /// Consumers (seqs) to wake when the slot's entry completes.
@@ -108,12 +106,6 @@ struct Rob {
     /// Slot of the oldest entry.
     head: usize,
     len: usize,
-    /// First `(seq, slot)` of every run with a live entry, oldest
-    /// first. A run is dropped once its last entry has retired or been
-    /// squashed; the oldest run's first entries may have retired. A
-    /// squash starts a run, so there are seldom more than a few, and
-    /// dropping the oldest by `Vec::remove(0)` is cheap.
-    runs: Vec<(u64, usize)>,
 }
 
 impl Rob {
@@ -125,7 +117,6 @@ impl Rob {
             mask: cap - 1,
             head: 0,
             len: 0,
-            runs: Vec::new(),
         }
     }
 
@@ -168,54 +159,30 @@ impl Rob {
     /// down.
     #[inline]
     fn slot(&self, seq: u64) -> Option<usize> {
-        let found = self
-            .runs
-            .iter()
-            .rev()
-            .find(|&&(first, _)| first <= seq)
-            .and_then(|&(first, first_slot)| {
-                let slot = first_slot.wrapping_add((seq - first) as usize) & self.mask;
-                // A live slot holding `seq` is exact; any other answer
-                // means `seq` fell in a squashed gap or has retired.
-                let live = slot.wrapping_sub(self.head) & self.mask < self.len;
-                (live && self.slots[slot].seq == seq).then_some(slot)
-            });
-        #[cfg(debug_assertions)]
-        assert_eq!(found, self.search(seq), "ROB lookup of seq {seq}");
-        found
+        let slot = seq as usize & self.mask;
+        let live = slot.wrapping_sub(self.head) & self.mask < self.len;
+        (live && self.slots[slot].seq == seq).then_some(slot)
     }
 
-    /// The reference lookup `slot` must agree with: a binary search of
-    /// the live entries, which are ascending by seq.
-    #[cfg(debug_assertions)]
-    fn search(&self, seq: u64) -> Option<usize> {
-        let end = self.head + self.len;
-        let cap = self.mask + 1;
-        let (first, second) = if end <= cap {
-            (&self.slots[self.head..end], &self.slots[..0])
-        } else {
-            (&self.slots[self.head..], &self.slots[..end - cap])
-        };
-        let i = first.partition_point(|e| e.seq < seq);
-        if i < first.len() {
-            return (first[i].seq == seq).then_some(self.head + i);
-        }
-        let j = second.partition_point(|e| e.seq < seq);
-        (j < second.len() && second[j].seq == seq).then_some(j)
+    /// The smallest seq at or above `min` whose low bits name the tail
+    /// slot: the next seq to issue after a squash.
+    fn tail_seq(&self, min: u64) -> u64 {
+        let tail = self.slot_at(self.len) as u64;
+        min + (tail.wrapping_sub(min) & self.mask as u64)
     }
 
-    /// Claim the tail slot for `entry`. Its waiter list is already
-    /// empty: `Core::mark_done` clears a completing entry's, and
-    /// [`pop_back`](Self::pop_back) a squashed one's.
+    /// Claim the tail slot for `entry`, whose seq must name it. Its
+    /// waiter list is already empty: `Core::mark_done` clears a
+    /// completing entry's, and [`pop_back`](Self::pop_back) a squashed
+    /// one's.
     fn push(&mut self, entry: RobEntry) -> usize {
         debug_assert!(self.len <= self.mask, "ROB ring overflow");
         let slot = self.slot_at(self.len);
-        let continues_run = self
-            .back()
-            .is_some_and(|tail| tail.seq.wrapping_add(1) == entry.seq);
-        if !continues_run {
-            self.runs.push((entry.seq, slot));
-        }
+        debug_assert_eq!(
+            entry.seq as usize & self.mask,
+            slot,
+            "seq must name its slot"
+        );
         self.len += 1;
         if slot == self.slots.len() {
             // The ring's first lap reaches this slot.
@@ -236,16 +203,6 @@ impl Rob {
         let e = self.slots[self.head];
         self.head = (self.head + 1) & self.mask;
         self.len -= 1;
-        if self.len == 0 {
-            self.runs.clear();
-        } else if self
-            .runs
-            .get(1)
-            .is_some_and(|&(first, _)| first == self.slots[self.head].seq)
-        {
-            // The new head starts the next run: the oldest is spent.
-            self.runs.remove(0);
-        }
         e
     }
 
@@ -255,13 +212,7 @@ impl Rob {
         self.len -= 1;
         let slot = self.slot_at(self.len);
         self.waiters[slot].clear();
-        let e = self.slots[slot];
-        if self.len == 0 {
-            self.runs.clear();
-        } else if self.runs.last().is_some_and(|&(first, _)| first == e.seq) {
-            self.runs.pop();
-        }
-        e
+        self.slots[slot]
     }
 }
 
@@ -327,9 +278,8 @@ pub struct Core {
     code: Vec<Instr>,
 
     regs: [i64; NUM_REGS],
-    /// The youngest in-flight writer of each register: its seq and
-    /// ring slot.
-    reg_producer: [Option<(u64, usize)>; NUM_REGS],
+    /// The seq of the youngest in-flight writer of each register.
+    reg_producer: [Option<u64>; NUM_REGS],
 
     rob: Rob,
     next_seq: u64,
@@ -797,7 +747,7 @@ impl Core {
             // Commit the register value.
             if let Some(rd) = instr.dest() {
                 self.regs[rd.0 as usize] = e.result;
-                if self.reg_producer[rd.0 as usize].is_some_and(|(p, _)| p == e.seq) {
+                if self.reg_producer[rd.0 as usize] == Some(e.seq) {
                     self.reg_producer[rd.0 as usize] = None;
                 }
             }
@@ -1171,13 +1121,15 @@ impl Core {
         while self.incomplete_cas.back().is_some_and(|&s| s > keep_upto) {
             self.incomplete_cas.pop_back();
         }
+        // Seqs never repeat: issue resumes at the next seq that names
+        // the new tail slot.
+        self.next_seq = self.rob.tail_seq(self.next_seq);
         // Rebuild the producer map from the survivors (front-to-back,
         // so the youngest producer of each register wins).
         self.reg_producer = [None; NUM_REGS];
-        for i in 0..self.rob.len() {
-            let slot = self.rob.slot_at(i);
-            if let Some(rd) = self.code[self.rob[slot].pc].dest() {
-                self.reg_producer[rd.0 as usize] = Some((self.rob[slot].seq, slot));
+        for e in self.rob.iter() {
+            if let Some(rd) = self.code[e.pc].dest() {
+                self.reg_producer[rd.0 as usize] = Some(e.seq);
             }
         }
         self.ready_q.retain(|&s| s <= keep_upto);
@@ -1458,7 +1410,7 @@ impl Core {
         });
         fixup(&mut self.rob[slot]);
         if let Some(rd) = instr.dest() {
-            self.reg_producer[rd.0 as usize] = Some((seq, slot));
+            self.reg_producer[rd.0 as usize] = Some(seq);
         }
         if state == EState::Ready {
             self.ready_q.push(seq);
@@ -1473,8 +1425,8 @@ impl Core {
             Operand::Imm(v) => Src::Ready(v),
             Operand::Reg(r) => match self.reg_producer[r.0 as usize] {
                 None => Src::Ready(self.regs[r.0 as usize]),
-                Some((p, slot)) => {
-                    debug_assert_eq!(self.rob.slot(p), Some(slot), "producer must be in ROB");
+                Some(p) => {
+                    let slot = self.rob.slot(p).expect("producer must be in ROB");
                     let e = &self.rob[slot];
                     if e.state == EState::Done {
                         Src::Ready(e.result)
@@ -1545,14 +1497,16 @@ mod tests {
         FenceConfig::SFENCE_SPEC,
     ];
 
-    /// Random pushes, retires and squashes: every lookup (checked in
-    /// debug builds against the binary search) stays exact, including
-    /// a run longer than the ring whose first slot aliases a live one.
+    /// Random pushes, retires and squashes, each squash resuming at
+    /// the seq `tail_seq` picks: every lookup agrees with a linear scan
+    /// of the live entries, including squashes that empty the ring and
+    /// squashes on its first lap.
     #[test]
     fn ring_lookup_matches_search_through_squashes() {
         let mut rob = Rob::new(6); // 8 slots, 6 usable as in a core
         let mut next_seq = 0u64;
         let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let (mut emptied, mut first_lap) = (0, 0);
         for _ in 0..20_000 {
             rng ^= rng << 13;
             rng ^= rng >> 7;
@@ -1575,20 +1529,34 @@ mod tests {
                     while rob.len() > keep {
                         rob.pop_back();
                     }
-                    next_seq += 1 + (rng >> 16) % 3;
+                    emptied += usize::from(keep == 0);
+                    first_lap += usize::from(rob.slots.len() <= rob.mask);
+                    let min = next_seq + (rng >> 16) % 3;
+                    next_seq = rob.tail_seq(min);
+                    assert!(next_seq - min <= rob.mask as u64);
+                    assert_eq!(next_seq as usize & rob.mask, rob.slot_at(rob.len()));
                 }
                 _ => {}
             }
-            for seq in next_seq.saturating_sub(24)..next_seq {
-                let found = rob.slot(seq);
-                if let Some(slot) = found {
-                    assert_eq!(rob[slot].seq, seq);
-                }
+            let oldest = rob.front().map_or(next_seq, |e| e.seq);
+            for seq in oldest.saturating_sub(8)..=next_seq {
+                let scan = (0..rob.len())
+                    .map(|i| rob.slot_at(i))
+                    .find(|&slot| rob[slot].seq == seq);
+                assert_eq!(rob.slot(seq), scan, "lookup of seq {seq}");
             }
-            assert!(rob.runs.len() <= rob.len());
             let live: Vec<u64> = rob.iter().map(|e| e.seq).collect();
             assert!(live.windows(2).all(|w| w[0] < w[1]));
         }
+        assert!(emptied > 0 && first_lap > 0, "{emptied} {first_lap}");
+    }
+
+    /// The live entries' runs of consecutive seqs: one per stretch
+    /// issued between squashes.
+    fn live_runs(rob: &Rob) -> usize {
+        let seqs: Vec<u64> = rob.iter().map(|e| e.seq).collect();
+        let gaps = seqs.windows(2).filter(|w| w[1] != w[0] + 1).count();
+        gaps + usize::from(!seqs.is_empty())
     }
 
     /// Final registers and memory of `prog`'s thread 0 under the SC
@@ -1655,7 +1623,7 @@ mod tests {
                             && h.state == EState::Executing
                     });
                     if head_is_slow_load {
-                        max_runs = max_runs.max(core.rob.runs.len());
+                        max_runs = max_runs.max(live_runs(&core.rob));
                     }
                     now += 1;
                     assert!(now < 100_000, "{label}: did not finish");
@@ -1738,7 +1706,7 @@ mod tests {
                     }
                 }
             }
-            max_runs = max_runs.max(cores[1].rob.runs.len());
+            max_runs = max_runs.max(live_runs(&cores[1].rob));
             now += 1;
             assert!(now < 100_000, "did not finish");
         }

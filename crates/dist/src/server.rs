@@ -41,6 +41,7 @@ use crate::protocol::{
 };
 use crate::scheduler::FairShare;
 use crate::spec::{ExperimentSpec, Registry};
+use crate::worker::WorkerSummary;
 use sfence_harness::experiment::SweepRow;
 use sfence_harness::json::Json;
 use sfence_harness::{Experiment, IndexedRow, JobQueue, SCHEMA_VERSION};
@@ -255,14 +256,6 @@ fn parse_campaign_id(public: &str) -> Option<u64> {
     public.strip_prefix('c')?.parse().ok()
 }
 
-/// Per-worker accounting behind the `status` frame.
-#[derive(Debug, Default, Clone, Copy)]
-struct WorkerStat {
-    jobs: u64,
-    executed: u64,
-    cache_hits: u64,
-}
-
 /// Shared mutable state between the ticker and the per-connection
 /// handler threads.
 struct Shared {
@@ -274,7 +267,8 @@ struct Shared {
     cache_hits: u64,
     released: u64,
     rejected: u64,
-    worker_stats: BTreeMap<String, WorkerStat>,
+    /// Per-worker accounting behind the `status` frame.
+    worker_stats: BTreeMap<String, WorkerSummary>,
     /// Long-lived latency histograms (lease grant, per-cell wall
     /// time, frame handling, checkpoint saves), spliced into every
     /// `status` snapshot via [`sfence_obs::Registry::absorb`].

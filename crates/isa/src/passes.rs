@@ -11,6 +11,9 @@
 //! accesses are left unflagged and unordered). The paper's `T`
 //! baseline needs no second style of the pass: with scopes not
 //! honoured, every set-scope fence is a full fence.
+//!
+//! [`strip_fences`] removes every fence, for the differential runners'
+//! fence-removed programs.
 
 use crate::ir::{Block, Expr, FenceSpec, Global, IrProgram, MemRef, Stmt};
 
@@ -36,18 +39,43 @@ pub fn enforce_sc(p: &mut IrProgram) -> ScReport {
     let shared: Vec<bool> = p.globals.iter().map(|g| g.shared).collect();
     let all_shared: Vec<Global> = p.shared_globals();
     let mut report = ScReport::default();
-
-    let mut bodies: Vec<&mut Block> = Vec::new();
-    for r in p.routines.values_mut() {
-        bodies.push(&mut r.body);
-    }
-    for t in p.threads.iter_mut() {
-        bodies.push(t);
-    }
-    for b in bodies {
+    for b in bodies(p) {
         rewrite_block(b, &shared, &all_shared, &mut report);
     }
     report
+}
+
+/// Drop every fence from every thread and routine body, nested blocks
+/// included: the differential runners' fence-removed (`S-nofence`)
+/// program. A class whose methods lose their fences is no longer
+/// instrumented, so the compiled program carries no scope markers
+/// either.
+pub fn strip_fences(p: &mut IrProgram) {
+    for b in bodies(p) {
+        strip_block(b);
+    }
+}
+
+/// Every routine body, then every thread body.
+fn bodies(p: &mut IrProgram) -> impl Iterator<Item = &mut Block> {
+    p.routines
+        .values_mut()
+        .map(|r| &mut r.body)
+        .chain(p.threads.iter_mut())
+}
+
+fn strip_block(b: &mut Block) {
+    b.retain(|s| !matches!(s, Stmt::Fence(_)));
+    for s in b.iter_mut() {
+        match s {
+            Stmt::If { then_b, else_b, .. } => {
+                strip_block(then_b);
+                strip_block(else_b);
+            }
+            Stmt::While { body, .. } | Stmt::Loop(body) => strip_block(body),
+            _ => {}
+        }
+    }
 }
 
 fn rewrite_block(b: &mut Block, shared: &[bool], all_shared: &[Global], report: &mut ScReport) {
@@ -256,5 +284,37 @@ mod tests {
         });
         let report = enforce_sc(&mut p);
         assert_eq!(report.fences_inserted, 0);
+    }
+
+    #[test]
+    fn stripping_removes_nested_fences_and_scope_markers() {
+        let mut p = IrProgram::new();
+        let s1 = p.shared("s1");
+        let cls = p.class("K");
+        p.method(cls, "m", &[], move |b| {
+            b.store(s1.cell(), c(1));
+            b.fence_class();
+        });
+        p.thread(move |b| {
+            b.fence();
+            b.let_("i", c(0));
+            b.while_(l("i").lt(c(2)), move |w| {
+                w.if_(l("i").eq(c(1)), move |t| t.fence_set(&[s1]));
+                w.call("K::m", &[]);
+                w.assign("i", l("i").add(c(1)));
+            });
+            b.halt();
+        });
+        let fenced = p.clone().compile().unwrap();
+        let is_fence_or_marker = |i: &Instr| {
+            matches!(
+                i,
+                Instr::Fence { .. } | Instr::FsStart { .. } | Instr::FsEnd { .. }
+            )
+        };
+        assert!(fenced.threads[0].iter().any(is_fence_or_marker));
+        strip_fences(&mut p);
+        let stripped = p.compile().unwrap();
+        assert!(!stripped.threads[0].iter().any(is_fence_or_marker));
     }
 }

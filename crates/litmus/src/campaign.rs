@@ -43,7 +43,7 @@ use sfence_harness::{
 };
 use sfence_isa::Program;
 use sfence_sim::{FenceConfig, MachineConfig, RunExit};
-use sfence_workloads::litmus::{build, Family, LitmusSpec, FAMILIES};
+use sfence_workloads::litmus::{build, compile_stripped, Family, LitmusSpec, FAMILIES};
 
 /// One scheduled scenario of a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,7 +279,7 @@ pub fn run_case(
     backend: BackendId,
 ) -> Result<CaseVerdict, String> {
     let fenced = build(&LitmusSpec::new(case.family, case.seed));
-    let stripped = build(&LitmusSpec::new(case.family, case.seed).stripped());
+    let stripped = compile_stripped(&LitmusSpec::new(case.family, case.seed));
     // Calling the enumerator's fallible entry point directly (rather
     // than `Backend::run`, which panics on malformed programs) keeps
     // interpreter errors on the campaign's clean `Err` → exit-1 path.
@@ -298,7 +298,7 @@ pub fn run_case(
     let rows = run_matrix(
         &fenced.name,
         &fenced.program,
-        &stripped.program,
+        &stripped,
         &outcomes,
         expect,
         backend,

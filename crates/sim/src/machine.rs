@@ -142,7 +142,8 @@ pub enum RunExit {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     pub exit: RunExit,
-    /// Total execution time: the cycle at which the last core drained.
+    /// Total execution time: the cycle at which the last core drained,
+    /// or `max_cycles` at the cycle limit.
     pub cycles: u64,
     pub core_stats: Vec<sfence_cpu::CoreStats>,
     pub mem_stats: CoreMemStats,
@@ -335,24 +336,20 @@ impl Machine {
             self.now = next;
             self.tick(false);
         }
-        let exit = if self.finished() {
-            RunExit::Completed
+        let (exit, cycles) = if self.finished() {
+            let last = self.cores.iter().filter_map(|c| c.stats.finished_at).max();
+            (RunExit::Completed, last.unwrap_or(self.now))
         } else {
             self.now = self.now.max(max);
             for (core, clock) in self.cores.iter_mut().zip(&mut self.clocks) {
                 core.skip(self.now - clock.charged);
                 clock.charged = self.now;
             }
-            RunExit::CycleLimit
+            (RunExit::CycleLimit, self.now)
         };
         RunSummary {
             exit,
-            cycles: self
-                .cores
-                .iter()
-                .filter_map(|c| c.stats.finished_at)
-                .max()
-                .unwrap_or(self.now),
+            cycles,
             core_stats: self.cores.iter().map(|c| c.stats.clone()).collect(),
             mem_stats: self.memsys.total_stats(),
             scope_stats: self.cores.iter().map(|c| c.scope_stats()).collect(),

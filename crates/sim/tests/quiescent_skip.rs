@@ -377,7 +377,7 @@ fn the_cycle_limit_falls_while_a_core_sleeps() {
             assert_eq!(s.exit, RunExit::CycleLimit, "{name}");
             let fenced = s.core_stats[1].finished_at;
             assert_eq!(fenced.is_some(), max_cycles > 1_000, "{name}");
-            assert_eq!(s.cycles, fenced.unwrap_or(max_cycles), "{name}");
+            assert_eq!(s.cycles, max_cycles, "{name}");
         }
     }
 }

@@ -26,6 +26,8 @@
 
 use crate::support::{BuiltWorkload, Prng};
 use sfence_isa::ir::{c, l, ld, BlockBuilder, Global, IrProgram};
+use sfence_isa::passes::strip_fences;
+use sfence_isa::Program;
 use sfence_isa::WORDS_PER_LINE;
 
 /// Registry namespace for generated scenarios.
@@ -151,30 +153,16 @@ impl Family {
     }
 }
 
-/// One concrete scenario: a family instance at a seed, optionally
-/// with every fence stripped (the differential runner's
-/// "fence-removed" configuration).
+/// One concrete scenario: a family instance at a seed.
 #[derive(Debug, Clone, Copy)]
 pub struct LitmusSpec {
     pub family: Family,
     pub seed: u64,
-    /// Emit no fences at all. Class methods lose their fences too, so
-    /// no class is instrumented and no scope markers are emitted.
-    pub strip_fences: bool,
 }
 
 impl LitmusSpec {
     pub fn new(family: Family, seed: u64) -> Self {
-        LitmusSpec {
-            family,
-            seed,
-            strip_fences: false,
-        }
-    }
-
-    pub fn stripped(mut self) -> Self {
-        self.strip_fences = true;
-        self
+        LitmusSpec { family, seed }
     }
 
     /// The registry name, `litmus/<family>/<seed>`.
@@ -229,7 +217,6 @@ pub fn parse_name(name: &str) -> Option<(Family, u64)> {
 /// The fence emitted at each ordering point of a skeleton.
 #[derive(Clone)]
 enum FenceAt {
-    None,
     Full,
     Set(Vec<Global>),
 }
@@ -237,7 +224,6 @@ enum FenceAt {
 impl FenceAt {
     fn emit(&self, b: &mut BlockBuilder) {
         match self {
-            FenceAt::None => {}
             FenceAt::Full => b.fence(),
             FenceAt::Set(vars) => b.fence_set(vars),
         }
@@ -294,19 +280,18 @@ fn emit_filler(b: &mut BlockBuilder, scratch: Global, tid: usize, units: usize) 
 /// Build the IR of a scenario. Exposed so checkers and tests can
 /// compile with custom options.
 pub fn ir(spec: &LitmusSpec) -> IrProgram {
-    let strip = spec.strip_fences;
     match spec.family {
-        Family::Mp | Family::MpSet | Family::MpWrongSet => mp(spec.family, spec.seed, strip),
-        Family::Sb | Family::SbSet | Family::SbWrongSet => sb(spec.family, spec.seed, strip),
-        Family::SbClass | Family::SbClassWrong => sb_class(spec.family, spec.seed, strip),
-        Family::Iriw => iriw(spec.seed, strip),
-        Family::Cas => cas(spec.seed, strip),
-        Family::PcClass => pc(Family::PcClass, spec.seed, strip),
-        Family::PcDeep => pc(Family::PcDeep, spec.seed, strip),
+        Family::Mp | Family::MpSet | Family::MpWrongSet => mp(spec.family, spec.seed),
+        Family::Sb | Family::SbSet | Family::SbWrongSet => sb(spec.family, spec.seed),
+        Family::SbClass | Family::SbClassWrong => sb_class(spec.family, spec.seed),
+        Family::Iriw => iriw(spec.seed),
+        Family::Cas => cas(spec.seed),
+        Family::PcClass => pc(Family::PcClass, spec.seed),
+        Family::PcDeep => pc(Family::PcDeep, spec.seed),
         Family::Regression => {
             let synth = crate::synth::regression(spec.seed)
                 .unwrap_or_else(|| panic!("regression id {} not registered", spec.seed));
-            crate::synth::ir(&synth, strip)
+            crate::synth::ir(&synth, false)
         }
     }
 }
@@ -324,6 +309,14 @@ pub fn build(spec: &LitmusSpec) -> BuiltWorkload {
     }
 }
 
+/// A scenario with every fence stripped: the differential runner's
+/// fence-removed (`S-nofence`) program.
+pub fn compile_stripped(spec: &LitmusSpec) -> Program {
+    let mut p = ir(spec);
+    strip_fences(&mut p);
+    p.compile().expect("litmus scenario must compile")
+}
+
 /// Build by registry name (`litmus/<family>/<seed>`); used by
 /// `catalog::build`.
 pub fn build_named(name: &str) -> Option<BuiltWorkload> {
@@ -339,7 +332,7 @@ pub fn build_named(name: &str) -> Option<BuiltWorkload> {
 /// `[v]`. The producer warms the flag line first so its drain is a
 /// fast upgrade while the data store drains cold — the relaxed
 /// machine reorders the drains unless a covering fence intervenes.
-fn mp(family: Family, seed: u64, strip: bool) -> IrProgram {
+fn mp(family: Family, seed: u64) -> IrProgram {
     let k = Knobs::new(family, seed, 2, 1);
     let mut p = IrProgram::new();
     let data = p.shared_line("data");
@@ -348,15 +341,11 @@ fn mp(family: Family, seed: u64, strip: bool) -> IrProgram {
     let obs = p.observer("data");
     let scratch0 = p.global_line("scratch0");
     let v = k.values[0];
-    let fence = if strip {
-        FenceAt::None
-    } else {
-        match family {
-            Family::Mp => FenceAt::Full,
-            Family::MpSet => FenceAt::Set(vec![data, flag]),
-            Family::MpWrongSet => FenceAt::Set(vec![dummy]),
-            _ => unreachable!(),
-        }
+    let fence = match family {
+        Family::Mp => FenceAt::Full,
+        Family::MpSet => FenceAt::Set(vec![data, flag]),
+        Family::MpWrongSet => FenceAt::Set(vec![dummy]),
+        _ => unreachable!(),
     };
     let pf = fence.clone();
     let units = k.filler_units.clone();
@@ -381,7 +370,7 @@ fn mp(family: Family, seed: u64, strip: bool) -> IrProgram {
 /// other's. SC forbids both reads returning 0. Both flag lines are
 /// pre-warmed in both cores so the loads hit in L1 and bind before
 /// either store drains.
-fn sb(family: Family, seed: u64, strip: bool) -> IrProgram {
+fn sb(family: Family, seed: u64) -> IrProgram {
     let k = Knobs::new(family, seed, 2, 2);
     let mut p = IrProgram::new();
     let f0 = p.shared_line("flag0");
@@ -389,15 +378,11 @@ fn sb(family: Family, seed: u64, strip: bool) -> IrProgram {
     let dummy = p.shared_line("dummy");
     let r0 = p.observer("r0");
     let r1 = p.observer("r1");
-    let fence = if strip {
-        FenceAt::None
-    } else {
-        match family {
-            Family::Sb => FenceAt::Full,
-            Family::SbSet => FenceAt::Set(vec![f0, f1]),
-            Family::SbWrongSet => FenceAt::Set(vec![dummy]),
-            _ => unreachable!(),
-        }
+    let fence = match family {
+        Family::Sb => FenceAt::Full,
+        Family::SbSet => FenceAt::Set(vec![f0, f1]),
+        Family::SbWrongSet => FenceAt::Set(vec![dummy]),
+        _ => unreachable!(),
     };
     for (mine, theirs, val, out, tid) in [
         (f0, f1, k.values[0], r0, 0usize),
@@ -424,7 +409,7 @@ fn sb(family: Family, seed: u64, strip: bool) -> IrProgram {
 /// racy store in the thread body *before* the call, so the class
 /// fence has no prior in-scope access to wait for and the load runs
 /// ahead of the store's drain.
-fn sb_class(family: Family, seed: u64, strip: bool) -> IrProgram {
+fn sb_class(family: Family, seed: u64) -> IrProgram {
     let k = Knobs::new(family, seed, 2, 2);
     let mut p = IrProgram::new();
     let f0 = p.shared_line("flag0");
@@ -441,9 +426,7 @@ fn sb_class(family: Family, seed: u64, strip: bool) -> IrProgram {
                 move |t| t.store(f0.cell(), l("val")),
                 move |e| e.store(f1.cell(), l("val")),
             );
-            if !strip {
-                b.fence_class();
-            }
+            b.fence_class();
             b.if_else(
                 l("mine").eq(c(0)),
                 move |t| t.ret(Some(ld(f1.cell()))),
@@ -454,9 +437,7 @@ fn sb_class(family: Family, seed: u64, strip: bool) -> IrProgram {
         // Only fence + load inside the class; the store stays
         // outside, so the fence's scope never covers it.
         p.method(cls, "check", &["mine"], move |b| {
-            if !strip {
-                b.fence_class();
-            }
+            b.fence_class();
             b.if_else(
                 l("mine").eq(c(0)),
                 move |t| t.ret(Some(ld(f1.cell()))),
@@ -490,7 +471,7 @@ fn sb_class(family: Family, seed: u64, strip: bool) -> IrProgram {
 /// IRIW: two writers, two readers reading in opposite orders with a
 /// fence between their loads. SC forbids the readers disagreeing on
 /// the order of the writes.
-fn iriw(seed: u64, strip: bool) -> IrProgram {
+fn iriw(seed: u64) -> IrProgram {
     let k = Knobs::new(Family::Iriw, seed, 4, 2);
     let mut p = IrProgram::new();
     let x = p.shared_line("x");
@@ -515,9 +496,7 @@ fn iriw(seed: u64, strip: bool) -> IrProgram {
         p.thread(move |b| {
             emit_filler(b, scratch, tid, units);
             b.let_("p", ld(first.cell()));
-            if !strip {
-                b.fence();
-            }
+            b.fence();
             b.let_("q", ld(second.cell()));
             b.store(out1.cell(), l("p"));
             b.store(out2.cell(), l("q"));
@@ -531,7 +510,7 @@ fn iriw(seed: u64, strip: bool) -> IrProgram {
 /// through a class method. The only SC-allowed final counter value is
 /// `2 * iters`; anything else means a lost update (an atomicity bug,
 /// not a fence-scope property — this family pins CAS semantics).
-fn cas(seed: u64, strip: bool) -> IrProgram {
+fn cas(seed: u64) -> IrProgram {
     let k = Knobs::new(Family::Cas, seed, 2, 0);
     let iters = 1 + (k.count % 2) as i64; // 1..=2 per thread
     let mut p = IrProgram::new();
@@ -543,9 +522,7 @@ fn cas(seed: u64, strip: bool) -> IrProgram {
             w.let_("cur", ld(ctr.cell()));
             w.cas("ok", ctr.cell(), l("cur"), l("cur").add(c(1)));
         });
-        if !strip {
-            b.fence_class();
-        }
+        b.fence_class();
     });
     for tid in 0..2usize {
         let scratch = p.global_line(&format!("scratch{tid}"));
@@ -570,7 +547,7 @@ fn cas(seed: u64, strip: bool) -> IrProgram {
 /// stack of instrumented wrapper classes, nesting scopes deep enough
 /// to overflow the FSS (degrading the inner fences to full fences —
 /// which must preserve the outcome).
-fn pc(family: Family, seed: u64, strip: bool) -> IrProgram {
+fn pc(family: Family, seed: u64) -> IrProgram {
     let k = Knobs::new(family, seed, 2, 3);
     let items = 1 + k.count % 3; // 1..=3 slots
     let depth = match family {
@@ -589,17 +566,13 @@ fn pc(family: Family, seed: u64, strip: bool) -> IrProgram {
             for (i, &v) in vals.iter().enumerate() {
                 b.store(slots.at(c((i * WORDS_PER_LINE) as i64)), c(v));
             }
-            if !strip {
-                b.fence_class();
-            }
+            b.fence_class();
             b.store(count.cell(), c(items as i64));
         });
     }
     p.method(cls, "get", &[], move |b| {
         b.spin_until(ld(count.cell()).eq(c(items as i64)));
-        if !strip {
-            b.fence_class();
-        }
+        b.fence_class();
         b.ret(Some(ld(slots.at(c(((items - 1) * WORDS_PER_LINE) as i64)))));
     });
     // Wrapper classes W0..W{depth-1}: W_i::call invokes the next
@@ -613,9 +586,7 @@ fn pc(family: Family, seed: u64, strip: bool) -> IrProgram {
             format!("W{}::call", d + 1)
         };
         p.method(cd, "call", &[], move |b| {
-            if !strip {
-                b.fence_class();
-            }
+            b.fence_class();
             b.call(&inner, &[]);
         });
     }
@@ -698,8 +669,9 @@ mod tests {
                     "{}: no observed locations",
                     family.name()
                 );
-                let stripped = build(&LitmusSpec::new(family, seed).stripped());
-                assert!(stripped.program.validate().is_ok());
+                assert!(compile_stripped(&LitmusSpec::new(family, seed))
+                    .validate()
+                    .is_ok());
             }
         }
     }
@@ -708,8 +680,8 @@ mod tests {
     fn stripped_variant_has_no_fences() {
         use sfence_isa::Instr;
         for family in FAMILIES {
-            let w = build(&LitmusSpec::new(family, 5).stripped());
-            for t in &w.program.threads {
+            let stripped = compile_stripped(&LitmusSpec::new(family, 5));
+            for t in &stripped.threads {
                 assert!(
                     !t.iter().any(|i| matches!(
                         i,
@@ -746,9 +718,9 @@ mod tests {
             );
             // The stripped variant (the campaign's S-nofence row)
             // must lose every fence and scope marker.
-            let stripped = build(&LitmusSpec::new(Family::Regression, i).stripped());
+            let stripped = compile_stripped(&LitmusSpec::new(Family::Regression, i));
             use sfence_isa::Instr;
-            for t in &stripped.program.threads {
+            for t in &stripped.threads {
                 assert!(!t.iter().any(|ins| matches!(
                     ins,
                     Instr::Fence { .. } | Instr::FsStart { .. } | Instr::FsEnd { .. }

@@ -52,6 +52,7 @@
 
 use crate::support::{compile, BuiltWorkload, Prng};
 use sfence_isa::ir::{c, l, ld, BlockBuilder, Class, Global, IrProgram};
+use sfence_isa::passes::strip_fences;
 use sfence_isa::WORDS_PER_LINE;
 
 /// Catalog namespace for encoded synthesized programs.
@@ -442,12 +443,11 @@ struct Lower {
 }
 
 /// Per-thread lowering context: identity for observer/filler naming
-/// plus the thread's private scratch line and the strip flag.
+/// plus the thread's private scratch line.
 struct ThreadCtx {
     tid: usize,
     obs_idx: usize,
     scratch: Global,
-    strip: bool,
 }
 
 impl Lower {
@@ -496,10 +496,8 @@ impl Lower {
                     let mname = format!("m{}", self.method_idx);
                     self.method_idx += 1;
                     let set = self.set.clone();
-                    let (scratch, strip) = (ctx.scratch, ctx.strip);
-                    p.method(class, &mname, &[], |b| {
-                        emit_items(b, &inner, &set, scratch, strip)
-                    });
+                    let scratch = ctx.scratch;
+                    p.method(class, &mname, &[], |b| emit_items(b, &inner, &set, scratch));
                     items.push(Item::Call(format!("C{cl}::{mname}")));
                 }
             }
@@ -508,26 +506,14 @@ impl Lower {
     }
 }
 
-fn emit_items(b: &mut BlockBuilder, items: &[Item], set: &[Global], scratch: Global, strip: bool) {
+fn emit_items(b: &mut BlockBuilder, items: &[Item], set: &[Global], scratch: Global) {
     for item in items {
         match item {
             Item::Store(g, v) => b.store(g.cell(), c(*v)),
             Item::Load(g, obs) => b.store(obs.cell(), ld(g.cell())),
-            Item::FenceFull => {
-                if !strip {
-                    b.fence()
-                }
-            }
-            Item::FenceClass => {
-                if !strip {
-                    b.fence_class()
-                }
-            }
-            Item::FenceSet => {
-                if !strip {
-                    b.fence_set(set)
-                }
-            }
+            Item::FenceFull => b.fence(),
+            Item::FenceClass => b.fence_class(),
+            Item::FenceSet => b.fence_set(set),
             Item::Work(name, units, seed) => {
                 b.let_(name, c(*seed));
                 for k in 0..*units as usize {
@@ -546,9 +532,8 @@ fn emit_items(b: &mut BlockBuilder, items: &[Item], set: &[Global], scratch: Glo
 }
 
 /// Emit a spec as an IR program. `strip` removes every fence (the
-/// campaign's `S-nofence` row): with no class fences left no class is
-/// instrumented, so the stripped binary carries no scope markers
-/// either — exactly like [`crate::litmus::LitmusSpec::stripped`].
+/// campaign's `S-nofence` row) through
+/// [`strip_fences`](sfence_isa::passes::strip_fences).
 pub fn ir(spec: &SynthSpec, strip: bool) -> IrProgram {
     assert!(spec.validate(), "invalid synth spec {:?}", spec.encode());
     let mut p = IrProgram::new();
@@ -572,7 +557,6 @@ pub fn ir(spec: &SynthSpec, strip: bool) -> IrProgram {
             tid,
             obs_idx: 0,
             scratch: p.global_line(&format!("scratch{tid}")),
-            strip,
         };
         let nodes = tree(ops);
         let items = lower.lower(&mut p, &nodes, &mut ctx, false);
@@ -581,9 +565,12 @@ pub fn ir(spec: &SynthSpec, strip: bool) -> IrProgram {
     let set = lower.set.clone();
     for (items, scratch) in &bodies {
         p.thread(|b| {
-            emit_items(b, items, &set, *scratch, strip);
+            emit_items(b, items, &set, *scratch);
             b.halt();
         });
+    }
+    if strip {
+        strip_fences(&mut p);
     }
     p
 }
