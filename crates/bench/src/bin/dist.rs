@@ -34,7 +34,7 @@
 //!
 //! sfence-dist work ADDR                        # connect and serve leases
 //!     [--cache-dir DIR]                        worker-local result cache
-//!     [--threads N]                            threads per lease (default: CPUs)
+//!     [--threads N]                            lease loops, one thread and session each (default: CPUs)
 //!     [--name STR]                             worker name (default host-pid)
 //!     [--token-file FILE]
 //!     [--lease-batch N]                        cells requested per lease (0 = server default)

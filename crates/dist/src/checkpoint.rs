@@ -36,6 +36,12 @@
 //! outcome of a badly-timed kill is resuming from the previous
 //! checkpoint interval.
 //!
+//! A daemon renders its snapshot under its state lock but writes it
+//! with the lock released, so lease, result and status traffic never
+//! waits on a write or an fsync. [`SnapshotWriter`] serializes those
+//! writes and numbers the renders: a render older than the newest
+//! durable snapshot is dropped, never written over it.
+//!
 //! When [`load`] does fall back, the torn main file is quarantined to
 //! `<path>.torn` right then (kept for post-mortem, replaced on the
 //! next fallback). Leaving it in place would be a trap: the first
@@ -47,7 +53,8 @@ use crate::spec::ExperimentSpec;
 use sfence_harness::json::{self, Json};
 use std::fs;
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// Bumped when the snapshot layout changes incompatibly. Old
 /// snapshots are rejected with a clear error rather than mis-read.
@@ -224,6 +231,40 @@ pub fn save(path: &Path, snapshot: &Snapshot) -> Result<(), String> {
     fs::rename(&tmp, path).map_err(|e| format!("rename {}: {e}", tmp.display()))
 }
 
+/// [`save`]s snapshots rendered under the daemon's state lock but
+/// written outside it, one write at a time and newest-wins. Each
+/// render is numbered in the order it was taken (under the lock, so a
+/// higher number holds every mutation a lower one does); a render
+/// older than the newest durable snapshot is dropped.
+pub struct SnapshotWriter {
+    path: PathBuf,
+    /// Number of the newest durable snapshot (0 = none yet). Held
+    /// through each write, so writes never overlap.
+    durable: Mutex<u64>,
+}
+
+impl SnapshotWriter {
+    pub fn new(path: impl Into<PathBuf>) -> SnapshotWriter {
+        SnapshotWriter {
+            path: path.into(),
+            durable: Mutex::new(0),
+        }
+    }
+
+    /// Save `snapshot`, the render numbered `seq`. `Ok(false)` means
+    /// a newer render is already durable, which covers this one; an
+    /// error leaves the newest durable snapshot in place.
+    pub fn save(&self, seq: u64, snapshot: &Snapshot) -> Result<bool, String> {
+        let mut durable = self.durable.lock().unwrap();
+        if seq <= *durable {
+            return Ok(false);
+        }
+        save(&self.path, snapshot)?;
+        *durable = seq;
+        Ok(true)
+    }
+}
+
 /// Load the snapshot at `path`, falling back to `<path>.prev` if the
 /// main file is torn or unreadable — in which case the torn main is
 /// quarantined to `<path>.torn` so a subsequent [`save`] cannot
@@ -387,6 +428,42 @@ mod tests {
         let loaded = load(&path).unwrap().unwrap();
         assert!(!loaded.fallback);
         assert_eq!(loaded.snapshot, s3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stale_render_never_replaces_a_newer_snapshot() {
+        // Two renders race to the writer and the newer one wins: the
+        // older, arriving second, must not overwrite it.
+        let dir = tmp_dir("stale");
+        let path = dir.join("ckpt.jsonl");
+        let writer = SnapshotWriter::new(&path);
+        let (older, newer) = (snapshot(2, &[1]), snapshot(3, &[1, 2]));
+        assert!(writer.save(2, &newer).unwrap());
+        assert!(!writer.save(1, &older).unwrap(), "stale render dropped");
+        assert!(!writer.save(2, &older).unwrap(), "a render saves once");
+        assert_eq!(load(&path).unwrap().unwrap().snapshot, newer);
+        assert!(!prev_path(&path).exists(), "nothing rotated");
+        // A later render still lands.
+        let latest = snapshot(4, &[1, 2, 3]);
+        assert!(writer.save(3, &latest).unwrap());
+        assert_eq!(load(&path).unwrap().unwrap().snapshot, latest);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_write_lets_an_older_render_through() {
+        // Only durable snapshots count: after a failed write of render
+        // 2, render 1 is still newer than anything on disk.
+        let dir = tmp_dir("failed");
+        let path = dir.join("ckpt.jsonl");
+        let writer = SnapshotWriter::new(&path);
+        fs::create_dir(tmp_path(&path)).unwrap(); // the temp file cannot be created
+        assert!(writer.save(2, &snapshot(3, &[1, 2])).is_err());
+        fs::remove_dir(tmp_path(&path)).unwrap();
+        let older = snapshot(2, &[1]);
+        assert!(writer.save(1, &older).unwrap());
+        assert_eq!(load(&path).unwrap().unwrap().snapshot, older);
         let _ = fs::remove_dir_all(&dir);
     }
 

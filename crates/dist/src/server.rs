@@ -17,7 +17,9 @@
 //!   priorities, fair-share accounting, done rows) is snapshotted to
 //!   an atomic-rename JSONL file ([`crate::checkpoint`]); a restarted
 //!   daemon resumes every in-flight campaign under the *same ids*.
-//!   A checkpoint is forced before `submitted` is acked — and a
+//!   Snapshots are rendered under the state lock and written outside
+//!   it, newest render wins, so no request waits on a write or an
+//!   fsync. A checkpoint is forced before `submitted` is acked — and a
 //!   submit whose forced snapshot cannot be written is rolled back
 //!   and rejected — so a campaign the client knows about is never
 //!   lost. Completed campaigns are retained until `retain_fetched_ms`
@@ -34,7 +36,7 @@
 //!   byte by byte from timing. Every flow ends its connection the
 //!   same way: the final frame, then a graceful close.
 
-use crate::checkpoint::{self, CampaignSnapshot, Snapshot};
+use crate::checkpoint::{self, CampaignSnapshot, Snapshot, SnapshotWriter};
 use crate::protocol::{
     write_msg, CampaignState, FrameError, FrameReader, Msg, ReadStop, PROTOCOL_VERSION,
     RESULT_CHUNK_ROWS,
@@ -77,9 +79,12 @@ pub struct ServerOpts {
     /// How long a silent (non-heartbeating) worker keeps its leases.
     pub lease_ttl_ms: u64,
     /// Housekeeping tick: how often lease expiry, fetched-campaign
-    /// eviction, periodic checkpoints, the metrics history and the
-    /// shutdown flag are serviced, and the connection read timeout.
-    /// Connections are accepted as they arrive, not on this tick.
+    /// eviction, periodic checkpoints and the metrics history are
+    /// serviced, and the connection read timeout. Connections are
+    /// accepted as they arrive, not on this tick, and the shutdown
+    /// flag is checked on sleep slices of at most 10 ms, so a stopping
+    /// daemon answers held requests `done` and returns well inside one
+    /// tick.
     pub poll_ms: u64,
     /// Longest time a worker's `request` is held when nothing is
     /// pending anywhere. A held request is granted the moment a submit,
@@ -207,6 +212,10 @@ struct Campaign {
     /// Server-clock ms when the campaign was registered (or restored).
     started_ms: u64,
     completed: bool,
+    /// False while a submit waits on the forced checkpoint that must
+    /// hold the campaign before it is acked: no cell of it is leased
+    /// until then.
+    durable: bool,
     /// Server-clock ms of the first successful *complete* fetch —
     /// the retention clock. Not persisted: a restarted daemon starts
     /// the clock afresh, which only ever keeps campaigns longer.
@@ -234,6 +243,7 @@ impl Campaign {
             queue,
             started_ms,
             completed: false,
+            durable: true,
             fetched_at_ms: None,
         }
     }
@@ -273,13 +283,34 @@ struct Shared {
     /// time, frame handling, checkpoint saves), spliced into every
     /// `status` snapshot via [`sfence_obs::Registry::absorb`].
     hist: sfence_obs::Registry,
-    /// Set on any mutation the checkpoint must capture; cleared on
-    /// snapshot.
+    /// Set on any mutation the checkpoint must capture; cleared when a
+    /// snapshot is rendered, set again if its write fails.
     dirty: bool,
     last_checkpoint_ms: u64,
+    /// Snapshots rendered so far; numbers each render for the
+    /// [`SnapshotWriter`].
+    renders: u64,
+}
+
+/// A snapshot rendered under the `shared` lock, written after it is
+/// released ([`Service::save_checkpoint`]).
+struct Render {
+    seq: u64,
+    snapshot: Snapshot,
 }
 
 impl Shared {
+    /// Render the state for a checkpoint and mark it clean.
+    fn render(&mut self, now_ms: u64) -> Render {
+        self.renders += 1;
+        self.dirty = false;
+        self.last_checkpoint_ms = now_ms;
+        Render {
+            seq: self.renders,
+            snapshot: self.snapshot(),
+        }
+    }
+
     fn snapshot(&self) -> Snapshot {
         Snapshot {
             schema_version: SCHEMA_VERSION,
@@ -369,6 +400,8 @@ struct Service<'a> {
     /// Set once the shutdown flag has been seen; handlers answer
     /// `done` from then on.
     stop: AtomicBool,
+    /// `None` with checkpointing off.
+    checkpoint: Option<SnapshotWriter>,
     registry: Option<Registry>,
     opts: &'a ServerOpts,
     log: &'a EventLog,
@@ -387,6 +420,62 @@ impl Service<'_> {
         self.stop.store(true, Ordering::SeqCst);
         drop(self.shared.lock().unwrap());
         self.work_ready.notify_all();
+    }
+
+    /// Render a snapshot under the held lock `s`; `None` with
+    /// checkpointing off.
+    fn render_checkpoint(&self, s: &mut Shared) -> Option<Render> {
+        self.checkpoint.as_ref()?;
+        Some(s.render(self.now_ms()))
+    }
+
+    /// The periodic snapshot, when one is due: the state is dirty and
+    /// `checkpoint_every_ms` has passed since the last render.
+    fn due_checkpoint(&self, s: &mut Shared) -> Option<Render> {
+        let now_ms = self.now_ms();
+        if !s.dirty || now_ms.saturating_sub(s.last_checkpoint_ms) < self.opts.checkpoint_every_ms {
+            return None;
+        }
+        self.render_checkpoint(s)
+    }
+
+    /// Write `render` with the `shared` lock released: no lease,
+    /// result, poll or status waits on the write or its fsync. A render
+    /// that a newer durable snapshot already covers is dropped. A
+    /// failed write marks the state dirty again, so the next periodic
+    /// snapshot retries, and is reported to the caller: the submit
+    /// path rolls back and rejects, periodic callers log.
+    fn save_checkpoint(&self, render: Render) -> Result<(), String> {
+        let Some(writer) = &self.checkpoint else {
+            return Ok(());
+        };
+        let t0 = Instant::now();
+        let saved = writer.save(render.seq, &render.snapshot);
+        let mut s = self.shared.lock().unwrap();
+        match saved {
+            Ok(written) => {
+                if written {
+                    let ms = t0.elapsed().as_secs_f64() * 1000.0;
+                    s.hist.observe("checkpoint_save_ms", &[], ms);
+                }
+                Ok(())
+            }
+            Err(e) => {
+                s.dirty = true;
+                Err(e)
+            }
+        }
+    }
+
+    /// Write a periodic snapshot, if one was due. A failure must not
+    /// kill live campaigns; the operator sees the complaint and the
+    /// next interval retries.
+    fn save_periodic(&self, render: Option<Render>) {
+        match render.map(|r| self.save_checkpoint(r)) {
+            Some(Ok(())) => self.log.debug("checkpoint", &[]),
+            Some(Err(e)) => self.log.error("checkpoint_fail", &[("err", &e)]),
+            None => {}
+        }
     }
 }
 
@@ -510,50 +599,17 @@ fn status_metrics(s: &Shared, elapsed_ms: u64) -> MetricsReport {
     reg.snapshot("coordinator")
 }
 
-/// Snapshot to disk unconditionally (no-op when checkpointing is
-/// off) and report failure to the caller. The caller decides what a
-/// failure means: the submit ack path rolls back and rejects (the
-/// client must never hold an id a restart would forget), periodic
-/// callers log and let the next interval retry. Must be called with
-/// the lock *held by the caller* — takes `&mut Shared` to make that
-/// structural.
-fn checkpoint_now(s: &mut Shared, opts: &ServerOpts, now_ms: u64) -> Result<(), String> {
-    let Some(path) = &opts.checkpoint else {
-        return Ok(());
-    };
-    let t0 = Instant::now();
-    checkpoint::save(path, &s.snapshot())?;
-    s.hist.observe(
-        "checkpoint_save_ms",
-        &[],
-        t0.elapsed().as_secs_f64() * 1000.0,
-    );
-    s.dirty = false;
-    s.last_checkpoint_ms = now_ms;
-    Ok(())
-}
-
-/// Periodic snapshot: only when the state is dirty and the interval
-/// elapsed. A failed periodic snapshot must not kill live campaigns;
-/// the operator sees the complaint and the next interval retries.
-fn maybe_checkpoint(s: &mut Shared, opts: &ServerOpts, now_ms: u64, log: &EventLog) {
-    if opts.checkpoint.is_none() || !s.dirty {
-        return;
-    }
-    if now_ms.saturating_sub(s.last_checkpoint_ms) < opts.checkpoint_every_ms {
-        return;
-    }
-    match checkpoint_now(s, opts, now_ms) {
-        Ok(()) => log.debug("checkpoint", &[]),
-        Err(e) => log.error("checkpoint_fail", &[("err", &e)]),
-    }
-}
+/// The ticker's longest sleep between looks at the shutdown flag.
+const STOP_CHECK_MS: u64 = 10;
 
 /// The housekeeping thread. Every `poll_ms` it expires stale leases,
 /// evicts fetched campaigns, takes the periodic checkpoint and appends
-/// the metrics history. Once the shutdown flag flips it stops the
-/// service and wakes the acceptor, blocked in `accept`, by connecting
-/// to `wake`, repeating each tick until the acceptor has left.
+/// the metrics history. It looks at the shutdown flag on every sleep
+/// slice of at most `STOP_CHECK_MS`, not only at housekeeping ticks:
+/// once the flag flips it stops the service, which answers held
+/// requests `done` at once, and wakes the acceptor, blocked in
+/// `accept`, by connecting to `wake`, repeating each `poll_ms` until
+/// the acceptor has left.
 fn tick_loop(
     svc: &Service,
     mut metrics_writer: Option<RotatingWriter>,
@@ -561,38 +617,15 @@ fn tick_loop(
     accepting: &AtomicBool,
 ) {
     let (opts, log) = (svc.opts, svc.log);
+    let poll = Duration::from_millis(opts.poll_ms);
+    let slice = Duration::from_millis(opts.poll_ms.clamp(1, STOP_CHECK_MS));
     let mut last_metrics_ms: Option<u64> = None;
+    let mut last_tick: Option<Instant> = None;
+    let mut last_wake: Option<Instant> = None;
     loop {
-        let mut metrics_line: Option<String> = None;
-        {
-            let mut s = svc.shared.lock().unwrap();
-            let expired = s.expire_all(svc.now_ms());
-            if expired > 0 {
-                svc.work_ready.notify_all();
-                log.info("re_lease", &[("count", &expired.to_string())]);
-            }
-            for id in s.evict_fetched(svc.now_ms(), opts.retain_fetched_ms) {
-                log.info("evict", &[("campaign", &format!("c{id}"))]);
-            }
-            maybe_checkpoint(&mut s, opts, svc.now_ms(), log);
-            if metrics_writer.is_some()
-                && last_metrics_ms.is_none_or(|at| {
-                    svc.now_ms().saturating_sub(at) >= opts.metrics_interval_ms.max(1)
-                })
-            {
-                metrics_line = Some(
-                    status_metrics(&s, svc.now_ms())
-                        .to_json()
-                        .to_string_compact(),
-                );
-                last_metrics_ms = Some(svc.now_ms());
-            }
-        }
-        if let (Some(w), Some(line)) = (metrics_writer.as_mut(), metrics_line) {
-            if let Err(e) = w.append_line(&line) {
-                log.error("metrics_log_fail", &[("err", &e.to_string())]);
-                metrics_writer = None;
-            }
+        if last_tick.is_none_or(|at| at.elapsed() >= poll) {
+            last_tick = Some(Instant::now());
+            housekeep(svc, &mut metrics_writer, &mut last_metrics_ms);
         }
         if !svc.stop.load(Ordering::SeqCst) && shutdown_requested(opts) {
             svc.begin_stop();
@@ -601,15 +634,58 @@ fn tick_loop(
             if !accepting.load(Ordering::SeqCst) {
                 return;
             }
-            let timeout = Duration::from_millis(opts.poll_ms.max(10));
-            if let Err(e) = TcpStream::connect_timeout(&wake, timeout) {
-                log.warn(
-                    "wake_fail",
-                    &[("addr", &wake.to_string()), ("err", &e.to_string())],
-                );
+            if last_wake.is_none_or(|at| at.elapsed() >= poll) {
+                last_wake = Some(Instant::now());
+                let timeout = Duration::from_millis(opts.poll_ms.max(10));
+                if let Err(e) = TcpStream::connect_timeout(&wake, timeout) {
+                    log.warn(
+                        "wake_fail",
+                        &[("addr", &wake.to_string()), ("err", &e.to_string())],
+                    );
+                }
             }
         }
-        std::thread::sleep(Duration::from_millis(opts.poll_ms));
+        std::thread::sleep(slice);
+    }
+}
+
+/// One housekeeping tick of [`tick_loop`].
+fn housekeep(
+    svc: &Service,
+    metrics_writer: &mut Option<RotatingWriter>,
+    last_metrics_ms: &mut Option<u64>,
+) {
+    let (opts, log) = (svc.opts, svc.log);
+    let mut metrics_line: Option<String> = None;
+    let render = {
+        let mut s = svc.shared.lock().unwrap();
+        let expired = s.expire_all(svc.now_ms());
+        if expired > 0 {
+            svc.work_ready.notify_all();
+            log.info("re_lease", &[("count", &expired.to_string())]);
+        }
+        for id in s.evict_fetched(svc.now_ms(), opts.retain_fetched_ms) {
+            log.info("evict", &[("campaign", &format!("c{id}"))]);
+        }
+        if metrics_writer.is_some()
+            && last_metrics_ms
+                .is_none_or(|at| svc.now_ms().saturating_sub(at) >= opts.metrics_interval_ms.max(1))
+        {
+            metrics_line = Some(
+                status_metrics(&s, svc.now_ms())
+                    .to_json()
+                    .to_string_compact(),
+            );
+            *last_metrics_ms = Some(svc.now_ms());
+        }
+        svc.due_checkpoint(&mut s)
+    };
+    svc.save_periodic(render);
+    if let (Some(w), Some(line)) = (metrics_writer.as_mut(), metrics_line) {
+        if let Err(e) = w.append_line(&line) {
+            log.error("metrics_log_fail", &[("err", &e.to_string())]);
+            *metrics_writer = None;
+        }
     }
 }
 
@@ -698,6 +774,7 @@ pub fn run_server(
         hist: sfence_obs::Registry::new(),
         dirty: false,
         last_checkpoint_ms: 0,
+        renders: 0,
     };
 
     // --- Restore from checkpoint ---------------------------------
@@ -777,8 +854,11 @@ pub fn run_server(
     // contract from second zero: a daemon told to checkpoint but
     // unable to write its file fails fast instead of running with an
     // unsatisfiable resume promise.
-    if shared.dirty {
-        checkpoint_now(&mut shared, opts, now_ms())
+    let checkpoint = opts.checkpoint.as_ref().map(SnapshotWriter::new);
+    if let (Some(writer), true) = (&checkpoint, shared.dirty) {
+        let render = shared.render(now_ms());
+        writer
+            .save(render.seq, &render.snapshot)
             .map_err(|e| format!("initial checkpoint: {e}"))?;
     }
 
@@ -797,6 +877,7 @@ pub fn run_server(
         shared: Mutex::new(shared),
         work_ready: Condvar::new(),
         stop: AtomicBool::new(false),
+        checkpoint,
         registry,
         opts,
         log,
@@ -840,13 +921,16 @@ pub fn run_server(
     });
 
     // Final snapshot: a clean shutdown resumes with zero replay.
-    {
+    let render = {
         let mut s = svc.shared.lock().unwrap();
         if s.dirty {
-            if let Err(e) = checkpoint_now(&mut s, opts, now_ms()) {
-                log.error("checkpoint_fail", &[("phase", "final"), ("err", &e)]);
-            }
+            svc.render_checkpoint(&mut s)
+        } else {
+            None
         }
+    };
+    if let Some(Err(e)) = render.map(|r| svc.save_checkpoint(r)) {
+        log.error("checkpoint_fail", &[("phase", "final"), ("err", &e)]);
     }
 
     // Clients that raced the shutdown sit un-accepted in the listen
@@ -1085,38 +1169,49 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
             };
             let fingerprint = experiment.fingerprint();
             let job_count = experiment.job_count();
-            let reply = {
+            // Register the campaign unleasable and render a snapshot
+            // holding it under the lock; write it outside. The ack
+            // waits for that write: once the client holds the
+            // campaign id, a daemon restart must not have forgotten
+            // it. If the save fails that invariant is unsatisfiable,
+            // so the campaign — never leased — is rolled back and the
+            // submit rejected.
+            let (id, render) = {
                 let mut s = shared.lock().unwrap();
                 let id = s.next_campaign;
-                let was_dirty = s.dirty;
                 s.next_campaign += 1;
                 let queue = JobQueue::new(job_count);
-                let campaign =
+                let mut campaign =
                     Campaign::new(id, spec, priority, fingerprint.clone(), queue, now_ms());
-                let priority = campaign.priority;
-                s.scheduler.add(id, priority);
+                campaign.durable = false;
+                s.scheduler.add(id, campaign.priority);
                 s.campaigns.insert(id, campaign);
                 s.dirty = true;
-                // Force the snapshot *before* acking: once the client
-                // holds the campaign id, a daemon restart must not
-                // have forgotten it. If the save fails that invariant
-                // is unsatisfiable, so roll the campaign back and
-                // reject — never ack an id a restart would forget.
-                match checkpoint_now(&mut s, opts, now_ms()) {
+                (id, svc.render_checkpoint(&mut s))
+            };
+            let saved = render.map_or(Ok(()), |r| svc.save_checkpoint(r));
+            let reply = {
+                let mut s = shared.lock().unwrap();
+                match saved {
                     Ok(()) => {
+                        let c = s
+                            .campaigns
+                            .get_mut(&id)
+                            .expect("only a failed submit removes it");
+                        c.durable = true;
                         // Durable: held requests may lease from it now.
                         svc.work_ready.notify_all();
                         log.info(
                             "submit",
                             &[
-                                ("campaign", &format!("c{id}")),
-                                ("experiment", &s.campaigns[&id].spec.experiment),
+                                ("campaign", &c.public_id()),
+                                ("experiment", &c.spec.experiment),
                                 ("jobs", &job_count.to_string()),
-                                ("priority", &priority.to_string()),
+                                ("priority", &c.priority.to_string()),
                             ],
                         );
                         Msg::Submitted {
-                            campaign: format!("c{id}"),
+                            campaign: c.public_id(),
                             job_count: job_count as u64,
                             fingerprint,
                         }
@@ -1124,8 +1219,10 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
                     Err(e) => {
                         s.campaigns.remove(&id);
                         s.scheduler.remove(id);
-                        s.next_campaign = id;
-                        s.dirty = was_dirty;
+                        // Reuse the id unless a later submit took the next.
+                        if s.next_campaign == id + 1 {
+                            s.next_campaign = id;
+                        }
                         s.rejected += 1;
                         log.error(
                             "submit_reject",
@@ -1326,8 +1423,11 @@ fn worker_loop(
                     // so the lease frame carries one spec.
                     let picked = {
                         let campaigns = &s.campaigns;
-                        s.scheduler
-                            .pick(|id| campaigns.get(&id).is_some_and(|c| c.queue.pending() > 0))
+                        s.scheduler.pick(|id| {
+                            campaigns
+                                .get(&id)
+                                .is_some_and(|c| c.durable && c.queue.pending() > 0)
+                        })
                     };
                     let Some(id) = picked else {
                         let left = hold_until.saturating_duration_since(Instant::now());
@@ -1417,8 +1517,9 @@ fn worker_loop(
                             .observe("cell_wall_ms", &[("worker", worker_key)], per_cell);
                     }
                 }
-                maybe_checkpoint(&mut s, opts, now_ms(), log);
+                let render = svc.due_checkpoint(&mut s);
                 drop(s);
+                svc.save_periodic(render);
                 if newly_complete {
                     log.info(
                         "complete",

@@ -5,9 +5,21 @@
 //! re-run (or a checkpoint-resumed replay) of a campaign executes
 //! zero cells on every worker that has seen them before.
 //!
+//! A worker runs `threads` independent *lease loops*, one per
+//! executing thread. Each loop is a session of its own — connection,
+//! heartbeat thread, reconnect backoff — that requests a lease, runs
+//! its cells one after another on its own thread, appends their cache
+//! lines to its own writer file and sends the rows. So no thread waits
+//! for a lease's slowest cell on another thread, behind another
+//! thread's cache writes, or on another loop's round trip. The cache
+//! directory is read once per process and those entries are shared by
+//! every loop without a lock. The first loop error (a rejection, a
+//! fingerprint mismatch, a coordinator lost for good) stops every
+//! loop, and [`work`] returns it.
+//!
 //! Since protocol v3 each `lease` frame carries its campaign's spec
-//! and fingerprint; the worker resolves each campaign the first time
-//! it sees its id and keeps the resolved [`Experiment`] for later
+//! and fingerprint; a loop resolves each campaign the first time it
+//! sees its id and keeps the resolved [`Experiment`] for later
 //! leases — re-checking the frame's fingerprint against the cached
 //! one on every lease, because the id→experiment binding is only
 //! stable while one daemon's state lives (a daemon restarted without
@@ -26,11 +38,11 @@ use sfence_harness::{host_token, Experiment, ResultCache, RunOptions, SCHEMA_VER
 use sfence_obs::log::{EventLog, LogLevel};
 use sfence_workloads::support::Prng;
 use std::collections::HashMap;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// First reconnect delay; doubles per consecutive failure.
@@ -43,8 +55,9 @@ const RECONNECT_CAP_MS: u64 = 5000;
 pub struct WorkerOpts {
     /// Worker-local content-addressed result cache directory.
     pub cache_dir: Option<PathBuf>,
-    /// Threads for executing a lease's cells (0 = one per CPU, capped
-    /// by the lease size).
+    /// Executing threads, one lease loop each (0 = one per CPU). Every
+    /// loop is its own coordinator session and runs its leases' cells
+    /// one after another.
     pub threads: usize,
     /// Heartbeat interval; must be well under the coordinator's lease
     /// TTL.
@@ -67,14 +80,16 @@ pub struct WorkerOpts {
     /// coordinator pick its default.
     pub lease_batch: u64,
     /// Connection attempts after a lost coordinator before giving up
-    /// (`--reconnect`); 0 = exit on the first loss (the v2 behavior).
-    /// The counter resets on every completed handshake, so a worker
-    /// that outlives many coordinator restarts never exhausts it.
+    /// (`--reconnect`), counted per lease loop; 0 = exit on the first
+    /// loss (the v2 behavior). The counter resets on every completed
+    /// handshake, so a worker that outlives many coordinator restarts
+    /// never exhausts it.
     pub reconnect_attempts: u32,
-    /// Exit cleanly once this long has passed since the session began
-    /// or the last lease finished, with only `wait` replies since; 0 =
-    /// keep asking forever. Lets a daemon-attached worker drain away
-    /// once its campaigns finish.
+    /// End a lease loop cleanly once this long has passed since its
+    /// session began or its last lease finished, with only `wait`
+    /// replies since; the worker exits when every loop has. 0 = keep
+    /// asking forever. Lets a daemon-attached worker drain away once
+    /// its campaigns finish.
     pub idle_exit_ms: u64,
     /// Event logger for worker lifecycle events. `None` = the worker
     /// builds a stderr-only logger whose verbosity follows `quiet` /
@@ -146,24 +161,113 @@ impl SessionError {
     }
 }
 
+/// What a worker's lease loops share. The first loop to fail records
+/// its error and stops the rest at once: shutting down every live
+/// connection wakes a loop blocked in a read (or fails its next
+/// send), and the condvar ends its naps and reconnect backoff.
+struct Fleet {
+    state: Mutex<FleetState>,
+    wake: Condvar,
+}
+
+struct FleetState {
+    /// The first loop error; set = every loop stops.
+    error: Option<String>,
+    /// Each loop's live connection, by loop index.
+    conns: Vec<Option<TcpStream>>,
+}
+
+impl Fleet {
+    fn new(loops: usize) -> Fleet {
+        Fleet {
+            state: Mutex::new(FleetState {
+                error: None,
+                conns: (0..loops).map(|_| None).collect(),
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    fn stopped(&self) -> bool {
+        self.state.lock().unwrap().error.is_some()
+    }
+
+    /// Record `error` unless another loop already failed, and stop
+    /// every loop.
+    fn fail(&self, error: String) {
+        let mut state = self.state.lock().unwrap();
+        state.error.get_or_insert(error);
+        for conn in state.conns.iter().flatten() {
+            let _ = conn.shutdown(Shutdown::Both);
+        }
+        self.wake.notify_all();
+    }
+
+    /// Sleep up to `d`; true when the fleet stopped meanwhile.
+    fn nap(&self, d: Duration) -> bool {
+        let state = self.state.lock().unwrap();
+        let (state, _) = self
+            .wake
+            .wait_timeout_while(state, d, |s| s.error.is_none())
+            .unwrap();
+        state.error.is_some()
+    }
+
+    /// Register loop `slot`'s connection so a failing loop can shut it
+    /// down; refused once the fleet has stopped.
+    fn attach(&self, slot: usize, stream: &TcpStream) -> Result<(), SessionError> {
+        let mut state = self.state.lock().unwrap();
+        if state.error.is_some() {
+            return Err(SessionError::retryable("worker stopping"));
+        }
+        let conn = stream
+            .try_clone()
+            .map_err(|e| SessionError::fatal(format!("clone stream: {e}")))?;
+        state.conns[slot] = Some(conn);
+        Ok(())
+    }
+
+    fn detach(&self, slot: usize) {
+        self.state.lock().unwrap().conns[slot] = None;
+    }
+}
+
+/// Unregisters a session's connection from the fleet when it ends.
+struct Detach<'a>(&'a Fleet, usize);
+
+impl Drop for Detach<'_> {
+    fn drop(&mut self) {
+        self.0.detach(self.1);
+    }
+}
+
+/// Stops the fleet when its lease loop unwinds, so a panicking cell
+/// (a workload invariant violation) ends the other loops too instead
+/// of leaving them serving leases while `work` waits to re-raise it.
+struct StopOnPanic<'a>(&'a Fleet);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.fail("a lease loop panicked".into());
+        }
+    }
+}
+
 /// Connect to the coordinator at `addr`, serve leases until the
 /// service says `done` (or the worker idles out), and return this
-/// worker's accounting. With `reconnect_attempts > 0`, a lost
-/// coordinator triggers capped-exponential-backoff retries instead of
-/// an error.
+/// worker's accounting. `opts.threads` lease loops run side by side,
+/// each its own session; the first loop error stops them all and is
+/// returned. With `reconnect_attempts > 0`, a lost coordinator
+/// triggers capped-exponential-backoff retries instead of an error.
 pub fn work(addr: &str, registry: Registry, opts: &WorkerOpts) -> Result<WorkerSummary, String> {
     let name = opts
         .name
         .clone()
         .unwrap_or_else(|| format!("{}-{}", host_token(), std::process::id()));
-    let mut cache = match &opts.cache_dir {
-        // Unique writer name: any number of workers on any number of
-        // hosts may share one cache directory.
-        Some(dir) => Some(
-            ResultCache::open_unique(dir, "worker")
-                .map_err(|e| format!("open cache {}: {e}", dir.display()))?,
-        ),
-        None => None,
+    let loops = match opts.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
     };
     // The caller's logger, or a stderr-only one. `progress` keeps its
     // pre-logger meaning of forcing lease lines through `quiet`.
@@ -178,13 +282,101 @@ pub fn work(addr: &str, registry: Registry, opts: &WorkerOpts) -> Result<WorkerS
         ))
     });
     let log = log.as_ref();
+    // The directory is read once; every loop shares those entries and
+    // appends its own results to its own writer file (a unique name:
+    // any number of workers on any number of hosts may share one
+    // cache directory).
+    let caches: Vec<Option<ResultCache>> = match &opts.cache_dir {
+        Some(dir) => {
+            let cache = ResultCache::open_unique(dir, "worker")
+                .map_err(|e| format!("open cache {}: {e}", dir.display()))?;
+            log.info(
+                "cache_load",
+                &[
+                    ("worker", &name),
+                    ("entries", &cache.len().to_string()),
+                    ("skipped", &cache.skipped_lines().to_string()),
+                ],
+            );
+            let forks: Vec<_> = (1..loops)
+                .map(|_| Some(cache.fork_unique("worker")))
+                .collect();
+            std::iter::once(Some(cache)).chain(forks).collect()
+        }
+        None => (0..loops).map(|_| None).collect(),
+    };
+    let fleet = Fleet::new(loops);
+    let outcomes = std::thread::scope(|scope| {
+        let handles: Vec<_> = caches
+            .into_iter()
+            .enumerate()
+            .map(|(slot, cache)| {
+                let name = if loops == 1 {
+                    name.clone()
+                } else {
+                    format!("{name}.{slot}")
+                };
+                let fleet = &fleet;
+                scope.spawn(move || {
+                    let _stop = StopOnPanic(fleet);
+                    let lp = Loop {
+                        addr,
+                        name: &name,
+                        slot,
+                        registry,
+                        opts,
+                        fleet,
+                        log,
+                    };
+                    lease_loop(&lp, cache)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+    });
+    let mut total = WorkerSummary::default();
+    for outcome in outcomes {
+        match outcome {
+            Ok(summary) => {
+                total.jobs += summary.jobs;
+                total.executed += summary.executed;
+                total.cache_hits += summary.cache_hits;
+            }
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    }
+    match fleet.state.into_inner().unwrap().error {
+        Some(error) => Err(error),
+        None => Ok(total),
+    }
+}
+
+/// What one lease loop and each of its sessions run with.
+struct Loop<'a> {
+    addr: &'a str,
+    /// The worker name, suffixed `.<slot>` when the worker runs more
+    /// than one loop; sent in the handshake and on every log line.
+    name: &'a str,
+    slot: usize,
+    registry: Registry,
+    opts: &'a WorkerOpts,
+    fleet: &'a Fleet,
+    log: &'a EventLog,
+}
+
+/// One lease loop: sessions (reconnecting after a lost coordinator as
+/// `opts` allows) until the coordinator says `done`, the loop idles
+/// out, or the fleet stops. A loop error is handed to the fleet; the
+/// loop's accounting is returned either way.
+fn lease_loop(lp: &Loop, mut cache: Option<ResultCache>) -> WorkerSummary {
+    let (name, opts, fleet, log) = (lp.name, lp.opts, lp.fleet, lp.log);
     let mut summary = WorkerSummary::default();
-    // Campaigns survive sessions: a worker that reconnects after a
+    // Campaigns survive sessions: a loop that reconnects after a
     // coordinator restart already holds the resolved experiments,
     // keyed by campaign id and guarded by the fingerprint each entry
-    // resolved to (see the re-verification in the lease loop).
+    // resolved to (see the re-verification in the session).
     let mut campaigns: HashMap<String, (String, Experiment)> = HashMap::new();
-    // Deterministic per-worker jitter stream; seeding off the name
+    // Deterministic per-loop jitter stream; seeding off the name
     // decorrelates a fleet launched in the same instant.
     let mut rng = Prng::seed_from_u64(name.bytes().fold(0xfe5ce5u64, |acc, b| {
         acc.wrapping_mul(31).wrapping_add(b as u64)
@@ -192,23 +384,13 @@ pub fn work(addr: &str, registry: Registry, opts: &WorkerOpts) -> Result<WorkerS
 
     let mut attempt: u32 = 0;
     loop {
-        match session(
-            addr,
-            &name,
-            registry,
-            opts,
-            &mut summary,
-            &mut campaigns,
-            &mut cache,
-            &mut attempt,
-            log,
-        ) {
+        match session(lp, &mut summary, &mut campaigns, &mut cache, &mut attempt) {
             Ok(end) => {
                 match end {
                     SessionEnd::Done => log.info(
                         "worker_done",
                         &[
-                            ("worker", &name),
+                            ("worker", name),
                             ("jobs", &summary.jobs.to_string()),
                             ("executed", &summary.executed.to_string()),
                             ("cache_hits", &summary.cache_hits.to_string()),
@@ -217,14 +399,16 @@ pub fn work(addr: &str, registry: Registry, opts: &WorkerOpts) -> Result<WorkerS
                     SessionEnd::Idle => log.info(
                         "idle_exit",
                         &[
-                            ("worker", &name),
+                            ("worker", name),
                             ("idle_ms", &opts.idle_exit_ms.to_string()),
                             ("jobs", &summary.jobs.to_string()),
                         ],
                     ),
                 }
-                return Ok(summary);
+                return summary;
             }
+            // Another loop failed and cut this one's connection.
+            Err(_) if fleet.stopped() => return summary,
             Err(e) if e.retryable && attempt < opts.reconnect_attempts => {
                 attempt += 1;
                 // Capped exponential backoff plus up to 25% jitter, so
@@ -236,39 +420,42 @@ pub fn work(addr: &str, registry: Registry, opts: &WorkerOpts) -> Result<WorkerS
                 log.warn(
                     "reconnect",
                     &[
-                        ("worker", &name),
+                        ("worker", name),
                         ("why", &e.msg),
                         ("attempt", &format!("{attempt}/{}", opts.reconnect_attempts)),
                         ("delay_ms", &delay.to_string()),
                     ],
                 );
-                std::thread::sleep(Duration::from_millis(delay));
+                if fleet.nap(Duration::from_millis(delay)) {
+                    return summary;
+                }
             }
-            Err(e) => return Err(e.msg),
+            Err(e) => {
+                fleet.fail(e.msg);
+                return summary;
+            }
         }
     }
 }
 
 /// One connected session: handshake, then the lease loop, until the
 /// coordinator closes, says `done`, or the connection dies.
-#[allow(clippy::too_many_arguments)]
 fn session(
-    addr: &str,
-    name: &str,
-    registry: Registry,
-    opts: &WorkerOpts,
+    lp: &Loop,
     summary: &mut WorkerSummary,
     campaigns: &mut HashMap<String, (String, Experiment)>,
     cache: &mut Option<ResultCache>,
     attempt: &mut u32,
-    log: &EventLog,
 ) -> Result<SessionEnd, SessionError> {
+    let (addr, name, registry, opts, log) = (lp.addr, lp.name, lp.registry, lp.opts, lp.log);
     let stream = TcpStream::connect(addr)
         .map_err(|e| SessionError::retryable(format!("connect {addr}: {e}")))?;
     let _ = stream.set_nodelay(true);
     stream
         .set_read_timeout(Some(Duration::from_millis(opts.read_timeout_ms.max(10))))
         .map_err(|e| SessionError::fatal(format!("set_read_timeout: {e}")))?;
+    lp.fleet.attach(lp.slot, &stream)?;
+    let _detach = Detach(lp.fleet, lp.slot);
 
     // All writes go through one mutex so heartbeat frames (side
     // thread) and protocol frames (this thread) never interleave
@@ -452,12 +639,8 @@ fn session(
                     });
                     return stop_heartbeat(Err(SessionError::fatal(why)));
                 }
-                let threads = if opts.threads == 0 {
-                    sfence_harness::default_threads(jobs.len())
-                } else {
-                    opts.threads
-                };
-                let mut run_opts = RunOptions::new(threads).jobs(jobs.clone());
+                // One thread: the worker's parallelism is its loops.
+                let mut run_opts = RunOptions::new(1).jobs(jobs.clone());
                 if let Some(cache) = cache.as_mut() {
                     run_opts = run_opts.cache(cache);
                 }
@@ -522,7 +705,9 @@ fn session(
             // A current daemon has already held the request and says
             // `ms: 0`; the nap honours daemons that still ask for one.
             Msg::Wait { ms } => {
-                std::thread::sleep(Duration::from_millis(ms.min(5000)));
+                if lp.fleet.nap(Duration::from_millis(ms.min(5000))) {
+                    return stop_heartbeat(Err(SessionError::retryable("worker stopping")));
+                }
                 if opts.idle_exit_ms > 0
                     && idle_since.elapsed() >= Duration::from_millis(opts.idle_exit_ms)
                 {

@@ -3,19 +3,25 @@
 //! `run_parallel()`, survives workers being killed or going silent
 //! mid-campaign (leases re-issued), rejects mismatched binaries at
 //! the handshake, and answers a warm re-run entirely from
-//! worker-local caches.
+//! worker-local caches. A worker's lease loops each count as a
+//! session, share one read of the cache directory, and stop together
+//! when one of them fails.
 
 mod common;
 
 use common::{merged_json, registry, scratch_dir, test_server_opts, test_worker_opts, Daemon};
 use sfence_dist::protocol::{write_msg, FrameReader, Msg, PROTOCOL_VERSION};
-use sfence_dist::{run_server, work, ServerOpts, ServerOutcome, WorkerOpts};
+use sfence_dist::{
+    run_server, work, ExperimentSpec, ServerOpts, ServerOutcome, WorkerOpts, WorkerSummary,
+};
 use sfence_harness::{Experiment, SCHEMA_VERSION};
+use sfence_obs::log::EventLog;
 use sfence_workloads::Scale;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A drifted build: resolves the same name to a different job list
 /// (eval scale instead of small), so its fingerprint disagrees.
@@ -24,12 +30,12 @@ fn drifted_registry(name: &str) -> Option<Experiment> {
 }
 
 /// Run one campaign on a fresh daemon with the given workers and
-/// return `(merged json, daemon counters)`.
+/// return `(merged json, daemon counters, each worker's accounting)`.
 fn campaign(
     experiment: &Experiment,
     workers: &[WorkerOpts],
     cache_dirs: &[Option<PathBuf>],
-) -> (String, ServerOutcome) {
+) -> (String, ServerOutcome, Vec<WorkerSummary>) {
     let daemon = Daemon::start(test_server_opts());
     let handles: Vec<_> = workers
         .iter()
@@ -41,29 +47,34 @@ fn campaign(
             })
         })
         .collect();
-    daemon.await_workers(workers.len() as u64);
+    // Every lease loop is a session of its own.
+    let loops: usize = workers.iter().map(|w| w.threads).sum();
+    daemon.await_workers(loops as u64);
     let ticket = daemon.submit(&experiment.name);
     let rows = daemon.wait(&ticket);
     let outcome = daemon.stop();
-    for h in handles {
-        h.join().unwrap().expect("worker exits cleanly");
-    }
-    (merged_json(experiment, rows), outcome)
+    let summaries = handles
+        .into_iter()
+        .map(|h| h.join().unwrap().expect("worker exits cleanly"))
+        .collect();
+    (merged_json(experiment, rows), outcome, summaries)
 }
 
 #[test]
 fn two_workers_merge_byte_identical_to_single_process() {
     let experiment = registry("tiny").unwrap();
     let expected = experiment.run_parallel().to_json_string();
-    let (json, outcome) = campaign(
-        &experiment,
-        &[test_worker_opts("w0"), test_worker_opts("w1")],
-        &[None, None],
-    );
-    assert_eq!(json, expected);
-    assert_eq!(outcome.workers, 2);
-    assert_eq!(outcome.executed, experiment.job_count() as u64);
-    assert_eq!(outcome.rejected, 0);
+    for threads in [1, 2, 4] {
+        let workers = ["w0", "w1"].map(|name| WorkerOpts {
+            threads,
+            ..test_worker_opts(name)
+        });
+        let (json, outcome, _) = campaign(&experiment, &workers, &[None, None]);
+        assert_eq!(json, expected, "{threads} loops per worker");
+        assert_eq!(outcome.workers, 2 * threads as u64, "one session per loop");
+        assert_eq!(outcome.executed, experiment.job_count() as u64);
+        assert_eq!(outcome.rejected, 0);
+    }
 }
 
 /// A client that completes the v3 handshake, takes one lease, and
@@ -156,7 +167,7 @@ fn warm_cache_rerun_executes_zero_cells_on_every_worker() {
 
     // Cold pass: two workers with separate local caches split the
     // campaign between them.
-    let (json, outcome) = campaign(
+    let (json, outcome, _) = campaign(
         &experiment,
         &workers,
         &[Some(cache_a.clone()), Some(cache_b.clone())],
@@ -171,7 +182,7 @@ fn warm_cache_rerun_executes_zero_cells_on_every_worker() {
         let path = entry.unwrap().path();
         std::fs::copy(&path, cache_a.join(path.file_name().unwrap())).unwrap();
     }
-    let (json, outcome) = campaign(
+    let (json, outcome, _) = campaign(
         &experiment,
         &workers,
         &[Some(cache_a.clone()), Some(cache_a.clone())],
@@ -179,6 +190,34 @@ fn warm_cache_rerun_executes_zero_cells_on_every_worker() {
     assert_eq!(json, expected, "cached rows byte-identical");
     assert_eq!(outcome.executed, 0, "no worker executed any cell");
     assert_eq!(outcome.cache_hits, experiment.job_count() as u64);
+
+    // One worker with two lease loops over the same directory: both
+    // loops answer from the entries it read once.
+    let log = Arc::new(EventLog::to_stderr("worker", None));
+    let looped = WorkerOpts {
+        threads: 2,
+        log: Some(Arc::clone(&log)),
+        ..test_worker_opts("looped")
+    };
+    let (json, outcome, summaries) = campaign(&experiment, &[looped], &[Some(cache_a.clone())]);
+    assert_eq!(json, expected, "cached rows byte-identical");
+    assert_eq!(outcome.workers, 2, "one session per loop");
+    assert_eq!(outcome.executed, 0);
+    let jobs = experiment.job_count() as u64;
+    assert_eq!(
+        summaries[0],
+        WorkerSummary {
+            jobs,
+            executed: 0,
+            cache_hits: jobs,
+        }
+    );
+    let loads = log
+        .recent()
+        .iter()
+        .filter(|e| e.event == "cache_load")
+        .count();
+    assert_eq!(loads, 1, "the cache directory is read once per worker");
 
     let _ = std::fs::remove_dir_all(&cache_a);
     let _ = std::fs::remove_dir_all(&cache_b);
@@ -218,6 +257,88 @@ fn drifted_binary_aborts_at_first_lease_and_campaign_still_completes() {
         outcome.released
     );
     assert_eq!(merged_json(&experiment, rows), expected);
+}
+
+#[test]
+fn a_failing_lease_loop_stops_its_siblings_and_work_returns_its_error() {
+    // A scripted coordinator: the first loop to ask is leased a cell
+    // under a fingerprint no build resolves to; the second loop's
+    // request is never answered. Left alone, that loop would wait out
+    // its idle budget (10 s of windows); the first loop's failure must
+    // end it at once.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let t0 = Instant::now();
+    let worker = std::thread::spawn(move || {
+        work(
+            &addr,
+            registry,
+            &WorkerOpts {
+                threads: 2,
+                ..test_worker_opts("pair")
+            },
+        )
+    });
+    let mut conns: Vec<(TcpStream, FrameReader<TcpStream>)> = (0..2)
+        .map(|_| {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = FrameReader::new(stream.try_clone().unwrap());
+            assert!(matches!(
+                reader.next_msg().unwrap(),
+                Some(Msg::Hello { .. })
+            ));
+            let mut writer = stream;
+            write_msg(
+                &mut writer,
+                &Msg::Welcome {
+                    lease_ttl_ms: 10_000,
+                },
+            )
+            .unwrap();
+            assert!(matches!(
+                reader.next_msg().unwrap(),
+                Some(Msg::Request { .. })
+            ));
+            (writer, reader)
+        })
+        .collect();
+    let (writer, _) = &mut conns[0];
+    write_msg(
+        writer,
+        &Msg::Lease {
+            campaign: "c1".into(),
+            spec: ExperimentSpec::new("tiny").to_json(),
+            fingerprint: "not-this-build".into(),
+            job_count: 8,
+            jobs: vec![0],
+        },
+    )
+    .unwrap();
+    let err = worker
+        .join()
+        .unwrap()
+        .expect_err("a fingerprint mismatch is fatal");
+    let took = t0.elapsed();
+    assert!(
+        err.contains("fingerprint mismatch"),
+        "unexpected error: {err}"
+    );
+    assert!(
+        took < Duration::from_secs(3),
+        "work returned after {took:?}"
+    );
+    // Both sessions are gone: the failing loop aborted, its sibling
+    // was cut off without sending another frame.
+    let (_, failed) = &mut conns[0];
+    assert!(matches!(
+        failed.next_msg().unwrap(),
+        Some(Msg::Abort { .. })
+    ));
+    for (_, reader) in &mut conns {
+        while let Ok(Some(msg)) = reader.next_msg() {
+            assert!(matches!(msg, Msg::Heartbeat), "unexpected {msg:?}");
+        }
+    }
 }
 
 #[test]

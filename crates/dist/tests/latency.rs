@@ -3,9 +3,11 @@
 //! `test_server_opts()` would hide a peer waiting on a timer. Status
 //! probes are accepted as they arrive, a worker already waiting is
 //! leased a submitted campaign at once, shutdown wakes a daemon bound
-//! to the unspecified address, a worker's idle exit counts wall time
-//! while the daemon holds its requests, and a worker told `done` exits
-//! without sleeping out its heartbeat interval.
+//! to the unspecified address, a daemon holding a worker's request
+//! returns well inside one housekeeping tick of its shutdown flag, a
+//! worker's idle exit counts wall time while the daemon holds its
+//! requests, and a worker told `done` exits without sleeping out its
+//! heartbeat interval.
 
 mod common;
 
@@ -116,6 +118,27 @@ fn a_daemon_on_the_unspecified_address_stops_within_a_second_of_its_flag() {
     let took = t0.elapsed();
     assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
     assert_eq!(worker.join().unwrap().expect("worker told done").jobs, 0);
+}
+
+#[test]
+fn a_daemon_holding_a_request_returns_well_inside_one_tick_of_its_flag() {
+    let daemon = Daemon::start(default_opts());
+    let worker = daemon.worker(test_worker_opts("held"));
+    daemon.await_workers(1);
+    // The idle daemon holds each request for `wait_ms` and the worker
+    // asks again at once, so its request is held from here on.
+    std::thread::sleep(Duration::from_millis(20));
+    let t0 = Instant::now();
+    daemon.stop();
+    let took = t0.elapsed();
+    assert_eq!(worker.join().unwrap().expect("worker told done").jobs, 0);
+    // A ticker that looks at the flag only once per tick takes up to
+    // a whole tick to notice it, and as long again to leave.
+    let tick = Duration::from_millis(default_opts().poll_ms);
+    assert!(
+        took < tick / 2,
+        "run_server returned {took:?} after its flag (tick {tick:?})"
+    );
 }
 
 #[test]

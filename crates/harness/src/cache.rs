@@ -36,6 +36,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Monotonic per-process counter feeding [`unique_writer_name`], so
 /// two caches opened by one process never share a writer file.
@@ -238,7 +239,11 @@ pub struct ResultCache {
     dir: PathBuf,
     writer_name: String,
     writer: Option<File>,
-    entries: HashMap<String, RunReport>,
+    /// Entries read from the directory at open, shared with every
+    /// writer [forked](ResultCache::fork_unique) from this cache.
+    loaded: Arc<HashMap<String, RunReport>>,
+    /// Entries this writer inserted since.
+    added: HashMap<String, RunReport>,
     /// Lines skipped at open: unparseable (truncated/corrupt) or a
     /// mismatched `schema_version`.
     skipped_lines: u64,
@@ -267,47 +272,43 @@ impl ResultCache {
     ) -> std::io::Result<ResultCache> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
-        let mut cache = ResultCache {
+        let (entries, skipped_lines) = load(&dir)?;
+        Ok(ResultCache {
             dir,
             writer_name: writer_name.into(),
             writer: None,
-            entries: HashMap::new(),
-            skipped_lines: 0,
-        };
-        cache.load()?;
-        Ok(cache)
+            loaded: Arc::new(entries),
+            added: HashMap::new(),
+            skipped_lines,
+        })
     }
 
-    fn load(&mut self) -> std::io::Result<()> {
-        let mut files: Vec<PathBuf> = fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().map(|x| x == "jsonl").unwrap_or(false))
-            .collect();
-        files.sort();
-        for path in files {
-            for line in BufReader::new(File::open(&path)?).lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_entry(&line) {
-                    Ok((key, report)) => {
-                        self.entries.insert(key, report);
-                    }
-                    Err(_) => self.skipped_lines += 1,
-                }
-            }
+    /// Another writer over this cache's directory, with a fresh
+    /// [`unique_writer_name`], that shares the entries loaded at open
+    /// instead of reading the directory again. Entries either cache
+    /// inserts afterwards stay with that cache (and its file).
+    pub fn fork_unique(&self, prefix: &str) -> ResultCache {
+        ResultCache {
+            dir: self.dir.clone(),
+            writer_name: unique_writer_name(prefix),
+            writer: None,
+            loaded: Arc::clone(&self.loaded),
+            added: HashMap::new(),
+            skipped_lines: self.skipped_lines,
         }
-        Ok(())
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        let fresh = self
+            .added
+            .keys()
+            .filter(|k| !self.loaded.contains_key(*k))
+            .count();
+        self.loaded.len() + fresh
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Lines skipped at open because they were corrupt, truncated, or
@@ -317,7 +318,7 @@ impl ResultCache {
     }
 
     pub fn get(&self, key: &str) -> Option<&RunReport> {
-        self.entries.get(key)
+        self.added.get(key).or_else(|| self.loaded.get(key))
     }
 
     /// Append an entry to this cache's writer file and the in-memory
@@ -342,9 +343,37 @@ impl ResultCache {
         let writer = self.writer.as_mut().unwrap();
         writer.write_all(line.as_bytes())?;
         writer.flush()?;
-        self.entries.insert(key.to_string(), report.clone());
+        self.added.insert(key.to_string(), report.clone());
         Ok(())
     }
+}
+
+/// Read every `*.jsonl` file in `dir`, in name order: the entries and
+/// the number of lines skipped as unreadable.
+fn load(dir: &Path) -> std::io::Result<(HashMap<String, RunReport>, u64)> {
+    let mut files: Vec<PathBuf> = fs::read_dir(dir)?
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().map(|x| x == "jsonl").unwrap_or(false))
+        .collect();
+    files.sort();
+    let mut entries = HashMap::new();
+    let mut skipped = 0;
+    for path in files {
+        for line in BufReader::new(File::open(&path)?).lines() {
+            let line = line?;
+            if line.trim().is_empty() {
+                continue;
+            }
+            match parse_entry(&line) {
+                Ok((key, report)) => {
+                    entries.insert(key, report);
+                }
+                Err(_) => skipped += 1,
+            }
+        }
+    }
+    Ok((entries, skipped))
 }
 
 fn parse_entry(line: &str) -> Result<(String, RunReport), String> {

@@ -18,6 +18,7 @@ use sfence_sim::{FenceConfig, MachineConfig};
 use sfence_workloads::catalog;
 use sfence_workloads::{Scale, ScopeMode, WorkloadParams};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The swept parameter, orthogonal to the fence-config dimension.
 /// `Level` and `Scope` vary how the workload is *built*; `Backend`
@@ -390,7 +391,7 @@ impl Experiment {
             None => (0..jobs.len()).collect(),
         };
 
-        let mut cache = opts.cache;
+        let cache = opts.cache;
         let mut rows = Vec::with_capacity(selected.len());
         let mut misses: Vec<(usize, Option<String>)> = Vec::new();
         let mut cache_hits = 0;
@@ -426,8 +427,15 @@ impl Experiment {
         if let (Some(cb), true) = (opts.on_cell, cache_hits > 0) {
             cb(cache_hits, total);
         }
-        let reports = run_indexed(to_run.len(), opts.threads, |k| {
-            let job = &jobs[to_run[k].0];
+        // Each executed cell is cached and reduced to its row on the
+        // thread that ran it, so its report (the memory image alone is
+        // up to a megabyte) is freed at once instead of waiting for
+        // the whole set. The mutex orders the cache appends.
+        let cache = Mutex::new(cache);
+        let cache_write_errors = AtomicUsize::new(0);
+        let executed = run_indexed(to_run.len(), opts.threads, |k| {
+            let (i, key) = &to_run[k];
+            let job = &jobs[*i];
             let built = catalog::build(&job.workload, &job.params);
             let backend = job.backend.instantiate();
             let mut cfg = job.cfg.clone();
@@ -436,34 +444,27 @@ impl Experiment {
                 .config(cfg)
                 .backend(backend.as_ref())
                 .run();
+            if let (Some(c), Some(key)) = (cache.lock().unwrap().as_deref_mut(), key.as_deref()) {
+                // A failed append (disk full, permissions) must not
+                // discard the simulated result already in hand: the
+                // cell just won't be cached. Callers surface the count.
+                if c.insert(key, &report).is_err() {
+                    cache_write_errors.fetch_add(1, Ordering::Relaxed);
+                }
+            }
             if let Some(cb) = opts.on_cell {
                 cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
             }
-            report
-        });
-        let traces = if opts.pipe_trace {
-            to_run
-                .iter()
-                .zip(&reports)
-                .map(|((i, _), report)| (job_label(&jobs[*i]), report.pipe.clone()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let mut cache_write_errors = 0;
-        for ((i, key), report) in to_run.iter().zip(&reports) {
-            if let (Some(c), Some(key)) = (cache.as_deref_mut(), key.as_deref()) {
-                // A failed append (disk full, permissions) must not
-                // discard the simulated results already in hand: the
-                // cell just won't be cached. Callers surface the count.
-                if c.insert(key, report).is_err() {
-                    cache_write_errors += 1;
-                }
-            }
-            rows.push(IndexedRow {
+            let row = IndexedRow {
                 index: *i,
-                row: row_from_report(&jobs[*i], &axis_name, report),
-            });
+                row: row_from_report(job, &axis_name, &report),
+            };
+            (row, opts.pipe_trace.then(|| (job_label(job), report.pipe)))
+        });
+        let mut traces = Vec::new();
+        for (row, trace) in executed {
+            rows.push(row);
+            traces.extend(trace);
         }
         rows.sort_by_key(|r| r.index);
         RunOutcome {
@@ -473,7 +474,7 @@ impl Experiment {
                 cache_hits,
                 executed: budget,
                 skipped,
-                cache_write_errors,
+                cache_write_errors: cache_write_errors.into_inner(),
             },
             complete: skipped == 0,
         }

@@ -1,6 +1,6 @@
 //! The content-addressed result cache: key stability, hit/miss
-//! accounting, and recovery from corrupt or schema-mismatched
-//! entries.
+//! accounting, recovery from corrupt or schema-mismatched entries,
+//! and forked writers sharing one read of a directory.
 
 use sfence_harness::json::{self, Json};
 use sfence_harness::{
@@ -150,6 +150,52 @@ fn cache_hit_miss_accounting_and_round_trip() {
     assert_eq!(a.to_json_string(), b.to_json_string());
     // And both match an uncached parallel run.
     assert_eq!(a.to_json_string(), exp.run_parallel().to_json_string());
+}
+
+#[test]
+fn forked_writers_share_loaded_entries_and_append_to_their_own_files() {
+    let dir = scratch_dir("fork");
+    let exp = small_experiment();
+    let half = exp.job_count() / 2;
+    let mut cache = ResultCache::open(&dir).unwrap();
+    exp.run_with(
+        RunOptions::new(1)
+            .cache(&mut cache)
+            .jobs((0..half).collect()),
+    );
+
+    // Two writers over one read of the directory: both hit the loaded
+    // half, and each appends only the cells it ran, to its own file.
+    let mut a = ResultCache::open_unique(&dir, "fork").unwrap();
+    let mut b = a.fork_unique("fork");
+    assert_eq!((a.len(), b.len()), (half, half));
+    let rest: Vec<usize> = (half..exp.job_count()).collect();
+    let (mid, _) = rest.split_at(rest.len() / 2);
+    let ran_a = exp.run_with(RunOptions::new(1).cache(&mut a).jobs(rest.clone()));
+    assert_eq!(ran_a.stats.executed, rest.len());
+    let ran_b = exp.run_with(
+        RunOptions::new(1)
+            .cache(&mut b)
+            .jobs((0..half).chain(mid.iter().copied()).collect()),
+    );
+    assert_eq!(ran_b.stats.cache_hits, half, "a's inserts stay with a");
+    assert_eq!(ran_b.stats.executed, mid.len());
+    assert_eq!(a.len(), exp.job_count());
+    assert_eq!(b.len(), half + mid.len());
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(files, 3, "cache.jsonl plus one file per forked writer");
+
+    // A fresh open reads all three files back.
+    let mut all = ResultCache::open(&dir).unwrap();
+    assert_eq!(all.len(), exp.job_count());
+    let warm = exp.run_with(RunOptions::new(1).cache(&mut all));
+    assert_eq!(warm.stats.executed, 0);
+    assert_eq!(
+        SweepResult::from_indexed("cache-test", exp.job_count(), warm.rows)
+            .unwrap()
+            .to_json_string(),
+        exp.run_parallel().to_json_string()
+    );
 }
 
 #[test]

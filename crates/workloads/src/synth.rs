@@ -533,7 +533,7 @@ fn emit_items(b: &mut BlockBuilder, items: &[Item], set: &[Global], scratch: Glo
 
 /// Emit a spec as an IR program. `strip` removes every fence (the
 /// campaign's `S-nofence` row) through
-/// [`strip_fences`](sfence_isa::passes::strip_fences).
+/// [`strip_fences`].
 pub fn ir(spec: &SynthSpec, strip: bool) -> IrProgram {
     assert!(spec.validate(), "invalid synth spec {:?}", spec.encode());
     let mut p = IrProgram::new();
