@@ -8,7 +8,7 @@
 //!     [--token-file FILE]                      shared-secret auth for every client flow
 //!     [--checkpoint FILE]                      atomic-rename JSONL snapshot for kill/resume
 //!     [--checkpoint-every SECS]                snapshot interval (0 = every mutation)
-//!     [--lease N]                              default jobs per lease (default 4)
+//!     [--lease N]                              default jobs per lease (default 4, at most 1024)
 //!     [--lease-ttl SECS]                       silent-worker lease expiry (default 30)
 //!     [--retain-fetched SECS]                  evict a completed campaign this long after
 //!                                              its rows were first fetched (default 600;
@@ -65,7 +65,7 @@
 use sfence_bench::cli::{self, OutputArgs};
 use sfence_dist::{
     client, fetch_dump, fetch_status, render_campaign_table, run_server, work, ExperimentSpec,
-    ServerOpts, WorkerOpts,
+    ServerOpts, WorkerOpts, MAX_LEASE,
 };
 use sfence_harness::{BackendId, SweepResult};
 use sfence_obs::log::{
@@ -159,8 +159,12 @@ fn cmd_serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--lease" => {
-                opts.default_lease =
-                    parse_flag(&mut it, "--lease", |&n: &usize| n > 0, "a positive integer")
+                opts.default_lease = parse_flag(
+                    &mut it,
+                    "--lease",
+                    |&n: &usize| (1..=MAX_LEASE).contains(&n),
+                    &format!("a cell count from 1 to {MAX_LEASE}"),
+                )
             }
             "--lease-ttl" => opts.lease_ttl_ms = ms_flag(&mut it, "--lease-ttl", |&n| n > 0),
             "--token-file" => {

@@ -56,8 +56,7 @@ pub mod status;
 pub mod worker;
 
 pub use client::{poll, submit, wait_for_campaign, CampaignTicket, ClientOpts, Poll, WaitOpts};
-pub use protocol::{FrameError, FrameReader, Msg, MAX_FRAME, PROTOCOL_VERSION};
-pub use scheduler::FairShare;
+pub use protocol::{FrameError, FrameReader, Msg, MAX_FRAME, MAX_LEASE, PROTOCOL_VERSION};
 pub use server::{run_server, token_matches, ServerOpts, ServerOutcome};
 pub use spec::{ExperimentSpec, Registry};
 pub use status::{fetch_dump, fetch_status, render_campaign_table};

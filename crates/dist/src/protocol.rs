@@ -82,9 +82,14 @@ pub const PROTOCOL_VERSION: u64 = 3;
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Rows per `result` frame. A row is a few hundred bytes, so chunks
-/// stay far under [`MAX_FRAME`] no matter how large a lease or a
-/// fetched campaign is.
+/// stay far under [`MAX_FRAME`] no matter how large a fetched
+/// campaign is.
 pub const RESULT_CHUNK_ROWS: usize = 1024;
+
+/// Most cells one lease grants, whatever the worker's `batch` or the
+/// daemon's default. No larger than [`RESULT_CHUNK_ROWS`], so a
+/// worker returns each lease in one `result` frame.
+pub const MAX_LEASE: usize = RESULT_CHUNK_ROWS;
 
 /// Why a frame could not be read.
 #[derive(Debug)]
@@ -133,7 +138,8 @@ pub(crate) fn backoff_ms(attempt: u32, base_ms: u64, cap_ms: u64) -> u64 {
 /// that would exceed [`MAX_FRAME`] is an error *before* any bytes hit
 /// the wire — sending it would only be torn by the receiver, and the
 /// sender is the one side that can name the real problem. (Senders
-/// keep frames small by construction: results ship in
+/// keep frames small by construction: a lease holds at most
+/// [`MAX_LEASE`] cells and fetched rows ship in
 /// [`RESULT_CHUNK_ROWS`]-row chunks.)
 pub fn write_msg(w: &mut impl Write, msg: &Msg) -> io::Result<()> {
     let payload = msg.to_json().to_string_compact();

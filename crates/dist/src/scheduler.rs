@@ -1,109 +1,65 @@
 //! Deterministic weighted fair-share scheduling across campaigns.
 //!
-//! Every campaign carries a priority *weight*; the scheduler tracks
-//! how many cells each campaign has been *served* and always picks
-//! the eligible campaign with the smallest virtual time
-//! `served / weight`. A weight-3 campaign therefore receives three
-//! cells for every one a weight-1 campaign gets, no campaign with
-//! pending work starves (its virtual time stands still while others
-//! grow), and the whole thing is a pure function of (weights, served
-//! counts) — no clocks, no randomness — so a coordinator restored
-//! from a checkpoint schedules exactly as the one that died would
-//! have.
+//! Every campaign carries a priority *weight* and a count of the
+//! cells it has been *served*; the next lease goes to the eligible
+//! campaign with the smallest virtual time `served / weight`. A
+//! weight-3 campaign therefore receives three cells for every one a
+//! weight-1 campaign gets, no campaign with pending work starves (its
+//! virtual time stands still while others grow), and the choice is a
+//! pure function of (weights, served counts) — no clocks, no
+//! randomness — so a coordinator restored from a checkpoint schedules
+//! exactly as the one that died would have. The daemon keeps both
+//! numbers on its campaign records; this module holds only the rule.
 
-use std::collections::BTreeMap;
-
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    weight: u64,
-    served: u64,
-}
-
-/// The scheduler state: one entry per live campaign, keyed by the
-/// campaign's numeric id.
-#[derive(Debug, Default)]
-pub struct FairShare {
-    entries: BTreeMap<u64, Entry>,
-}
-
-impl FairShare {
-    pub fn new() -> FairShare {
-        FairShare::default()
-    }
-
-    /// Register a new campaign. A zero weight is clamped to 1 — a
-    /// campaign that could never be picked would deadlock its
-    /// submitter.
-    pub fn add(&mut self, id: u64, weight: u64) {
-        self.restore(id, weight, 0);
-    }
-
-    /// Re-register a campaign from a checkpoint with its historical
-    /// served count, so scheduling resumes where it left off.
-    pub fn restore(&mut self, id: u64, weight: u64, served: u64) {
-        self.entries.insert(
-            id,
-            Entry {
-                weight: weight.max(1),
-                served,
-            },
-        );
-    }
-
-    /// Drop a campaign (completed or cancelled).
-    pub fn remove(&mut self, id: u64) {
-        self.entries.remove(&id);
-    }
-
-    /// Cells served to `id` so far (0 for unknown ids).
-    pub fn served(&self, id: u64) -> u64 {
-        self.entries.get(&id).map_or(0, |e| e.served)
-    }
-
-    /// Account `cells` of work handed to campaign `id`.
-    pub fn charge(&mut self, id: u64, cells: u64) {
-        if let Some(entry) = self.entries.get_mut(&id) {
-            entry.served = entry.served.saturating_add(cells);
+/// Pick the next campaign to serve among `eligible` `(id, weight,
+/// served)` triples (campaigns with pending cells, weights ≥ 1):
+/// smallest `served / weight`, ties broken by lowest id so the choice
+/// is total and deterministic whatever the input order. The division
+/// never happens — `a.served/a.weight < b.served/b.weight` is compared
+/// as `a.served * b.weight < b.served * a.weight` in u128, which is
+/// exact.
+pub fn pick(eligible: impl IntoIterator<Item = (u64, u64, u64)>) -> Option<u64> {
+    let mut best: Option<(u64, u64, u64)> = None;
+    for (id, weight, served) in eligible {
+        let beats = match best {
+            None => true,
+            Some((b_id, b_weight, b_served)) => {
+                let (lhs, rhs) = (
+                    served as u128 * b_weight as u128,
+                    b_served as u128 * weight as u128,
+                );
+                lhs < rhs || (lhs == rhs && id < b_id)
+            }
+        };
+        if beats {
+            best = Some((id, weight, served));
         }
     }
-
-    /// Pick the next campaign to serve among those `eligible` (i.e.
-    /// with pending cells): smallest `served / weight`, ties broken
-    /// by lowest id so the choice is total and deterministic. The
-    /// division never happens — `a.served/a.weight < b.served/b.weight`
-    /// is compared as `a.served * b.weight < b.served * a.weight` in
-    /// u128, which is exact.
-    pub fn pick(&self, eligible: impl Fn(u64) -> bool) -> Option<u64> {
-        let mut best: Option<(u64, Entry)> = None;
-        for (&id, &entry) in &self.entries {
-            if !eligible(id) {
-                continue;
-            }
-            let beats = match best {
-                None => true,
-                Some((_, b)) => {
-                    (entry.served as u128) * (b.weight as u128)
-                        < (b.served as u128) * (entry.weight as u128)
-                }
-            };
-            if beats {
-                best = Some((id, entry));
-            }
-        }
-        best.map(|(id, _)| id)
-    }
+    best.map(|(id, _, _)| id)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
-    /// Drive the scheduler one cell at a time and count who got what.
-    fn serve_cells(fs: &mut FairShare, cells: usize) -> BTreeMap<u64, u64> {
+    /// `(id, weight, served)` rows in id order, as the daemon's
+    /// campaign table yields them, with nothing served yet.
+    fn table(weights: &[(u64, u64)]) -> Vec<(u64, u64, u64)> {
+        weights.iter().map(|&(id, w)| (id, w, 0)).collect()
+    }
+
+    /// Serve one cell to `id`.
+    fn charge(t: &mut [(u64, u64, u64)], id: u64) {
+        t.iter_mut().find(|row| row.0 == id).unwrap().2 += 1;
+    }
+
+    /// Drive the rule one cell at a time and count who got what.
+    fn serve_cells(t: &mut [(u64, u64, u64)], cells: usize) -> BTreeMap<u64, u64> {
         let mut counts = BTreeMap::new();
         for _ in 0..cells {
-            let id = fs.pick(|_| true).expect("some campaign is eligible");
-            fs.charge(id, 1);
+            let id = pick(t.iter().copied()).expect("some campaign is eligible");
+            charge(t, id);
             *counts.entry(id).or_insert(0) += 1;
         }
         counts
@@ -111,21 +67,14 @@ mod tests {
 
     #[test]
     fn weights_split_service_proportionally() {
-        let mut fs = FairShare::new();
-        fs.add(1, 2);
-        fs.add(2, 1);
-        let counts = serve_cells(&mut fs, 300);
+        let counts = serve_cells(&mut table(&[(1, 2), (2, 1)]), 300);
         assert_eq!(counts[&1], 200);
         assert_eq!(counts[&2], 100);
     }
 
     #[test]
     fn equal_weights_round_robin() {
-        let mut fs = FairShare::new();
-        fs.add(1, 1);
-        fs.add(2, 1);
-        fs.add(3, 1);
-        let counts = serve_cells(&mut fs, 99);
+        let counts = serve_cells(&mut table(&[(1, 1), (2, 1), (3, 1)]), 99);
         assert_eq!(counts[&1], 33);
         assert_eq!(counts[&2], 33);
         assert_eq!(counts[&3], 33);
@@ -135,77 +84,57 @@ mod tests {
     fn low_weight_campaigns_are_not_starved() {
         // Even against a weight-1000 campaign, the weight-1 campaign
         // keeps receiving service at its (small) proportional rate.
-        let mut fs = FairShare::new();
-        fs.add(1, 1000);
-        fs.add(2, 1);
-        let counts = serve_cells(&mut fs, 2002);
+        let counts = serve_cells(&mut table(&[(1, 1000), (2, 1)]), 2002);
         assert_eq!(counts[&2], 2, "weight-1 campaign got its share");
         assert_eq!(counts[&1], 2000);
     }
 
     #[test]
     fn ineligible_campaigns_are_skipped() {
-        let mut fs = FairShare::new();
-        fs.add(1, 10);
-        fs.add(2, 1);
+        let mut t = table(&[(1, 10), (2, 1)]);
         // Campaign 1 has nothing pending: everything goes to 2.
         for _ in 0..5 {
-            assert_eq!(fs.pick(|id| id == 2), Some(2));
-            fs.charge(2, 1);
+            assert_eq!(pick(t.iter().copied().filter(|row| row.0 == 2)), Some(2));
+            charge(&mut t, 2);
         }
         // Campaign 1 becomes eligible again and, being far behind in
         // virtual time, is picked immediately.
-        assert_eq!(fs.pick(|_| true), Some(1));
+        assert_eq!(pick(t.iter().copied()), Some(1));
         // Nothing eligible → no pick.
-        assert_eq!(fs.pick(|_| false), None);
-    }
-
-    #[test]
-    fn zero_weight_is_clamped_not_starved() {
-        let mut fs = FairShare::new();
-        fs.add(1, 0);
-        fs.add(2, 1);
-        let counts = serve_cells(&mut fs, 10);
-        assert_eq!(counts[&1], 5);
-        assert_eq!(counts[&2], 5);
+        assert_eq!(pick([]), None);
     }
 
     #[test]
     fn ties_break_toward_the_lowest_id() {
-        let mut fs = FairShare::new();
-        fs.add(7, 1);
-        fs.add(3, 1);
-        assert_eq!(fs.pick(|_| true), Some(3));
+        assert_eq!(pick([(7, 1, 0), (3, 1, 0)]), Some(3));
+        assert_eq!(pick([(3, 1, 0), (7, 1, 0)]), Some(3));
+        // Equal virtual time at different weights is a tie too.
+        assert_eq!(pick([(5, 2, 4), (4, 1, 2)]), Some(4));
     }
 
     #[test]
     fn restore_resumes_historical_fairness() {
-        // A fresh scheduler that replayed history behaves like one
-        // restored from a checkpoint of that history.
-        let mut live = FairShare::new();
-        live.add(1, 2);
-        live.add(2, 1);
+        // A table rebuilt from the served counts a checkpoint holds
+        // schedules in lockstep with the live one it was taken from.
+        let mut live = table(&[(1, 2), (2, 1)]);
         serve_cells(&mut live, 150);
-
-        let mut restored = FairShare::new();
-        restored.restore(1, 2, live.served(1));
-        restored.restore(2, 1, live.served(2));
+        let mut restored = live.clone();
         for _ in 0..150 {
-            let a = live.pick(|_| true).unwrap();
-            let b = restored.pick(|_| true).unwrap();
+            let a = pick(live.iter().copied()).unwrap();
+            let b = pick(restored.iter().copied()).unwrap();
             assert_eq!(a, b);
-            live.charge(a, 1);
-            restored.charge(b, 1);
+            charge(&mut live, a);
+            charge(&mut restored, b);
         }
     }
 
     #[test]
     fn removed_campaigns_stop_receiving_service() {
-        let mut fs = FairShare::new();
-        fs.add(1, 1);
-        fs.add(2, 1);
-        fs.remove(1);
-        let counts = serve_cells(&mut fs, 10);
+        let mut t = table(&[(1, 1), (2, 1)]);
+        serve_cells(&mut t, 4);
+        // Evicted, or a submit rolled back: its row leaves the table.
+        t.retain(|row| row.0 != 1);
+        let counts = serve_cells(&mut t, 10);
         assert_eq!(counts.get(&1), None);
         assert_eq!(counts[&2], 10);
     }

@@ -2,10 +2,11 @@
 //! campaigns, many clients.
 //!
 //! The server keeps a *campaign table*: every `submit` registers a new
-//! campaign (spec + priority weight + its own [`JobQueue`]), workers
-//! lease cells across all running campaigns through the
-//! [`crate::scheduler::FairShare`] scheduler, and `fetch` clients
-//! poll campaigns by id and stream the merged rows once complete.
+//! campaign (spec, priority weight, cells served and its own
+//! [`JobQueue`]), workers lease cells across all running campaigns in
+//! the order [`crate::scheduler::pick`] gives over those weights and
+//! served counts, and `fetch` clients poll campaigns by id and stream
+//! the merged rows once complete.
 //! Three invariants hold throughout:
 //!
 //! - **Byte-identical merges.** Each campaign's rows are completed
@@ -38,10 +39,10 @@
 
 use crate::checkpoint::{self, CampaignSnapshot, Snapshot, SnapshotWriter};
 use crate::protocol::{
-    write_msg, CampaignState, FrameError, FrameReader, Msg, ReadStop, PROTOCOL_VERSION,
+    write_msg, CampaignState, FrameError, FrameReader, Msg, ReadStop, MAX_LEASE, PROTOCOL_VERSION,
     RESULT_CHUNK_ROWS,
 };
-use crate::scheduler::FairShare;
+use crate::scheduler;
 use crate::spec::{ExperimentSpec, Registry};
 use crate::worker::WorkerSummary;
 use sfence_harness::experiment::SweepRow;
@@ -71,11 +72,8 @@ pub const STRAGGLER_MIN_SAMPLES: u64 = 8;
 #[derive(Debug, Clone)]
 pub struct ServerOpts {
     /// Cells per lease when the worker doesn't ask for a batch size
-    /// (`request.batch == 0`).
+    /// (`request.batch == 0`). Every grant is capped at [`MAX_LEASE`].
     pub default_lease: usize,
-    /// Upper bound on `--lease-batch`: a worker may ask for at most
-    /// this many cells per frame.
-    pub max_lease: usize,
     /// How long a silent (non-heartbeating) worker keeps its leases.
     pub lease_ttl_ms: u64,
     /// Housekeeping tick: how often lease expiry, fetched-campaign
@@ -134,7 +132,6 @@ impl Default for ServerOpts {
     fn default() -> ServerOpts {
         ServerOpts {
             default_lease: 4,
-            max_lease: 1024,
             lease_ttl_ms: 30_000,
             poll_ms: 100,
             wait_ms: 200,
@@ -157,11 +154,8 @@ impl Default for ServerOpts {
 pub struct FinishedCampaign {
     pub id: u64,
     pub experiment: String,
-    pub job_count: usize,
     pub done: usize,
     pub complete: bool,
-    /// Present only when complete: every job's row, index-tagged.
-    pub rows: Vec<IndexedRow>,
 }
 
 /// What the server did over its lifetime, for `sfence-sweep
@@ -196,22 +190,24 @@ pub fn token_matches(expected: &str, presented: Option<&str>) -> bool {
     diff == 0
 }
 
-/// One live campaign: the resolved experiment's identity plus its
-/// job queue. The [`Experiment`] itself is *not* stored — workers
-/// resolve specs themselves; the server only needs job counts and
-/// fingerprints.
+/// One live campaign: the resolved experiment's identity, its
+/// fair-share standing and its job queue. The [`Experiment`] itself
+/// is *not* stored — workers resolve specs themselves; the server
+/// only needs job counts (`queue.len()`) and fingerprints.
 struct Campaign {
     id: u64,
     spec: ExperimentSpec,
     /// `spec.to_json()`, pre-rendered once for lease frames.
     spec_json: sfence_harness::json::Json,
+    /// The fair-share weight, ≥ 1.
     priority: u64,
+    /// Cells leased from this campaign so far (re-leases count again);
+    /// its fair-share virtual time is `served / priority`.
+    served: u64,
     fingerprint: String,
-    job_count: usize,
     queue: JobQueue<SweepRow>,
     /// Server-clock ms when the campaign was registered (or restored).
     started_ms: u64,
-    completed: bool,
     /// False while a submit waits on the forced checkpoint that must
     /// hold the campaign before it is acked: no cell of it is leased
     /// until then.
@@ -223,8 +219,10 @@ struct Campaign {
 }
 
 impl Campaign {
-    /// A campaign registered now — submitted, seeded at start-up or
-    /// restored from a checkpoint. Priorities are clamped to ≥ 1.
+    /// A campaign registered now with nothing served — submitted,
+    /// seeded at start-up or restored from a checkpoint. Priorities
+    /// are clamped to ≥ 1: a campaign that could never be picked
+    /// would deadlock its submitter.
     fn new(
         id: u64,
         spec: ExperimentSpec,
@@ -238,11 +236,10 @@ impl Campaign {
             spec_json: spec.to_json(),
             spec,
             priority: priority.max(1),
+            served: 0,
             fingerprint,
-            job_count: queue.len(),
             queue,
             started_ms,
-            completed: false,
             durable: true,
             fetched_at_ms: None,
         }
@@ -271,7 +268,6 @@ fn parse_campaign_id(public: &str) -> Option<u64> {
 struct Shared {
     next_campaign: u64,
     campaigns: BTreeMap<u64, Campaign>,
-    scheduler: FairShare,
     workers: u64,
     executed: u64,
     cache_hits: u64,
@@ -322,9 +318,9 @@ impl Shared {
                     id: c.id,
                     spec: c.spec.clone(),
                     priority: c.priority,
-                    served: self.scheduler.served(c.id),
+                    served: c.served,
                     fingerprint: c.fingerprint.clone(),
-                    job_count: c.job_count as u64,
+                    job_count: c.queue.len() as u64,
                     queue: c.queue.to_json(SweepRow::to_json),
                 })
                 .collect(),
@@ -381,7 +377,6 @@ impl Shared {
             .collect();
         for &id in &expired {
             self.campaigns.remove(&id);
-            self.scheduler.remove(id);
             self.dirty = true;
         }
         expired
@@ -512,22 +507,17 @@ fn status_metrics(s: &Shared, elapsed_ms: u64) -> MetricsReport {
         }
     };
     reg.gauge("cells_per_sec", &[], rate(totals.1 as u64, elapsed_ms));
+    let completed = s
+        .campaigns
+        .values()
+        .filter(|c| c.queue.is_complete())
+        .count();
     reg.gauge(
         "campaigns_active",
         &[],
-        s.campaigns
-            .values()
-            .filter(|c| !c.queue.is_complete())
-            .count() as f64,
+        (s.campaigns.len() - completed) as f64,
     );
-    reg.gauge(
-        "campaigns_completed",
-        &[],
-        s.campaigns
-            .values()
-            .filter(|c| c.queue.is_complete())
-            .count() as f64,
-    );
+    reg.gauge("campaigns_completed", &[], completed as f64);
     reg.counter("workers_connected", &[], s.workers);
     reg.counter("cells_executed", &[], s.executed);
     reg.counter("cache_hits", &[], s.cache_hits);
@@ -764,7 +754,6 @@ pub fn run_server(
     let mut shared = Shared {
         next_campaign: 1,
         campaigns: BTreeMap::new(),
-        scheduler: FairShare::new(),
         workers: 0,
         executed: 0,
         cache_hits: 0,
@@ -795,22 +784,12 @@ pub fn run_server(
             }
             shared.next_campaign = snap.next_campaign;
             for c in snap.campaigns {
-                // Re-resolve the spec and insist the fingerprint
-                // matches: done rows from a drifted binary cannot be
-                // merged with rows this one would produce.
+                // Done rows from a drifted binary cannot be merged
+                // with rows this one would produce.
                 if let Some(registry) = registry {
-                    let experiment = c
-                        .spec
-                        .resolve(registry)
+                    c.spec
+                        .resolve_as(registry, &c.fingerprint, c.job_count)
                         .map_err(|e| format!("checkpoint campaign c{}: {e}", c.id))?;
-                    let fp = experiment.fingerprint();
-                    if fp != c.fingerprint || experiment.job_count() as u64 != c.job_count {
-                        return Err(format!(
-                            "checkpoint campaign c{} ({:?}) was fingerprint {} but this \
-                             binary resolves it to {fp}: refusing to merge drifted rows",
-                            c.id, c.spec.experiment, c.fingerprint
-                        ));
-                    }
                 }
                 let queue = JobQueue::from_json(&c.queue, SweepRow::from_json)
                     .map_err(|e| format!("checkpoint campaign c{}: {e}", c.id))?;
@@ -831,9 +810,10 @@ pub fn run_server(
                         ("total", &queue.len().to_string()),
                     ],
                 );
-                let campaign =
-                    Campaign::new(c.id, c.spec, c.priority, c.fingerprint, queue, now_ms());
-                shared.scheduler.restore(c.id, campaign.priority, c.served);
+                let campaign = Campaign {
+                    served: c.served,
+                    ..Campaign::new(c.id, c.spec, c.priority, c.fingerprint, queue, now_ms())
+                };
                 shared.campaigns.insert(c.id, campaign);
             }
         }
@@ -846,7 +826,6 @@ pub fn run_server(
         let queue = JobQueue::new(experiment.job_count());
         let fingerprint = experiment.fingerprint();
         let campaign = Campaign::new(id, spec, priority, fingerprint, queue, now_ms());
-        shared.scheduler.add(id, campaign.priority);
         shared.campaigns.insert(id, campaign);
         shared.dirty = true;
     }
@@ -948,31 +927,11 @@ pub fn run_server(
     let campaigns = s
         .campaigns
         .into_values()
-        .map(|c| {
-            let done = c.queue.done();
-            let complete = c.queue.is_complete();
-            let rows = if complete {
-                c.queue
-                    .into_payloads()
-                    .map(|payloads| {
-                        payloads
-                            .into_iter()
-                            .enumerate()
-                            .map(|(index, row)| IndexedRow { index, row })
-                            .collect()
-                    })
-                    .unwrap_or_default()
-            } else {
-                Vec::new()
-            };
-            FinishedCampaign {
-                id: c.id,
-                experiment: c.spec.experiment,
-                job_count: c.job_count,
-                done,
-                complete,
-                rows,
-            }
+        .map(|c| FinishedCampaign {
+            id: c.id,
+            done: c.queue.done(),
+            complete: c.queue.is_complete(),
+            experiment: c.spec.experiment,
         })
         .collect();
     Ok(ServerOutcome {
@@ -1184,7 +1143,6 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
                 let mut campaign =
                     Campaign::new(id, spec, priority, fingerprint.clone(), queue, now_ms());
                 campaign.durable = false;
-                s.scheduler.add(id, campaign.priority);
                 s.campaigns.insert(id, campaign);
                 s.dirty = true;
                 (id, svc.render_checkpoint(&mut s))
@@ -1218,7 +1176,6 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
                     }
                     Err(e) => {
                         s.campaigns.remove(&id);
-                        s.scheduler.remove(id);
                         // Reuse the id unless a later submit took the next.
                         if s.next_campaign == id + 1 {
                             s.next_campaign = id;
@@ -1332,6 +1289,16 @@ fn handle_conn(stream: TcpStream, conn_id: u64, svc: &Service) {
     }
 }
 
+/// Cells to grant a `request` for `batch` (0 = `default_lease`): at
+/// least one, at most [`MAX_LEASE`].
+fn lease_size(batch: u64, default_lease: usize) -> usize {
+    match batch {
+        0 => default_lease,
+        n => usize::try_from(n).unwrap_or(MAX_LEASE),
+    }
+    .clamp(1, MAX_LEASE)
+}
+
 /// The post-handshake worker conversation: requests become leases
 /// picked by the fair-share scheduler, results land in their
 /// campaign's queue, heartbeats extend leases across every campaign.
@@ -1400,12 +1367,7 @@ fn worker_loop(
         let reply = match msg {
             Msg::Request { batch } => {
                 frame_kind = Some("request");
-                let want = if batch == 0 {
-                    opts.default_lease
-                } else {
-                    (batch as usize).min(opts.max_lease)
-                }
-                .max(1);
+                let want = lease_size(batch, opts.default_lease);
                 // With nothing pending the request is held, re-picking
                 // on every wake-up, for up to `wait_ms`.
                 let hold_until = frame_t0 + Duration::from_millis(opts.wait_ms);
@@ -1421,14 +1383,12 @@ fn worker_loop(
                     // Fair-share pick among campaigns with pending
                     // cells; the whole batch comes from one campaign
                     // so the lease frame carries one spec.
-                    let picked = {
-                        let campaigns = &s.campaigns;
-                        s.scheduler.pick(|id| {
-                            campaigns
-                                .get(&id)
-                                .is_some_and(|c| c.durable && c.queue.pending() > 0)
-                        })
-                    };
+                    let picked = scheduler::pick(
+                        s.campaigns
+                            .values()
+                            .filter(|c| c.durable && c.queue.pending() > 0)
+                            .map(|c| (c.id, c.priority, c.served)),
+                    );
                     let Some(id) = picked else {
                         let left = hold_until.saturating_duration_since(Instant::now());
                         if left.is_zero() {
@@ -1442,15 +1402,15 @@ fn worker_loop(
                     let lease_ttl = opts.lease_ttl_ms;
                     let c = s.campaigns.get_mut(&id).expect("picked campaign exists");
                     let jobs = c.queue.lease(worker_key, want, now, lease_ttl);
+                    c.served = c.served.saturating_add(jobs.len() as u64);
+                    let cid = c.public_id();
                     let msg = Msg::Lease {
-                        campaign: c.public_id(),
+                        campaign: cid.clone(),
                         spec: c.spec_json.clone(),
                         fingerprint: c.fingerprint.clone(),
-                        job_count: c.job_count as u64,
-                        jobs: jobs.clone(),
+                        job_count: c.queue.len() as u64,
+                        jobs,
                     };
-                    let cid = c.public_id();
-                    s.scheduler.charge(id, jobs.len() as u64);
                     s.dirty = true;
                     let grant_ms = frame_t0.elapsed().as_secs_f64() * 1000.0;
                     s.hist
@@ -1484,6 +1444,7 @@ fn worker_loop(
                 stat.executed += executed;
                 stat.cache_hits += cache_hits;
                 let c = s.campaigns.get_mut(&id).expect("checked above");
+                let was_complete = c.queue.is_complete();
                 for row in rows {
                     match c.queue.complete(row.index, row.row) {
                         // Ok(false): a re-leased job came back twice —
@@ -1497,10 +1458,7 @@ fn worker_loop(
                         }
                     }
                 }
-                let newly_complete = c.queue.is_complete() && !c.completed;
-                if newly_complete {
-                    c.completed = true;
-                }
+                let newly_complete = !was_complete && c.queue.is_complete();
                 let (id_str, done, total) = (c.public_id(), c.queue.done(), c.queue.len());
                 s.executed += executed;
                 s.cache_hits += cache_hits;
@@ -1581,6 +1539,40 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_priority_is_scheduled_as_weight_one() {
+        // Seeded and submitted campaigns both go through
+        // `Campaign::new`, the one place the weight is clamped.
+        let campaign = |id, priority| {
+            let queue = JobQueue::new(10);
+            Campaign::new(
+                id,
+                ExperimentSpec::new("x"),
+                priority,
+                String::new(),
+                queue,
+                0,
+            )
+        };
+        let mut campaigns = [campaign(1, 0), campaign(2, 1)];
+        assert_eq!(campaigns[0].priority, 1);
+        for _ in 0..10 {
+            let id = scheduler::pick(campaigns.iter().map(|c| (c.id, c.priority, c.served)));
+            campaigns[id.unwrap() as usize - 1].served += 1;
+        }
+        assert_eq!([campaigns[0].served, campaigns[1].served], [5, 5]);
+    }
+
+    #[test]
+    fn lease_grants_follow_the_request_under_the_cap() {
+        assert_eq!(lease_size(3, 2), 3);
+        assert_eq!(lease_size(0, 2), 2, "batch 0 takes the daemon default");
+        assert_eq!(lease_size(0, 0), 1, "a grant is never empty");
+        assert_eq!(lease_size(MAX_LEASE as u64 + 1, 2), MAX_LEASE);
+        assert_eq!(lease_size(u64::MAX, 2), MAX_LEASE);
+        assert_eq!(lease_size(0, MAX_LEASE * 2), MAX_LEASE);
+    }
 
     #[test]
     fn token_comparison_accepts_only_the_exact_token() {

@@ -58,6 +58,28 @@ impl ExperimentSpec {
         self.apply(experiment)
     }
 
+    /// [`resolve`](Self::resolve) and insist the result is the
+    /// experiment `fingerprint` and `job_count` name: rows of a
+    /// drifted job list must never be merged with this binary's.
+    pub fn resolve_as(
+        &self,
+        registry: Registry,
+        fingerprint: &str,
+        job_count: u64,
+    ) -> Result<Experiment, String> {
+        let experiment = self.resolve(registry)?;
+        let fp = experiment.fingerprint();
+        if fp != fingerprint || experiment.job_count() as u64 != job_count {
+            return Err(format!(
+                "fingerprint mismatch for {:?}: expected {fingerprint} ({job_count} jobs), \
+                 this binary resolves {fp} ({} jobs)",
+                self.experiment,
+                experiment.job_count()
+            ));
+        }
+        Ok(experiment)
+    }
+
     /// Apply the `--scale` / `--backend` overrides to `experiment`:
     /// the one shaping step of the figure binaries, `sfence-sweep`
     /// and the daemon, so a distributed run of a spec and a local run

@@ -9,7 +9,9 @@
 //! executing thread. Each loop is a session of its own — connection,
 //! heartbeat thread, reconnect backoff — that requests a lease, runs
 //! its cells one after another on its own thread, appends their cache
-//! lines to its own writer file and sends the rows. So no thread waits
+//! lines to its own writer file and sends the rows back in one
+//! `result` frame (a lease holds at most
+//! [`MAX_LEASE`](crate::protocol::MAX_LEASE) cells). So no thread waits
 //! for a lease's slowest cell on another thread, behind another
 //! thread's cache writes, or on another loop's round trip. The cache
 //! directory is read once per process and those entries are shared by
@@ -30,8 +32,7 @@
 //! resume is hands-off end to end.
 
 use crate::protocol::{
-    backoff_ms, write_msg, FrameError, FrameReader, Msg, ReadStop, PROTOCOL_VERSION,
-    RESULT_CHUNK_ROWS,
+    backoff_ms, write_msg, FrameError, FrameReader, Msg, ReadStop, MAX_LEASE, PROTOCOL_VERSION,
 };
 use crate::spec::{ExperimentSpec, Registry};
 use sfence_harness::{host_token, Experiment, ResultCache, RunOptions, SCHEMA_VERSION};
@@ -64,12 +65,9 @@ pub struct WorkerOpts {
     pub heartbeat_ms: u64,
     /// Worker name sent in the handshake (default: host token + pid).
     pub name: Option<String>,
-    /// Consecutive read-timeout windows tolerated before concluding
-    /// the coordinator is gone (0 = no limit). Each window is
-    /// `read_timeout_ms` long.
-    pub max_idle_windows: u32,
-    /// Read timeout granularity.
-    pub read_timeout_ms: u64,
+    /// Longest silence from the coordinator before concluding it is
+    /// gone (0 = no limit).
+    pub silence_ms: u64,
     /// Suppress per-lease progress lines on stderr.
     pub quiet: bool,
     /// Emit a throttled progress line on stderr.
@@ -77,7 +75,8 @@ pub struct WorkerOpts {
     /// Shared auth token presented in the handshake.
     pub token: Option<String>,
     /// Cells requested per lease (`--lease-batch`); 0 = let the
-    /// coordinator pick its default.
+    /// coordinator pick its default. Grants are capped at
+    /// [`MAX_LEASE`].
     pub lease_batch: u64,
     /// Connection attempts after a lost coordinator before giving up
     /// (`--reconnect`), counted per lease loop; 0 = exit on the first
@@ -104,8 +103,7 @@ impl Default for WorkerOpts {
             threads: 0,
             heartbeat_ms: 1000,
             name: None,
-            max_idle_windows: 120,
-            read_timeout_ms: 1000,
+            silence_ms: 120_000,
             quiet: false,
             progress: false,
             token: None,
@@ -451,8 +449,10 @@ fn session(
     let stream = TcpStream::connect(addr)
         .map_err(|e| SessionError::retryable(format!("connect {addr}: {e}")))?;
     let _ = stream.set_nodelay(true);
+    // No timeout (0) blocks until the coordinator speaks or closes.
+    let silence = (opts.silence_ms > 0).then(|| Duration::from_millis(opts.silence_ms));
     stream
-        .set_read_timeout(Some(Duration::from_millis(opts.read_timeout_ms.max(10))))
+        .set_read_timeout(silence)
         .map_err(|e| SessionError::fatal(format!("set_read_timeout: {e}")))?;
     lp.fleet.attach(lp.slot, &stream)?;
     let _detach = Detach(lp.fleet, lp.slot);
@@ -470,18 +470,15 @@ fn session(
             .map_err(|e| SessionError::retryable(format!("send: {e}")))
     };
     let recv = |reader: &mut FrameReader<TcpStream>| -> Result<Msg, SessionError> {
-        reader
-            .next_msg_within(opts.max_idle_windows.into(), None)
-            .map_err(|stop| {
-                SessionError::retryable(match stop {
-                    ReadStop::Dead(FrameError::Eof) => "coordinator closed the connection".into(),
-                    ReadStop::Dead(e) => e.to_string(),
-                    ReadStop::TimedOut | ReadStop::Shutdown => format!(
-                        "coordinator silent for {} windows of {}ms",
-                        opts.max_idle_windows, opts.read_timeout_ms
-                    ),
-                })
+        reader.next_msg_within(1, None).map_err(|stop| {
+            SessionError::retryable(match stop {
+                ReadStop::Dead(FrameError::Eof) => "coordinator closed the connection".into(),
+                ReadStop::Dead(e) => e.to_string(),
+                ReadStop::TimedOut | ReadStop::Shutdown => {
+                    format!("coordinator silent for {}ms", opts.silence_ms)
+                }
             })
+        })
     };
 
     // --- Handshake ------------------------------------------------
@@ -594,30 +591,16 @@ fn session(
                         Ok(spec) => spec,
                         Err(e) => return stop_heartbeat(Err(SessionError::fatal(e))),
                     };
-                    let experiment = match spec.resolve(registry) {
+                    let experiment = match spec.resolve_as(registry, &coord_fp, job_count) {
                         Ok(e) => e,
                         Err(why) => {
+                            let why = format!("cannot run campaign {campaign}: {why}");
                             let _ = send(&Msg::Abort {
                                 reason: why.clone(),
                             });
-                            return stop_heartbeat(Err(SessionError::fatal(format!(
-                                "cannot run campaign {campaign}: {why}"
-                            ))));
+                            return stop_heartbeat(Err(SessionError::fatal(why)));
                         }
                     };
-                    let fp = experiment.fingerprint();
-                    if fp != coord_fp || experiment.job_count() as u64 != job_count {
-                        let why = format!(
-                            "fingerprint mismatch for {:?} (campaign {campaign}): coordinator \
-                             {coord_fp} ({job_count} jobs), this binary {fp} ({} jobs)",
-                            spec.experiment,
-                            experiment.job_count()
-                        );
-                        let _ = send(&Msg::Abort {
-                            reason: why.clone(),
-                        });
-                        return stop_heartbeat(Err(SessionError::fatal(why)));
-                    }
                     log.info(
                         "campaign_resolve",
                         &[
@@ -627,12 +610,13 @@ fn session(
                             ("jobs", &job_count.to_string()),
                         ],
                     );
-                    campaigns.insert(campaign.clone(), (fp, experiment));
+                    campaigns.insert(campaign.clone(), (coord_fp, experiment));
                 }
                 let (_, experiment) = campaigns.get(&campaign).expect("inserted above");
-                if jobs.iter().any(|&j| j >= experiment.job_count()) {
+                if jobs.len() > MAX_LEASE || jobs.iter().any(|&j| j >= experiment.job_count()) {
                     let why = format!(
-                        "lease for campaign {campaign} contains out-of-range indices: {jobs:?}"
+                        "lease for campaign {campaign} is over the {MAX_LEASE}-cell cap or \
+                         contains out-of-range indices: {jobs:?}"
                     );
                     let _ = send(&Msg::Abort {
                         reason: why.clone(),
@@ -663,41 +647,17 @@ fn session(
                         ("wall_ms", &format!("{wall_ms:.1}")),
                     ],
                 );
-                // A huge lease's rows could exceed the frame limit as
-                // one message; results are independent, so ship them
-                // in bounded chunks (the accounting rides the first;
-                // the measured wall clock is split pro-rata so the
-                // coordinator's per-cell spread stays exact).
-                let mut first = true;
-                let mut rows = outcome.rows;
-                let lease_rows = rows.len();
-                while !rows.is_empty() || first {
-                    let rest = rows.split_off(rows.len().min(RESULT_CHUNK_ROWS));
-                    let chunk = std::mem::replace(&mut rows, rest);
-                    let chunk_wall = if lease_rows > 0 {
-                        wall_ms * chunk.len() as f64 / lease_rows as f64
-                    } else {
-                        0.0
-                    };
-                    let msg = Msg::Result {
-                        campaign: campaign.clone(),
-                        rows: chunk,
-                        executed: if first {
-                            outcome.stats.executed as u64
-                        } else {
-                            0
-                        },
-                        cache_hits: if first {
-                            outcome.stats.cache_hits as u64
-                        } else {
-                            0
-                        },
-                        wall_ms: chunk_wall,
-                    };
-                    first = false;
-                    if let Err(e) = send(&msg) {
-                        return stop_heartbeat(Err(e));
-                    }
+                // A lease holds at most `MAX_LEASE` cells, so its rows
+                // fit one frame.
+                let msg = Msg::Result {
+                    campaign,
+                    rows: outcome.rows,
+                    executed: outcome.stats.executed as u64,
+                    cache_hits: outcome.stats.cache_hits as u64,
+                    wall_ms,
+                };
+                if let Err(e) = send(&msg) {
+                    return stop_heartbeat(Err(e));
                 }
                 executing.store(false, Ordering::SeqCst);
                 idle_since = Instant::now();

@@ -6,15 +6,16 @@
 // Each suite compiles this module on its own and uses a subset.
 #![allow(dead_code)]
 
+use sfence_dist::protocol::{write_msg, FrameReader, Msg, PROTOCOL_VERSION};
 use sfence_dist::{
     client, fetch_status, run_server, work, CampaignTicket, ExperimentSpec, ServerOpts,
     ServerOutcome, WorkerOpts, WorkerSummary,
 };
-use sfence_harness::{Axis, BackendId, Experiment, IndexedRow, SweepResult};
+use sfence_harness::{Axis, BackendId, Experiment, IndexedRow, SweepResult, SCHEMA_VERSION};
 use sfence_obs::MetricValue;
 use sfence_sim::FenceConfig;
 use sfence_workloads::WorkloadParams;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -74,8 +75,7 @@ pub fn test_worker_opts(name: &str) -> WorkerOpts {
         threads: 1,
         heartbeat_ms: 50,
         name: Some(name.to_string()),
-        read_timeout_ms: 20,
-        max_idle_windows: 500, // 10s of silence before giving up
+        silence_ms: 10_000,
         quiet: true,
         ..WorkerOpts::default()
     }
@@ -91,6 +91,25 @@ pub fn fast_wait_opts(token: Option<&str>) -> client::WaitOpts {
     };
     wait.client.token = token.map(str::to_string);
     wait
+}
+
+/// Open a hand-rolled worker session: `hello`, then `welcome`.
+pub fn raw_worker(addr: &str, name: &str) -> (TcpStream, FrameReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = FrameReader::new(stream);
+    let hello = Msg::Hello {
+        schema_version: SCHEMA_VERSION,
+        protocol_version: PROTOCOL_VERSION,
+        worker: name.into(),
+        token: None,
+    };
+    write_msg(&mut writer, &hello).unwrap();
+    match reader.next_msg().unwrap().unwrap() {
+        Msg::Welcome { .. } => {}
+        other => panic!("expected welcome, got {other:?}"),
+    }
+    (writer, reader)
 }
 
 pub fn merged_json(experiment: &Experiment, rows: Vec<IndexedRow>) -> String {

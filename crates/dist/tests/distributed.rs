@@ -9,7 +9,9 @@
 
 mod common;
 
-use common::{merged_json, registry, scratch_dir, test_server_opts, test_worker_opts, Daemon};
+use common::{
+    merged_json, raw_worker, registry, scratch_dir, test_server_opts, test_worker_opts, Daemon,
+};
 use sfence_dist::protocol::{write_msg, FrameReader, Msg, PROTOCOL_VERSION};
 use sfence_dist::{
     run_server, work, ExperimentSpec, ServerOpts, ServerOutcome, WorkerOpts, WorkerSummary,
@@ -83,31 +85,14 @@ fn two_workers_merge_byte_identical_to_single_process() {
 /// and, for the hung case, the stream that must be kept alive by the
 /// caller.
 fn take_lease_and_stop(addr: &str, hang: bool) -> (Vec<usize>, Option<TcpStream>) {
-    let stream = TcpStream::connect(addr).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = FrameReader::new(stream.try_clone().unwrap());
-    let mut next = || reader.next_msg().unwrap().expect("reply");
-    write_msg(
-        &mut writer,
-        &Msg::Hello {
-            schema_version: SCHEMA_VERSION,
-            protocol_version: PROTOCOL_VERSION,
-            worker: "doomed".into(),
-            token: None,
-        },
-    )
-    .unwrap();
-    match next() {
-        Msg::Welcome { .. } => {}
-        other => panic!("expected welcome, got {other:?}"),
-    }
+    let (mut writer, mut reader) = raw_worker(addr, "doomed");
     write_msg(&mut writer, &Msg::Request { batch: 0 }).unwrap();
-    let jobs = match next() {
+    let jobs = match reader.next_msg().unwrap().expect("reply") {
         Msg::Lease { jobs, .. } => jobs,
         other => panic!("expected lease, got {other:?}"),
     };
     assert!(!jobs.is_empty());
-    (jobs, hang.then_some(stream))
+    (jobs, hang.then_some(writer))
 }
 
 #[test]
@@ -358,7 +343,7 @@ fn worker_connecting_during_shutdown_is_told_done_not_left_hanging() {
     };
     let racer = std::thread::spawn(move || {
         let mut w = test_worker_opts("racer");
-        w.max_idle_windows = 250; // fail the test fast if hung
+        w.silence_ms = 5_000; // fail the test fast if hung
         work(&addr, registry, &w)
     });
     // Give the racer time to connect and send its hello before the

@@ -2,17 +2,22 @@
 //! campaigns merge byte-identical to their solo runs, a killed
 //! coordinator resumes every in-flight campaign from its checkpoint
 //! (same ids, same bytes), batched leases respect the request and the
-//! server cap, and every client flow is refused without the shared
-//! token.
+//! server cap, fair-share order and served counts carry through a
+//! restart, a restart that resolves a campaign differently refuses to
+//! start, and every client flow is refused without the shared token.
 
 mod common;
 
 use common::{
-    fast_wait_opts, merged_json, registry, scratch_dir, test_server_opts, test_worker_opts, Daemon,
+    fast_wait_opts, merged_json, raw_worker, registry, scratch_dir, test_server_opts,
+    test_worker_opts, Daemon,
 };
 use sfence_dist::protocol::{write_msg, FrameReader, Msg, PROTOCOL_VERSION};
-use sfence_dist::{client, fetch_dump, fetch_status, run_server, work, ExperimentSpec, ServerOpts};
+use sfence_dist::{
+    client, fetch_dump, fetch_status, run_server, work, ExperimentSpec, Poll, Registry, ServerOpts,
+};
 use sfence_harness::{Experiment, RunOptions, SCHEMA_VERSION};
+use sfence_workloads::Scale;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -183,6 +188,40 @@ fn killed_coordinator_resumes_from_checkpoint_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Request `batch` cells on a raw worker session, run them on the
+/// experiment the lease's spec names and send the rows back; the
+/// campaign leased from and the cell count.
+fn serve_lease(
+    writer: &mut TcpStream,
+    reader: &mut FrameReader<TcpStream>,
+    batch: u64,
+) -> (String, usize) {
+    write_msg(writer, &Msg::Request { batch }).unwrap();
+    let (campaign, spec, jobs) = match reader.next_msg().unwrap().unwrap() {
+        Msg::Lease {
+            campaign,
+            spec,
+            jobs,
+            ..
+        } => (campaign, spec, jobs),
+        other => panic!("expected lease, got {other:?}"),
+    };
+    let experiment = ExperimentSpec::from_json(&spec)
+        .and_then(|spec| spec.resolve(registry))
+        .unwrap();
+    let cells = jobs.len();
+    let outcome = experiment.run_with(RunOptions::new(1).jobs(jobs));
+    let result = Msg::Result {
+        campaign: campaign.clone(),
+        rows: outcome.rows,
+        executed: outcome.stats.executed as u64,
+        cache_hits: 0,
+        wall_ms: 0.0,
+    };
+    write_msg(writer, &result).unwrap();
+    (campaign, cells)
+}
+
 #[test]
 fn batched_leases_respect_request_and_cap_and_merge_identically() {
     let tiny = registry("tiny").unwrap();
@@ -194,13 +233,12 @@ fn batched_leases_respect_request_and_cap_and_merge_identically() {
     let addr = listener.local_addr().unwrap().to_string();
     let shutdown = Arc::new(AtomicBool::new(false));
     let opts = ServerOpts {
-        max_lease: 4,
         shutdown: Some(Arc::clone(&shutdown)),
         ..test_server_opts()
     };
     let spec = ExperimentSpec::new("tiny");
 
-    let outcome = std::thread::scope(|s| {
+    let (outcome, rows) = std::thread::scope(|s| {
         let server = s.spawn(|| {
             run_server(
                 &listener,
@@ -209,44 +247,13 @@ fn batched_leases_respect_request_and_cap_and_merge_identically() {
                 &opts,
             )
         });
-        let stream = TcpStream::connect(&addr).unwrap();
-        let mut writer = stream.try_clone().unwrap();
-        let mut reader = FrameReader::new(stream);
-        write_msg(
-            &mut writer,
-            &Msg::Hello {
-                schema_version: SCHEMA_VERSION,
-                protocol_version: PROTOCOL_VERSION,
-                worker: "batcher".into(),
-                token: None,
-            },
-        )
-        .unwrap();
-        match reader.next_msg().unwrap().unwrap() {
-            Msg::Welcome { .. } => {}
-            other => panic!("expected welcome, got {other:?}"),
-        }
+        let (mut writer, mut reader) = raw_worker(&addr, "batcher");
         // batch=3 → exactly 3; batch=0 → server default (2);
-        // batch=999 → capped at max_lease(4), 3 jobs remain.
+        // batch=999 → whatever is left under the cap: 3 jobs remain
+        // (the cap itself is `lease_size`'s unit test).
         for (batch, expect) in [(3u64, 3usize), (0, 2), (999, 3)] {
-            write_msg(&mut writer, &Msg::Request { batch }).unwrap();
-            let (campaign, jobs) = match reader.next_msg().unwrap().unwrap() {
-                Msg::Lease { campaign, jobs, .. } => (campaign, jobs),
-                other => panic!("expected lease, got {other:?}"),
-            };
-            assert_eq!(jobs.len(), expect, "batch={batch}");
-            let outcome = tiny.run_with(RunOptions::new(1).jobs(jobs));
-            write_msg(
-                &mut writer,
-                &Msg::Result {
-                    campaign,
-                    rows: outcome.rows,
-                    executed: outcome.stats.executed as u64,
-                    cache_hits: 0,
-                    wall_ms: 0.0,
-                },
-            )
-            .unwrap();
+            let (_, cells) = serve_lease(&mut writer, &mut reader, batch);
+            assert_eq!(cells, expect, "batch={batch}");
         }
         // Nothing is pending now; a shutdown tells the idle worker
         // `done`.
@@ -255,17 +262,106 @@ fn batched_leases_respect_request_and_cap_and_merge_identically() {
             Msg::Wait { .. } => {}
             other => panic!("expected wait, got {other:?}"),
         }
+        // Fetch the merge the way every client does.
+        let rows = match client::poll(&addr, "c1", &fast_wait_opts(None).client).unwrap() {
+            Poll::Complete { rows, .. } => rows,
+            other => panic!("expected a complete campaign, got {other:?}"),
+        };
         shutdown.store(true, Ordering::SeqCst);
         match reader.next_msg().unwrap().unwrap() {
             Msg::Done => {}
             other => panic!("expected done, got {other:?}"),
         }
-        server.join().unwrap().expect("server exits")
+        (server.join().unwrap().expect("server exits"), rows)
     });
     assert!(!outcome.aborted);
-    let campaign = outcome.campaigns.into_iter().next().unwrap();
-    assert!(campaign.complete);
-    assert_eq!(merged_json(&tiny, campaign.rows), expected);
+    assert!(outcome.campaigns[0].complete);
+    assert_eq!(merged_json(&tiny, rows), expected);
+}
+
+#[test]
+fn fair_share_order_and_served_counts_survive_a_restart() {
+    let dir = scratch_dir("fair-share");
+    let ckpt = dir.join("ckpt.jsonl");
+    // Serve `cells` one-cell leases on a daemon with `initial` seeded
+    // (after whatever its checkpoint restores), then stop it; the
+    // campaigns leased from, in order.
+    let run = |initial: Vec<(ExperimentSpec, Experiment, u64)>, cells: usize| {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let opts = ServerOpts {
+            default_lease: 1,
+            checkpoint: Some(ckpt.clone()),
+            checkpoint_every_ms: 0,
+            shutdown: Some(Arc::clone(&shutdown)),
+            ..test_server_opts()
+        };
+        std::thread::scope(|s| {
+            let server = s.spawn(|| run_server(&listener, Some(registry), initial, &opts));
+            let (mut writer, mut reader) = raw_worker(&addr, "fair");
+            let order: Vec<String> = (0..cells)
+                .map(|_| serve_lease(&mut writer, &mut reader, 0).0)
+                .collect();
+            shutdown.store(true, Ordering::SeqCst);
+            match reader.next_msg().unwrap().unwrap() {
+                Msg::Done => {}
+                other => panic!("expected done, got {other:?}"),
+            }
+            server.join().unwrap().expect("server exits");
+            order
+        })
+    };
+    let served = || -> Vec<u64> {
+        let loaded = sfence_dist::checkpoint::load(&ckpt).unwrap().unwrap();
+        loaded.snapshot.campaigns.iter().map(|c| c.served).collect()
+    };
+
+    // Weights 1 and 3: c1 is picked on ties (lowest id), then c2
+    // until its virtual time `served / 3` catches up.
+    let seeds = ["tiny", "tiny2"]
+        .into_iter()
+        .zip([1, 3])
+        .map(|(name, priority)| (ExperimentSpec::new(name), registry(name).unwrap(), priority))
+        .collect();
+    assert_eq!(run(seeds, 6), ["c1", "c2", "c2", "c2", "c1", "c2"]);
+    assert_eq!(served(), [2, 4]);
+    // A daemon that forgot the counts would start again at c1.
+    assert_eq!(run(Vec::new(), 3), ["c2", "c2", "c1"]);
+    assert_eq!(served(), [3, 6]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_restart_that_resolves_a_campaign_differently_refuses_to_start() {
+    fn drifted(name: &str) -> Option<Experiment> {
+        registry(name).map(|e| e.scale(Scale::Eval))
+    }
+    let dir = scratch_dir("drifted-restart");
+    let ckpt = dir.join("ckpt.jsonl");
+    // The flag is set before the start: each daemon restores, seeds,
+    // checkpoints and returns.
+    let start = |registry: Registry, initial| {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let opts = ServerOpts {
+            checkpoint: Some(ckpt.clone()),
+            shutdown: Some(Arc::new(AtomicBool::new(true))),
+            ..test_server_opts()
+        };
+        run_server(&listener, Some(registry), initial, &opts)
+    };
+    let seed = (ExperimentSpec::new("tiny"), registry("tiny").unwrap(), 1);
+    start(registry, vec![seed]).expect("the first daemon starts");
+    let err = start(drifted, Vec::new()).unwrap_err();
+    assert!(
+        err.contains("checkpoint campaign c1") && err.contains("fingerprint mismatch"),
+        "{err}"
+    );
+    // The refusal leaves the checkpoint intact for a binary that
+    // agrees with it.
+    let outcome = start(registry, Vec::new()).expect("the agreeing daemon starts");
+    assert_eq!(outcome.campaigns[0].id, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Read the next frame, skipping the keep-alives a worker's side

@@ -4,9 +4,8 @@
 
 mod common;
 
-use common::{merged_json, registry, test_server_opts, test_worker_opts, Daemon};
-use sfence_dist::protocol::{write_msg, FrameError, FrameReader, Msg, MAX_FRAME, PROTOCOL_VERSION};
-use sfence_harness::SCHEMA_VERSION;
+use common::{merged_json, raw_worker, registry, test_server_opts, test_worker_opts, Daemon};
+use sfence_dist::protocol::{write_msg, FrameError, FrameReader, Msg, MAX_FRAME};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -93,23 +92,7 @@ fn live_coordinator_survives_torn_clients() {
 
     // 2. A client that handshakes correctly, takes a lease, then sends
     // garbage instead of results.
-    let stream = TcpStream::connect(&addr).unwrap();
-    let mut writer = stream.try_clone().unwrap();
-    let mut reader = FrameReader::new(stream);
-    write_msg(
-        &mut writer,
-        &Msg::Hello {
-            schema_version: SCHEMA_VERSION,
-            protocol_version: PROTOCOL_VERSION,
-            worker: "corrupt".into(),
-            token: None,
-        },
-    )
-    .unwrap();
-    match reader.next_msg().unwrap().unwrap() {
-        Msg::Welcome { .. } => {}
-        other => panic!("expected welcome, got {other:?}"),
-    }
+    let (mut writer, mut reader) = raw_worker(&addr, "corrupt");
     write_msg(&mut writer, &Msg::Request { batch: 0 }).unwrap();
     match reader.next_msg().unwrap().unwrap() {
         Msg::Lease { jobs, .. } => assert!(!jobs.is_empty()),

@@ -257,20 +257,6 @@ impl<T> JobQueue<T> {
         }
         Ok(queue)
     }
-
-    /// Consume the queue into its payloads, in job order. Errors if
-    /// any job never completed.
-    pub fn into_payloads(self) -> Result<Vec<T>, String> {
-        let total = self.slots.len();
-        self.slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| match slot {
-                JobState::Done(payload) => Ok(payload),
-                _ => Err(format!("job {i} of {total} never completed")),
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -309,7 +295,7 @@ mod tests {
         assert_eq!(q.complete(0, "row"), Ok(true));
         assert_eq!(q.complete(1, "row"), Ok(true));
         assert!(q.is_complete());
-        assert_eq!(q.into_payloads().unwrap().len(), 5);
+        assert_eq!(q.done_payloads().count(), 5);
     }
 
     #[test]
@@ -355,7 +341,8 @@ mod tests {
         let mut q: JobQueue<u32> = JobQueue::new(2);
         assert!(q.complete(7, 0).is_err());
         q.complete(0, 1).unwrap();
-        assert!(q.into_payloads().is_err());
+        assert!(!q.is_complete());
+        assert_eq!(q.done_payloads().collect::<Vec<_>>(), [(0, &1)]);
     }
 
     #[test]
