@@ -11,7 +11,7 @@
 //! its cells one after another on its own thread, appends their cache
 //! lines to its own writer file and sends the rows back in one
 //! `result` frame (a lease holds at most
-//! [`MAX_LEASE`](crate::protocol::MAX_LEASE) cells). So no thread waits
+//! [`MAX_LEASE`] cells). So no thread waits
 //! for a lease's slowest cell on another thread, behind another
 //! thread's cache writes, or on another loop's round trip. The cache
 //! directory is read once per process and those entries are shared by
